@@ -82,7 +82,8 @@ def standard_shift(n: int, ell0: int) -> int:
     if n < 0:
         raise ValueError("level must be nonnegative")
     num = ((-1 if n & 1 else 1) - (1 << n)) * ell0
-    assert num % 3 == 0, "2^n = (-1)^n mod 3 makes this divisible"
+    if num % 3:
+        raise ArithmeticError(f"t_{n} is not an integer for ell0={ell0}")
     return num // 3
 
 
@@ -98,7 +99,12 @@ def entry_index(s0: int, ell0: int) -> int:
     while abs(s) >= (ell0 << m):
         s = -s - (ell0 << m)
         m += 1
-    assert m == _entry_index_closed(s0, ell0)
+    closed = _entry_index_closed(s0, ell0)
+    if m != closed:
+        raise ArithmeticError(
+            f"entry index of s0={s0}, ell0={ell0}: recursion gives {m}, "
+            f"closed form gives {closed}"
+        )
     return m
 
 

@@ -7,7 +7,8 @@ field element).  All big integers are serialized as decimal strings, and
 identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 at least one verification verdict failed,
-2 usage error.
+2 usage or input error (bad arguments, unreadable or invalid files,
+budget caps).
 """
 
 from __future__ import annotations
@@ -277,9 +278,10 @@ def main(argv=None) -> None:
         sys.exit(run(config))
     except (ValueError, RuntimeError, OSError) as err:
         # Predictable failures (budget caps, bad seed files, bad shifts)
-        # get a one-line message instead of a traceback.
+        # get a one-line message instead of a traceback, and the usage
+        # error code, so that exit 1 always means a failed verdict.
         print(f"error: {err}", file=sys.stderr)
-        sys.exit(1)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -15,9 +15,14 @@ needs O(2^{n-t} + 2^t) memory instead of materializing length-2^n
 sequences, so peak crosscorrelation and peak sidelobe level stay
 computable far beyond the sizes where sequences fit in memory.
 
-Integer-valued pairs (binary seeds in particular) run on a vectorized
-int64 kernel with an explicit overflow guard; general complex-rational
-seeds use an exact scalar path.
+Integer-valued pairs (binary seeds in particular) run on vectorized
+numpy kernels.  Within one block of shifts sharing q the four table
+coefficients are constant, so the peak scan evaluates whole blocks as
+combinations of the two level arrays, visiting them in decreasing order
+of the per-block bound and stopping once no remaining block can reach
+the best value found.  Every level and every block whose exact bound
+exceeds int64 is computed with Python integers (object dtype) instead.
+General complex-rational seeds use an exact scalar path.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ __all__ = [
     "clear_caches",
 ]
 
-_INT64_SAFE = 1 << 62
-_CHUNK = 1 << 20
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_CHUNK = 1 << 16
 
 
 class LevelTooSmall(ValueError):
@@ -87,16 +92,6 @@ class AbgdTable:
         if not 0 <= idx < self.a.size:
             return (0, 0, 0, 0)
         return (int(self.a[idx]), int(self.b[idx]), int(self.g[idx]), int(self.d[idx]))
-
-    def max_abs(self) -> int:
-        return int(
-            max(
-                np.abs(self.a).max(),
-                np.abs(self.b).max(),
-                np.abs(self.g).max(),
-                np.abs(self.d).max(),
-            )
-        )
 
 
 _abgd_cache: list[AbgdTable] = []
@@ -158,8 +153,10 @@ def clear_caches() -> None:
 def _oracle_dense_int(seed: SeedPair, k: int) -> np.ndarray:
     pair = grs_pair(seed, k)
     ell = pair.length
-    arr = np.zeros(2 * ell - 1, dtype=np.int64)
-    for s, v in correlation.spectrum(pair.x, pair.y).entries.items():
+    entries = correlation.spectrum(pair.x, pair.y).entries
+    fits = max(map(abs, entries.values()), default=0) <= _INT64_MAX
+    arr = np.zeros(2 * ell - 1, dtype=np.int64 if fits else object)
+    for s, v in entries.items():
         arr[s + ell - 1] = v
     return arr
 
@@ -172,11 +169,7 @@ def _int_level(seed: SeedPair, k: int) -> np.ndarray:
     if k <= 1:
         arr = _oracle_dense_int(seed, k)
     else:
-        s_prev = _int_level(seed, k - 1)
-        s_prev2 = _int_level(seed, k - 2)
-        ell = seed.ell0 << k
-        shifts = np.arange(-(ell - 1), ell, dtype=np.int64)
-        arr = _kernel_int(shifts, abgd(1), s_prev, ell >> 1, s_prev2, ell >> 2)
+        arr = _dense_int(seed, k, 1)
     arr.flags.writeable = False
     _int_levels[key] = arr
     return arr
@@ -221,15 +214,47 @@ def _kernel_int(
     return aq * g1 + bq * g2 + gq * g3 + dq * g4
 
 
-def _check_int64_headroom(tables: AbgdTable, spec_nt, spec_nt1) -> None:
-    worst = 2 * tables.max_abs() * (
-        int(np.abs(spec_nt).max(initial=0)) + int(np.abs(spec_nt1).max(initial=0))
-    )
-    if worst >= _INT64_SAFE:
-        raise BudgetExceeded(
-            "scan values would not fit 64-bit integers; "
-            "choose a more balanced split"
+def _max_abs(spec: np.ndarray) -> int:
+    return int(np.abs(spec).max(initial=0))
+
+
+def _block_bounds(tables: AbgdTable, m_nt: int, m_nt1: int) -> np.ndarray:
+    """Per-block bound (|A_q| + |B_q|) m_nt + max(|Gamma_q|, |Delta_q|) m_nt1,
+    the maximum over r of ``nellie_bound`` for the peak magnitudes m_nt and
+    m_nt1 of levels n-t and n-t-1.
+
+    The Gamma and Delta terms read disjoint remainder windows, so the bound
+    also caps every partial sum of the four-term formula in its block: a
+    block whose bound fits int64 evaluates without wraparound.  The bounds
+    come back as Python integers (object dtype) when one would not fit.
+    """
+    ab = np.abs(tables.a) + np.abs(tables.b)
+    gd = np.maximum(np.abs(tables.g), np.abs(tables.d))
+    if int(ab.max()) * m_nt + int(gd.max()) * m_nt1 > _INT64_MAX:
+        ab, gd = ab.astype(object), gd.astype(object)
+    return ab * m_nt + gd * m_nt1
+
+
+def _dense_int(seed: SeedPair, n: int, t: int) -> np.ndarray:
+    """All C_{x_n, y_n}(s) for s in (-ell_n, ell_n) from the levels n-t and
+    n-t-1, evaluated in chunks of shifts to bound the kernel temporaries.
+    Python integers (object dtype) when some value could leave int64."""
+    lv1, lv2 = _split_levels(seed, n, t)
+    tables = abgd(t)
+    spec_nt = _int_level(seed, lv1)
+    spec_nt1 = _int_level(seed, lv2)
+    bound = _block_bounds(tables, _max_abs(spec_nt), _max_abs(spec_nt1)).max()
+    if bound > _INT64_MAX:
+        spec_nt, spec_nt1 = spec_nt.astype(object), spec_nt1.astype(object)
+    ell = seed.ell0 << n
+    out = np.empty(2 * ell - 1, dtype=spec_nt.dtype)
+    for start in range(-(ell - 1), ell, _CHUNK):
+        stop = min(start + _CHUNK, ell)
+        shifts = np.arange(start, stop, dtype=np.int64)
+        out[start + ell - 1 : stop + ell - 1] = _kernel_int(
+            shifts, tables, spec_nt, seed.ell0 << lv1, spec_nt1, seed.ell0 << lv2
         )
+    return out
 
 
 # -- general (complex rational) levels --------------------------------------
@@ -318,20 +343,7 @@ def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
     integer-valued seeds only (vectorized)."""
     if not seed.is_int:
         raise ValueError("vectorized spectra need integer-valued seeds")
-    lv1, lv2 = _split_levels(seed, n, t)
-    spec_nt = _int_level(seed, lv1)
-    spec_nt1 = _int_level(seed, lv2)
-    tables = abgd(t)
-    _check_int64_headroom(tables, spec_nt, spec_nt1)
-    ell = seed.ell0 << n
-    out = np.empty(2 * ell - 1, dtype=np.int64)
-    for start in range(-(ell - 1), ell, _CHUNK):
-        stop = min(start + _CHUNK, ell)
-        shifts = np.arange(start, stop, dtype=np.int64)
-        out[start + ell - 1 : stop + ell - 1] = _kernel_int(
-            shifts, tables, spec_nt, seed.ell0 << lv1, spec_nt1, seed.ell0 << lv2
-        )
-    return out
+    return _dense_int(seed, n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +465,14 @@ def streaming_peaks(
     budget: int | None = None,
     _cacheable: bool = True,
 ) -> tuple[PeakReport, PeakReport]:
-    """Peak crosscorrelation of the level-n pair by scanning all shifts
-    against two cached low-level spectra, plus the derived peak sidelobe
-    report for level n+1.
+    """Peak crosscorrelation of the level-n pair by a bound-pruned block
+    scan over two cached low-level spectra (see ``_block_peak``), plus the
+    derived peak sidelobe report for level n+1.
 
     The default split t = floor(n/2) balances the two memory terms; any
     split with 0 < t < n gives identical output.  Levels 0..2 fall back
-    to the oracle on the materialized pair.  For the unit seed the scan
-    skips even shifts, where all values vanish.
+    to the oracle on the materialized pair; seeds with complex
+    coefficients are scanned shift by shift in exact arithmetic.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -505,43 +517,67 @@ def _rescale_report(rep: PeakReport, scale: Fraction) -> PeakReport:
 
 
 def _streaming_int(seed, n, t, lv1, lv2) -> tuple[PeakReport, PeakReport]:
-    spec_nt = _int_level(seed, lv1)
-    spec_nt1 = _int_level(seed, lv2)
-    tables = abgd(t)
-    _check_int64_headroom(tables, spec_nt, spec_nt1)
-    ell = seed.ell0 << n
-    step = 2 if (seed.is_rudin_shapiro and n >= 1) else 1
-    start0 = -(ell - 1)
+    best, wits = _block_peak(
+        abgd(t), _int_level(seed, lv1), _int_level(seed, lv2), seed.ell0 << lv1
+    )
+    pcc_rep = PeakReport(n, best, tuple(wits))
+    return pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
+
+
+def _block_peak(tables, spec_nt, spec_nt1, ell_nt) -> tuple[int, list]:
+    """Largest |C_n(s)| over all shifts and every attaining (s, C_n(s)),
+    sorted by shift; (0, []) when every value vanishes.
+
+    With s = q * L + r, L = 2 * ell_{n-t} and 0 <= r < L, the values of
+    block q are A_q V1 + B_q V2 + Gamma_q V3 + Delta_q V4 with
+
+        V1 = C_{n-t}(r - ell_{n-t}),        V2 = C_{n-t}(ell_{n-t} - r),
+        V3 = C_{n-t-1}(r - 3 ell_{n-t-1}),  V4 = C_{n-t-1}(ell_{n-t-1} - r).
+
+    All four vanish at r = 0, and for r >= 1 they are the level arrays
+    themselves: V1 and V2 are the level n-t spectrum forwards and reversed,
+    V4 the level n-t-1 spectrum reversed on r < ell_{n-t} and V3 the same
+    spectrum forwards on r > ell_{n-t}.  So a block is evaluated on views,
+    indexed by u = r - 1.  The blocks q in [-2^(t-1), 2^(t-1)) cover shifts
+    [-ell_n, ell_n); the one shift outside the window, -ell_n, has r = 0.
+
+    Blocks are visited in decreasing order of their bound, down to the
+    first bound below the best value found: blocks whose bound equals the
+    best are still visited, so every witness is kept.
+    """
+    big_l = 2 * ell_nt
+    bounds = _block_bounds(tables, _max_abs(spec_nt), _max_abs(spec_nt1))
+    exact = None
     best = 0
-    shift_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    for start in range(start0, ell, _CHUNK * step):
-        stop = min(start + _CHUNK * step, ell)
-        shifts = np.arange(start, stop, step, dtype=np.int64)
-        vals = _kernel_int(
-            shifts, tables, spec_nt, seed.ell0 << lv1, spec_nt1, seed.ell0 << lv2
-        )
+    hits: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for qi in np.argsort(bounds, kind="stable")[::-1]:
+        bound = int(bounds[qi])
+        if bound < best or bound == 0:
+            break
+        c_nt, c_nt1 = spec_nt, spec_nt1
+        if bound > _INT64_MAX:
+            if exact is None:
+                exact = spec_nt.astype(object), spec_nt1.astype(object)
+            c_nt, c_nt1 = exact
+        a, b, g, d = (int(col[qi]) for col in (tables.a, tables.b, tables.g, tables.d))
+        vals = a * c_nt + b * c_nt[::-1]
+        if d:
+            vals[: ell_nt - 1] += d * c_nt1[::-1]
+        if g:
+            vals[ell_nt:] += g * c_nt1
         mags = np.abs(vals)
-        m = int(mags.max(initial=0))
+        m = int(mags.max())
+        if m < best or m == 0:
+            continue
         if m > best:
             best = m
-            shift_parts.clear()
-            value_parts.clear()
-        if m == best and best > 0:
-            hit = mags == best
-            shift_parts.append(shifts[hit])
-            value_parts.append(vals[hit])
-    if best == 0:
-        pcc_rep = PeakReport(n, 0, ())
-    else:
-        shifts = np.concatenate(shift_parts)
-        vals = np.concatenate(value_parts)
-        order = np.argsort(shifts)
-        wits = tuple(
-            (int(s), int(v)) for s, v in zip(shifts[order], vals[order])
-        )
-        pcc_rep = PeakReport(n, best, wits)
-    return pcc_rep, _psl_from_pcc(pcc_rep, ell)
+            hits.clear()
+        idx = np.flatnonzero(mags == best)
+        hits.append(((int(qi) - tables.offset) * big_l + 1, idx, vals[idx]))
+    wits = sorted(
+        (start + int(u), int(v)) for start, idx, vals in hits for u, v in zip(idx, vals)
+    )
+    return best, wits
 
 
 def _streaming_general(seed, n, t, lv1, lv2) -> tuple[PeakReport, PeakReport]:

@@ -346,6 +346,8 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
 def read_sequence(fp: TextIO) -> Sequence:
     header = fp.readline().split()
     fields = dict(part.split("=", 1) for part in header)
+    if "len" not in fields or "kind" not in fields:
+        raise ValueError("sequence header needs len= and kind= fields")
     length = int(fields["len"])
     kind = fields["kind"]
     if kind == "binary":

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,27 @@ def seed_pm4():
 def corpus(rs_seed, seed_pm2, seed_pm4):
     """The three binary seeds the whole suite exercises."""
     return [rs_seed, seed_pm2, seed_pm4]
+
+
+# Seeds outside the corpus: they widen the scan tests without changing the
+# tests that take ``corpus``.
+
+
+@pytest.fixture(scope="session")
+def seed_golay10():
+    """The length-10 binary Golay pair: non-power-of-two block sizes."""
+    return validate_seed(Sequence.binary("++-+-+--++"), Sequence.binary("++-+++++--"), 10)
+
+
+@pytest.fixture(scope="session")
+def seed_padded3():
+    """The length-2 pair declared with ell0 = 3 (one trailing zero each)."""
+    return validate_seed(Sequence.binary("++"), Sequence.binary("+-"), 3)
+
+
+@pytest.fixture(scope="session")
+def seed_rational():
+    """(1/2, 1/2) and (1/2, -1/2): a rational seed, scanned with cleared
+    denominators."""
+    half = Fraction(1, 2)
+    return validate_seed(Sequence([half, half]), Sequence([half, -half]), 2)

@@ -25,9 +25,10 @@ from grs.bounds import (
     verify_rs_bounds,
     verify_rs_lower_bounds,
 )
+from grs.fastscan import streaming_peaks
 from grs.field import KElem, QAlphaElem, alpha_pow, compare
 from grs.qcomplex import CQ
-from grs.sequences import Sequence, grs_pair, validate_seed
+from grs.sequences import Sequence, grs_pair, rudin_shapiro_seed, validate_seed
 
 
 def test_standard_shift():
@@ -170,6 +171,19 @@ def test_rs_lower_bounds():
     assert all(v.holds for v in verdicts)
     # All strict at these levels (the anchor is far above them).
     assert all(v.observed != "=" for v in verdicts if "lower" in v.claim_id)
+
+
+def test_rs_bounds_full_paper_range():
+    verdicts = verify_rs_bounds(42) + verify_rs_lower_bounds(42)
+    assert all(v.holds for v in verdicts)
+    tight = sorted(v.claim_id for v in verdicts if v.observed == "=")
+    assert tight == [
+        "rs_pcc_lower_n38",
+        "rs_pcc_upper_n3",
+        "rs_psl_lower_n39",
+        "rs_psl_upper_n4",
+    ]
+    assert streaming_peaks(rudin_shapiro_seed(), 38)[0].value == 133991557
 
 
 def test_generic_prefactor_values():

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from grs.cli import RunConfig, build_parser, run
+import pytest
+
+from grs.cli import RunConfig, build_parser, main, run
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -127,6 +129,25 @@ def test_usage_error_exit_code():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # x0 = y0 = ++ is not a Golay pair.
+        "ell0=2\nlen=2 kind=binary\n++\nlen=2 kind=binary\n++\n",
+        # The first sequence header lacks its length.
+        "ell0=2\nkind=binary\n++\nlen=2 kind=binary\n+-\n",
+    ],
+)
+def test_bad_seed_file_exit_code(tmp_path, capsys, text):
+    # An input error, not a failed verdict: exit 2 with a one-line message.
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["peaks", "--seed", str(seed_file), "--n", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_entry_point_runs():

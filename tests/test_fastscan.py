@@ -1,5 +1,5 @@
-import os
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -131,10 +131,6 @@ def test_streaming_psl_reports(rs_seed):
         assert rep.witnesses == TABLE4[n]
 
 
-@pytest.mark.skipif(
-    not os.environ.get("GRS_EXTENDED_SCAN"),
-    reason="levels past the desk-scale cutoff; set GRS_EXTENDED_SCAN=1 to run (~1 min)",
-)
 def test_streaming_beyond_cutoff(rs_seed):
     rep27, _ = streaming_peaks(rs_seed, 27)
     assert rep27.witnesses == ((-44739243, -640933),)
@@ -155,12 +151,96 @@ def test_streaming_split_independence(corpus):
 
 
 def test_streaming_even_skip_consistency(rs_seed, seed_pm2):
-    # The even-shift skip applies only to the unit seed; a seed with the
-    # same level-1 pair but no skip must agree on peaks one level up.
+    # The unit seed's level-1 pair is the pm2 seed, so its peaks one level
+    # up must agree, even shifts (where the unit seed's values vanish)
+    # included.
     rep_rs, _ = streaming_peaks(rs_seed, 7, _cacheable=False)
     rep_pm, _ = streaming_peaks(seed_pm2, 6, _cacheable=False)
     assert rep_rs.value == rep_pm.value
     assert rep_rs.witnesses == rep_pm.witnesses
+
+
+def _dense_peak(seed, n, t):
+    """Peak and witnesses read off the full iter_spectrum array; rational
+    seeds are scaled to integers and the values scaled back."""
+    scale = 1
+    if not seed.is_int:
+        d = lcm(*(c.re.denominator for s in (seed.x0, seed.y0) for c in s.cq_coeffs()))
+        scaled = [Sequence([c.re * d for c in s.cq_coeffs()], s.length) for s in (seed.x0, seed.y0)]
+        seed = validate_seed(*scaled, seed.ell0)
+        scale = d * d
+    values = iter_spectrum(seed, n, t)
+    mags = np.abs(values)
+    best = int(mags.max())
+    ell = seed.ell0 << n
+    wits = tuple(
+        (int(i) - (ell - 1), Fraction(int(values[i]), scale))
+        for i in np.flatnonzero(mags == best)
+    )
+    return Fraction(best, scale), wits
+
+
+def test_pruned_scan_equals_dense(corpus, seed_golay10, seed_padded3, seed_rational):
+    for seed in corpus + [seed_golay10, seed_padded3, seed_rational]:
+        for n in range(3, 17):
+            for t in range(1, n):
+                rep, _ = streaming_peaks(seed, n, t_split=t, _cacheable=False)
+                value, wits = _dense_peak(seed, n, t)
+                assert rep.value == value, (seed.ell0, n, t)
+                assert rep.witnesses == wits, (seed.ell0, n, t)
+
+
+def test_block_bound_is_max_of_nellie_bound():
+    from grs.fastscan import _block_bounds
+
+    for t in range(1, 7):
+        ell_nt = 4
+        bounds = _block_bounds(abgd(t), 11, 7)
+        for q in range(-(1 << (t - 1)), 1 << (t - 1)):
+            per_shift = [nellie_bound(t, q, r, ell_nt, 11, 7) for r in range(2 * ell_nt)]
+            assert bounds[q + (1 << (t - 1))] == max(per_shift), (t, q)
+
+
+def test_block_peak_keeps_equal_bound_blocks():
+    # Random +/-1 and {-1, 0, 1} level arrays make many blocks reach their
+    # bound, so ties between blocks whose bound equals the peak are common.
+    from grs.fastscan import _block_peak, _kernel_int
+
+    rng = np.random.default_rng(2021)
+    for t in range(1, 7):
+        tables = abgd(t)
+        for ell_nt in (2, 4, 6, 8):
+            for values in ([-1, 1], [-1, 0, 1]):
+                spec_nt = rng.choice(values, 2 * ell_nt - 1)
+                spec_nt1 = rng.choice(values, ell_nt - 1)
+                ell = ell_nt << t
+                shifts = np.arange(-ell + 1, ell, dtype=np.int64)
+                dense = _kernel_int(shifts, tables, spec_nt, ell_nt, spec_nt1, ell_nt // 2)
+                best = int(np.abs(dense).max())
+                hit = np.abs(dense) == best
+                wits = list(zip(shifts[hit].tolist(), dense[hit].tolist())) if best else []
+                assert _block_peak(tables, spec_nt, spec_nt1, ell_nt) == (best, wits)
+
+
+def test_large_coefficients_leave_int64_exactly():
+    # Correlations of the 10^9 seed pass 2^63 from level 4 on, those of the
+    # 10^10 seed already at level 0; levels and scan blocks whose exact
+    # bound leaves int64 are computed with Python ints.
+    small = validate_seed(Sequence([10**9]), Sequence([10**9]), 1)
+    assert coeff_by_iteration(small, 6, 1, -43) == 13 * 10**18
+    big = validate_seed(Sequence([10**10]), Sequence([10**10]), 1)
+    for seed, n in [(small, n) for n in range(3, 9)] + [(big, 3), (big, 4)]:
+        entries = correlation.spectrum(*_pair_seqs(seed, n)).entries
+        ell = seed.ell0 << n
+        oracle = [entries.get(s, 0) for s in range(-ell + 1, ell)]
+        peak = max(map(abs, oracle))
+        wits = tuple((s, v) for s, v in sorted(entries.items()) if abs(v) == peak)
+        for t in range(1, n):
+            assert iter_spectrum(seed, n, t).tolist() == oracle, (n, t)
+            for s in range(-ell + 1, ell):
+                assert coeff_by_iteration(seed, n, t, s) == oracle[s + ell - 1]
+            rep, _ = streaming_peaks(seed, n, t_split=t, _cacheable=False)
+            assert (rep.value, rep.witnesses) == (peak, wits), (n, t)
 
 
 def test_streaming_budget_guard(rs_seed):
