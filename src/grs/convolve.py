@@ -7,7 +7,9 @@ loop.  Larger ones pack each polynomial into one big Python integer
 digits of the product are the convolution.  Negative coefficients are
 handled by offsetting both inputs to be nonnegative and subtracting the
 three correction terms, which are plain window sums.  Everything stays in
-integer arithmetic, so results are exact at any size.
+integer arithmetic, so results are exact at any size: the packing and the
+window sums run on int64 arrays when an exact bound shows that no value
+can leave int64, and on object arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -32,74 +34,91 @@ def schoolbook_convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _pack(vals: list[int], nbytes: int) -> int:
+INT64_MAX = 2**63 - 1
+
+
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or an object array (Python ints) when
+    one leaves int64.  Int64 and object arrays pass through unchanged."""
+    if isinstance(values, np.ndarray):
+        if values.dtype in (np.int64, object):
+            return values
+        values = values.tolist()
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _pack(vals: np.ndarray, nbytes: int) -> int:
+    """Nonnegative ``vals`` as little-endian digits of ``nbytes`` bytes."""
+    if vals.dtype == np.int64:
+        # Each value is below 256**nbytes, so the dropped high bytes are zero.
+        digits = vals.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes]
+        return int.from_bytes(digits.tobytes(), "little")
     buf = bytearray(len(vals) * nbytes)
-    for i, v in enumerate(vals):
+    for i, v in enumerate(vals.tolist()):
         buf[i * nbytes : (i + 1) * nbytes] = v.to_bytes(nbytes, "little")
     return int.from_bytes(bytes(buf), "little")
 
 
-def _unpack(num: int, nbytes: int, count: int) -> list[int]:
+def _unpack(num: int, nbytes: int, count: int, dtype) -> np.ndarray:
     raw = num.to_bytes(nbytes * count, "little")
-    if nbytes <= 7:
-        # Digits fit in int64 (< 2**56), so decode with one matrix product.
-        mat = np.frombuffer(raw, dtype=np.uint8).reshape(count, nbytes)
-        weights = (256 ** np.arange(nbytes, dtype=np.int64)).astype(np.int64)
-        return (mat.astype(np.int64) @ weights).tolist()
-    return [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
-        for i in range(count)
-    ]
+    if dtype == np.int64:
+        # The caller's bound keeps every digit below 2**62: at most 8 bytes.
+        wide = np.zeros((count, 8), dtype=np.uint8)
+        wide[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(count, nbytes)
+        return wide.view("<u8").ravel().astype(np.int64)
+    return np.array(
+        [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(count)],
+        dtype=object,
+    )
 
 
-def _window_sums(vals: list[int], width: int, out_len: int) -> list[int]:
-    """Convolution of ``vals`` with a run of ``width`` ones (exact)."""
-    prefix = [0]
-    for v in vals:
-        prefix.append(prefix[-1] + v)
+def _window_sums(vals: np.ndarray, width: int) -> np.ndarray:
+    """Convolution of ``vals`` with a run of ``width`` ones, from prefix
+    sums in the dtype of ``vals``."""
     n = len(vals)
-    out = []
-    for k in range(out_len):
-        lo = max(0, k - width + 1)
-        hi = min(k, n - 1)
-        out.append(prefix[hi + 1] - prefix[lo] if hi >= lo else 0)
-    return out
+    prefix = np.concatenate((np.zeros(1, dtype=vals.dtype), np.cumsum(vals)))
+    k = np.arange(n + width - 1)
+    return prefix[np.minimum(k + 1, n)] - prefix[np.maximum(0, k - width + 1)]
 
 
 def convolve_int(a, b) -> list[int]:
-    """Exact convolution (polynomial product coefficients) of integer lists."""
-    a = [int(v) for v in a]
-    b = [int(v) for v in b]
-    if not a or not b:
+    """Exact convolution (polynomial product coefficients) of integer
+    sequences: lists of ints, or int64 or object arrays."""
+    a = int_array(a)
+    b = int_array(b)
+    if not a.size or not b.size:
         return []
-    if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
-        return schoolbook_convolve(a, b)
+    if a.size * b.size <= _SCHOOLBOOK_CUTOFF:
+        return schoolbook_convolve(a.tolist(), b.tolist())
 
-    out_len = len(a) + len(b) - 1
-    ma = max(0, -min(a))
-    mb = max(0, -min(b))
-    ap = [v + ma for v in a]
-    bp = [v + mb for v in b]
-    max_ap = max(ap)
-    max_bp = max(bp)
+    out_len = a.size + b.size - 1
+    ma = max(0, -int(a.min()))
+    mb = max(0, -int(b.min()))
+    max_ap = int(a.max()) + ma
+    max_bp = int(b.max()) + mb
     if max_ap == 0 or max_bp == 0:
         return [0] * out_len
 
-    digit_bound = min(len(a), len(b)) * max_ap * max_bp
+    # The digits and the three corrections below are each at most
+    # min(len) * (max_ap + ma) * (max_bp + mb) in magnitude, so this bound
+    # caps every digit, prefix sum and partial sum; past int64 the
+    # arithmetic uses Python ints.
+    exact64 = (a.size + b.size) * (max_ap + ma) * (max_bp + mb) <= INT64_MAX
+    dtype = np.int64 if exact64 else object
+    ap = a.astype(dtype) + ma
+    bp = b.astype(dtype) + mb
+    digit_bound = min(a.size, b.size) * max_ap * max_bp
     nbytes = (digit_bound.bit_length() + 8) // 8
-    digits = _unpack(_pack(ap, nbytes) * _pack(bp, nbytes), nbytes, out_len)
+    out = _unpack(_pack(ap, nbytes) * _pack(bp, nbytes), nbytes, out_len, dtype)
 
     # conv(a+ma, b+mb) = conv(a,b) + mb*conv(a,1) + ma*conv(1,b) + ma*mb*conv(1,1)
-    if ma == 0 and mb == 0:
-        return digits
-    corr_a = _window_sums(ap, len(b), out_len) if mb else None
-    corr_b = _window_sums(bp, len(a), out_len) if ma else None
-    out = digits
-    if corr_a is not None:
-        out = [x - mb * w for x, w in zip(out, corr_a)]
-    if corr_b is not None:
-        out = [x - ma * w for x, w in zip(out, corr_b)]
+    if mb:
+        out = out - mb * _window_sums(ap, b.size)
+    if ma:
+        out = out - ma * _window_sums(bp, a.size)
     if ma and mb:
-        ones = _window_sums([1] * len(a), len(b), out_len)
-        out = [x + ma * mb * w for x, w in zip(out, ones)]
-    return out
+        out = out + ma * mb * _window_sums(np.ones(a.size, dtype=dtype), b.size)
+    return out.tolist()

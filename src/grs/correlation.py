@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .convolve import convolve_int
 from .qcomplex import CQ, as_cq, exact_magnitude, value_abs2, value_re_im
@@ -68,6 +69,9 @@ class Spectrum:
     def to_csv(self) -> str:
         lines = ["shift,re_num,re_den,im_num,im_den"]
         for s, v in self.items_sorted():
+            if isinstance(v, int):
+                lines.append(f"{s},{v},1,0,1")
+                continue
             re, im = value_re_im(v)
             lines.append(
                 f"{s},{re.numerator},{re.denominator},{im.numerator},{im.denominator}"
@@ -77,6 +81,12 @@ class Spectrum:
     def to_json(self) -> str:
         rows = []
         for s, v in self.items_sorted():
+            if isinstance(v, int):
+                rows.append(
+                    {"shift": str(s), "re_num": str(v), "re_den": "1",
+                     "im_num": "0", "im_den": "1"}
+                )
+                continue
             re, im = value_re_im(v)
             rows.append(
                 {
@@ -99,7 +109,7 @@ def crosscorr(f: Sequence, g: Sequence, s: int):
     lo = max(0, -s)
     hi = min(g.length, f.length - s)
     if fi is not None and gi is not None:
-        return sum(fi[j + s] * gi[j] for j in range(lo, hi))
+        return sum(map(mul, fi[lo + s : hi + s].tolist(), gi[lo:hi].tolist()))
     fc = f.cq_coeffs()
     gc = g.cq_coeffs()
     total = CQ()
@@ -162,6 +172,11 @@ def spectrum(f: Sequence, g: Sequence, budget: int | None = None) -> Spectrum:
 def _peak(entries: dict) -> tuple[object, list[int]]:
     """Maximum |value| (compared by exact squared modulus) and the sorted
     list of shifts attaining it."""
+    if all(isinstance(v, int) for v in entries.values()):
+        best = max(map(abs, entries.values()), default=0)
+        if best == 0:
+            return 0, []
+        return best, sorted(s for s, v in entries.items() if abs(v) == best)
     best_sq = Fraction(0)
     shifts: list[int] = []
     for s, v in entries.items():
@@ -208,6 +223,14 @@ def periodic_corr(f: Sequence, g: Sequence, k: int, s: int):
     return as_cq(a) + as_cq(b) if isinstance(a, CQ) or isinstance(b, CQ) else a + b
 
 
+def _sum_abs2(values) -> Fraction:
+    """Sum of |v|^2, in integers when every value is an int."""
+    vals = list(values)
+    if all(isinstance(v, int) for v in vals):
+        return Fraction(sum(v * v for v in vals))
+    return sum(map(value_abs2, vals), Fraction(0))
+
+
 def _energy(f: Sequence) -> Fraction:
     e = as_cq(crosscorr(f, f, 0))
     return e.re
@@ -219,7 +242,7 @@ def demerit_auto(f: Sequence) -> Fraction:
     if f.is_zero:
         raise ZeroLength("demerit factor of the zero sequence is undefined")
     entries = spectrum(f, f).entries
-    num = sum((value_abs2(v) for s, v in entries.items() if s != 0), Fraction(0))
+    num = _sum_abs2(v for s, v in entries.items() if s != 0)
     e = _energy(f)
     return num / (e * e)
 
@@ -229,6 +252,5 @@ def demerit_cross(f: Sequence, g: Sequence) -> Fraction:
     normalized by the product of the zero-shift autocorrelations."""
     if f.is_zero or g.is_zero:
         raise ZeroLength("demerit factor needs nonzero sequences")
-    entries = spectrum(f, g).entries
-    num = sum((value_abs2(v) for v in entries.values()), Fraction(0))
+    num = _sum_abs2(spectrum(f, g).entries.values())
     return num / (_energy(f) * _energy(g))

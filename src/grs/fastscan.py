@@ -144,10 +144,12 @@ _scaled_seeds: dict[SeedPair, tuple[SeedPair, Fraction]] = {}
 
 
 def clear_caches() -> None:
+    _abgd_cache.clear()
     _int_levels.clear()
     _gen_levels.clear()
     _scaled_seeds.clear()
     _geoff_memo.clear()
+    _peak_cache.clear()
 
 
 def _oracle_dense_int(seed: SeedPair, k: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 doubling recursion that generates Golay complementary pairs from a seed.
 
 A sequence (f_0, ..., f_{l-1}) is identified with the polynomial
-sum f_j z^j; coefficients are exact complex rationals, with a flagged
-fast path for all +/-1 (binary) sequences.  The recursion step maps a
+sum f_j z^j; coefficients are exact complex rationals, stored as one
+integer array when all of them are real integers.  The recursion step maps a
 pair (x, y) of equal declared length l to
 
     x' = x + z^l * y,      y' = x - z^l * y,
@@ -18,6 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, TextIO
 
+import numpy as np
+
+from .convolve import INT64_MAX, int_array
 from .qcomplex import CQ, as_cq
 
 __all__ = [
@@ -87,41 +90,57 @@ def coefficient_budget(budget: int | None = None) -> int:
     return DEFAULT_COEFF_BUDGET
 
 
+def _canonical(values) -> tuple[np.ndarray | None, tuple[CQ, ...] | None]:
+    """(integer array, None) when every coefficient is a real integer, else
+    (None, tuple of CQ)."""
+    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
+        return values.astype(np.int64), None
+    vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not all(isinstance(v, int) for v in vals):
+        cqs = [as_cq(v) for v in vals]
+        if not all(c.is_integer for c in cqs):
+            return None, tuple(cqs)
+        vals = [int(c.re) for c in cqs]
+    return int_array(vals), None
+
+
 class Sequence:
     """Immutable sequence with a declared support bound ``length``.
 
-    ``coeffs`` holds exactly ``length`` entries: small ints on the binary
-    fast path, CQ values otherwise.  Equality and hashing treat sequences
-    as polynomials (the declared length does not matter, trailing zeros
-    are ignored).
+    A sequence whose coefficients are all real integers holds one
+    read-only numpy array of ``length`` entries: int64, or object dtype
+    (Python ints) when a value leaves int64.  Any other sequence holds a
+    tuple of CQ.  The representation is canonical, so equality and hashing
+    compare the trimmed coefficients and treat sequences as polynomials
+    (the declared length does not matter, trailing zeros are ignored).
     """
 
-    __slots__ = ("coeffs", "length", "is_binary", "_key")
+    __slots__ = ("length", "_arr", "_cq", "_degree", "_key", "_hash")
 
     def __init__(self, values: Iterable, length: int | None = None):
-        vals = [self._coerce(v) for v in values]
+        arr, cq = _canonical(values)
+        size = len(arr) if arr is not None else len(cq)
         if length is None:
-            length = len(vals)
-        if length < len(vals):
+            length = size
+        if length < size:
             raise ValueError("declared length smaller than the coefficient list")
-        vals.extend([CQ()] * (length - len(vals)))
-        binary = bool(vals) and all(isinstance(v, int) for v in vals)
-        object.__setattr__(self, "coeffs", tuple(vals))
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "is_binary", binary)
-        key = list(vals)
-        while key and not key[-1]:
-            key.pop()
-        object.__setattr__(self, "_key", tuple(as_cq(v) for v in key))
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, int) and v in (1, -1):
-            return v
-        c = as_cq(v)
-        if c.is_integer and c.re in (1, -1):
-            return int(c.re)
-        return c
+        if arr is not None:
+            if length > size:
+                arr = np.concatenate((arr, np.zeros(length - size, dtype=arr.dtype)))
+            arr.flags.writeable = False
+            nonzero = np.flatnonzero(arr)
+            degree = int(nonzero[-1]) if nonzero.size else -1
+            trimmed = arr[: degree + 1]
+            key = trimmed.tobytes() if arr.dtype == np.int64 else tuple(trimmed.tolist())
+        else:
+            cq = cq + (CQ(),) * (length - size)
+            degree = length - 1
+            while degree >= 0 and not cq[degree]:
+                degree -= 1
+            key = cq[: degree + 1]
+        for name, value in (("length", length), ("_arr", arr), ("_cq", cq),
+                            ("_degree", degree), ("_key", key), ("_hash", hash(key))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):
         raise AttributeError("Sequence is immutable")
@@ -130,14 +149,13 @@ class Sequence:
     def binary(cls, signs) -> "Sequence":
         """Build an all +/-1 sequence from a '+-' string or an iterable of signs."""
         if isinstance(signs, str):
-            vals = []
-            for ch in signs.strip():
-                if ch == "+":
-                    vals.append(1)
-                elif ch == "-":
-                    vals.append(-1)
-                else:
-                    raise ValueError(f"unexpected character {ch!r} in sign string")
+            text = signs.strip()
+            raw = np.frombuffer(text.encode(), dtype=np.uint8)
+            plus = raw == ord("+")
+            if not text.isascii() or not np.all(plus | (raw == ord("-"))):
+                ch = next(c for c in text if c not in "+-")
+                raise ValueError(f"unexpected character {ch!r} in sign string")
+            vals = np.where(plus, 1, -1).astype(np.int64)
         else:
             vals = [int(v) for v in signs]
             if any(v not in (1, -1) for v in vals):
@@ -146,47 +164,53 @@ class Sequence:
 
     # -- views -------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The ``length`` coefficients: Python ints, or CQ values."""
+        return tuple(self._arr.tolist()) if self._arr is not None else self._cq
+
+    @property
+    def is_binary(self) -> bool:
+        """Nonempty with every coefficient +1 or -1."""
+        arr = self._arr
+        return arr is not None and arr.size > 0 and bool(np.all((arr == 1) | (arr == -1)))
+
     def value_at(self, j: int):
-        if 0 <= j < self.length:
-            return self.coeffs[j]
-        return 0
+        if not 0 <= j < self.length:
+            return 0
+        return int(self._arr[j]) if self._arr is not None else self._cq[j]
 
     def cq_coeffs(self) -> tuple[CQ, ...]:
-        return tuple(as_cq(v) for v in self.coeffs)
+        if self._cq is not None:
+            return self._cq
+        return tuple(CQ(v) for v in self._arr.tolist())
 
-    def int_coeffs(self) -> list[int] | None:
-        """All coefficients as real ints, or None if any is not."""
-        out = []
-        for v in self.coeffs:
-            if isinstance(v, int):
-                out.append(v)
-            elif v.is_integer:
-                out.append(int(v.re))
-            else:
-                return None
-        return out
+    def int_coeffs(self) -> np.ndarray | None:
+        """All coefficients as a read-only int64 or object (Python int)
+        array, or None if some coefficient is not a real integer."""
+        return self._arr
 
     @property
     def is_int_real(self) -> bool:
-        return self.int_coeffs() is not None
+        return self._arr is not None
 
     @property
     def is_rational_real(self) -> bool:
-        return all(isinstance(v, int) or v.is_real for v in self.coeffs)
+        return self._arr is not None or all(v.is_real for v in self._cq)
 
     @property
     def degree(self) -> int:
         """Degree as a polynomial; -1 for the zero sequence."""
-        return len(self._key) - 1
+        return self._degree
 
     @property
     def is_zero(self) -> bool:
-        return not self._key
+        return self._degree < 0
 
     def sign_string(self) -> str:
         if not self.is_binary:
             raise ValueError("not a binary sequence")
-        return "".join("+" if v == 1 else "-" for v in self.coeffs)
+        return np.where(self._arr == 1, ord("+"), ord("-")).astype(np.uint8).tobytes().decode()
 
     def __len__(self):
         return self.length
@@ -194,10 +218,10 @@ class Sequence:
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return self._key == other._key
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         if self.is_binary:
@@ -246,25 +270,34 @@ def rudin_shapiro_seed() -> SeedPair:
     return SeedPair(one, one, 1)
 
 
-def _padded(seq: Sequence, length: int) -> list:
-    if seq.length == length:
-        return list(seq.coeffs)
-    return list(seq.coeffs) + [CQ()] * (length - seq.length)
+def _fitted(arr: np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` entries of ``arr``, zero-padded."""
+    pad = np.zeros(max(0, length - arr.size), dtype=arr.dtype)
+    return np.concatenate((arr[:length], pad))
+
+
+def _negated(arr: np.ndarray) -> np.ndarray:
+    """-arr, exactly: -(-2**63) leaves int64, so such an array is negated
+    as Python ints."""
+    if arr.dtype == np.int64 and arr.size and arr.min() == -INT64_MAX - 1:
+        arr = arr.astype(object)
+    return -arr
 
 
 def grs_step(pair: GolayPair) -> GolayPair:
     """One doubling step: (x, y) -> (x + z^l y, x - z^l y)."""
     ell = pair.length
-    if pair.x.is_binary and pair.y.is_binary and pair.x.length == pair.y.length == ell:
-        xs = list(pair.x.coeffs)
-        ys = list(pair.y.coeffs)
-        new_x = Sequence(xs + ys)
-        new_y = Sequence(xs + [-v for v in ys])
+    if pair.x.is_int_real and pair.y.is_int_real:
+        xs = _fitted(pair.x.int_coeffs(), ell)
+        ys = _fitted(pair.y.int_coeffs(), ell)
+        new_x = Sequence(np.concatenate((xs, ys)))
+        new_y = Sequence(np.concatenate((xs, _negated(ys))))
     else:
-        xs = _padded(pair.x, ell)
-        ys = [as_cq(v) for v in _padded(pair.y, ell)]
+        xs, ys = (
+            s.cq_coeffs()[:ell] + (CQ(),) * (ell - s.length) for s in (pair.x, pair.y)
+        )
         new_x = Sequence(xs + ys)
-        new_y = Sequence(xs + [-v for v in ys])
+        new_y = Sequence(xs + tuple(-v for v in ys))
     return GolayPair(new_x, new_y, pair.level + 1, pair.ell0)
 
 
@@ -336,6 +369,10 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
         fp.write(seq.sign_string() + "\n")
         return
     fp.write(f"len={seq.length} kind=rational\n")
+    ints = seq.int_coeffs()
+    if ints is not None:
+        fp.write("".join(f"{v}/1 0/1\n" for v in ints.tolist()))
+        return
     for v in seq.cq_coeffs():
         fp.write(
             f"{v.re.numerator}/{v.re.denominator} "

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from grs.qcomplex import CQ
 from grs.sequences import Sequence, rudin_shapiro_seed, validate_seed
 
 
@@ -52,3 +53,9 @@ def seed_rational():
     denominators."""
     half = Fraction(1, 2)
     return validate_seed(Sequence([half, half]), Sequence([half, -half]), 2)
+
+
+@pytest.fixture(scope="session")
+def seed_complex():
+    """(1, i) and (1, -i): a complex seed, scanned in exact CQ arithmetic."""
+    return validate_seed(Sequence([1, CQ(0, 1)]), Sequence([1, CQ(0, -1)]), 2)

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,3 +195,40 @@ def test_convolve_matches_schoolbook():
     assert convolve_int(a, b) == schoolbook_convolve(a, b)
     big = [rng.randint(-(10**12), 10**12) for _ in range(200)]
     assert convolve_int(big, big) == schoolbook_convolve(big, big)
+
+
+def test_convolve_exact_past_int64():
+    # Values near 2**31 at lengths of a few hundred put the digits, the
+    # window sums or both past int64; the result must still be exact.
+    rng = random.Random(11)
+    near = 2**31
+    cases = [
+        ([rng.randint(near - 50, near) for _ in range(300)],
+         [rng.randint(-near, -near + 50) for _ in range(200)]),
+        ([rng.randint(-near, near) for _ in range(400)],
+         [rng.randint(-near, near) for _ in range(100)]),
+        ([rng.randint(-(2**62), 2**62) for _ in range(120)],
+         [rng.choice((1, -1)) for _ in range(150)]),
+        ([rng.randint(-(10**25), 10**25) for _ in range(100)],
+         [rng.randint(-3, 3) for _ in range(100)]),
+        # Just inside the int64 guard.
+        ([rng.randint(-(5 * 10**7), 5 * 10**7) for _ in range(100)],
+         [rng.randint(-(5 * 10**7), 5 * 10**7) for _ in range(100)]),
+    ]
+    for a, b in cases:
+        assert convolve_int(a, b) == schoolbook_convolve(a, b)
+
+
+def test_convolve_array_and_negative_inputs():
+    rng = np.random.default_rng(5)
+    a = rng.integers(-(2**31), 2**31, 250)
+    b = rng.integers(-9, 10, 180)
+    expected = schoolbook_convolve(a.tolist(), b.tolist())
+    assert convolve_int(a, b) == expected
+    assert convolve_int(a.astype(object), b.astype(np.int8)) == expected
+    assert convolve_int(a[::-1], b) == schoolbook_convolve(a[::-1].tolist(), b.tolist())
+    neg_a = [-v for v in rng.integers(1, 2**31, 300).tolist()]
+    neg_b = [-v for v in rng.integers(1, 2**20, 130).tolist()]
+    assert convolve_int(neg_a, neg_b) == schoolbook_convolve(neg_a, neg_b)
+    assert convolve_int(np.array(neg_a), neg_b) == schoolbook_convolve(neg_a, neg_b)
+    assert all(type(v) is int for v in convolve_int(a, b))

@@ -190,6 +190,39 @@ def test_pruned_scan_equals_dense(corpus, seed_golay10, seed_padded3, seed_ratio
                 assert rep.witnesses == wits, (seed.ell0, n, t)
 
 
+def test_complex_seed_scan_matches_oracle(seed_complex):
+    # crosscorr sums CQ products in Python, so every shift is checked up to
+    # n = 7 only: n = 8 alone would take about 9 s.
+    for n in range(0, 9):
+        pair = grs_pair(seed_complex, n)
+        spec = correlation.spectrum(pair.x, pair.y)
+        for s in range(-pair.length + 1, pair.length) if n <= 7 else ():
+            assert as_cq(spec.value(s)) == as_cq(correlation.crosscorr(pair.x, pair.y, s))
+        value, shifts = correlation.pcc(pair.x, pair.y)
+        rep, _ = streaming_peaks(seed_complex, n, _cacheable=False)
+        assert rep.value == value, n
+        assert rep.witnesses == tuple((s, spec.value(s)) for s in shifts), n
+
+
+def test_clear_caches_empties_every_cache(rs_seed):
+    from grs import fastscan
+
+    before, _ = streaming_peaks(rs_seed, 10)
+    abgd(12)
+    fastscan.clear_caches()
+    caches = (
+        fastscan._abgd_cache,
+        fastscan._int_levels,
+        fastscan._gen_levels,
+        fastscan._scaled_seeds,
+        fastscan._geoff_memo,
+        fastscan._peak_cache,
+    )
+    assert all(len(cache) == 0 for cache in caches)
+    again, _ = streaming_peaks(rs_seed, 10)
+    assert again == before
+
+
 def test_block_bound_is_max_of_nellie_bound():
     from grs.fastscan import _block_bounds
 

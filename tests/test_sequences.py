@@ -1,6 +1,7 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grs.correlation import crosscorr, spectrum
@@ -114,6 +115,60 @@ def test_equality_ignores_trailing_zeros():
     assert Sequence([1, 1, 0, 0], 4) == Sequence([1, 1])
     assert Sequence([0, 1]) != Sequence([1])
     assert hash(Sequence([1, 1, 0, 0], 4)) == hash(Sequence.binary("++"))
+
+
+def test_representation_is_canonical():
+    # Equal polynomials compare and hash equal whatever form their
+    # coefficients were given in.
+    cases = [
+        (Sequence([CQ(2)]), Sequence([2])),
+        (Sequence([1, 1, 0, 0], 4), Sequence.binary("++")),
+        (Sequence([10**20, -1]), Sequence([CQ(10**20), CQ(-1)])),
+        (Sequence([Fraction(6, 3), 0], 2), Sequence([2])),
+        (Sequence(np.array([1, -1], dtype=np.int8)), Sequence.binary("+-")),
+    ]
+    for a, b in cases:
+        assert a == b and hash(a) == hash(b)
+    assert Sequence([10**20, -1]) != Sequence([10**20, 1])
+    assert Sequence([2]) != Sequence([CQ(2, 1)])
+
+
+def test_coeffs_are_python_values():
+    for seq in (Sequence.binary("+-+"), Sequence([0, 5, -7]), Sequence([10**20, -1])):
+        assert all(type(v) is int for v in seq.coeffs)
+        assert list(seq.coeffs) == list(Sequence(list(seq.coeffs)).coeffs)
+    assert Sequence([1, 2, 0], 5).coeffs == (1, 2, 0, 0, 0)
+    mixed = Sequence([Fraction(1, 2), 3])
+    assert all(type(v) is CQ for v in mixed.coeffs)
+    assert Sequence.binary("+-").int_coeffs().dtype == np.int64
+    assert Sequence([10**20, -1]).int_coeffs().dtype == object
+    assert mixed.int_coeffs() is None
+
+
+def test_views_across_representations():
+    assert Sequence.binary("+-").is_binary
+    assert not Sequence([1, 0, -1]).is_binary
+    assert not Sequence([1, 1], 3).is_binary
+    assert not Sequence([], 0).is_binary
+    assert not Sequence([2]).is_binary
+    assert Sequence([1, 0, 0], 3).degree == 0
+    assert Sequence([10**20, 0], 2).degree == 0
+    assert Sequence([CQ(0), CQ(0, 1), CQ(0)]).degree == 1
+    assert Sequence([0, 0]).is_zero and Sequence([], 0).is_zero
+    assert Sequence([CQ(0)], 1).is_zero
+    assert not Sequence([10**20]).is_zero
+    with pytest.raises(ValueError):
+        Sequence.binary("+-x")
+
+
+def test_step_leaves_int64_exactly():
+    # -(-2**63) is 2**63: the step negates exactly instead of wrapping.
+    pair = grs_step(GolayPair(Sequence([-(2**63)]), Sequence([-(2**63)]), 0, 1))
+    assert pair.x.coeffs == (-(2**63), -(2**63))
+    assert pair.y.coeffs == (-(2**63), 2**63)
+    assert pair.y.int_coeffs().dtype == object
+    back = grs_step(GolayPair(Sequence([1]), Sequence([2**63]), 0, 1))
+    assert back.y.int_coeffs().dtype == np.int64
 
 
 def test_mixed_coefficient_kinds():
