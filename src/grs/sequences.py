@@ -369,10 +369,6 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
         fp.write(seq.sign_string() + "\n")
         return
     fp.write(f"len={seq.length} kind=rational\n")
-    ints = seq.int_coeffs()
-    if ints is not None:
-        fp.write("".join(f"{v}/1 0/1\n" for v in ints.tolist()))
-        return
     for v in seq.cq_coeffs():
         fp.write(
             f"{v.re.numerator}/{v.re.denominator} "

@@ -171,6 +171,20 @@ def test_step_leaves_int64_exactly():
     assert back.y.int_coeffs().dtype == np.int64
 
 
+def test_step_ignores_declared_length_beyond_seed_length():
+    # Seeds need only degree below ell0, so a seed may declare a longer
+    # support; its trailing zeros must not shift the second half.
+    half = Fraction(1, 2)
+    for x0, y0 in (([1, 1], [1, -1]), ([half, half], [half, -half]),
+                   ([1, CQ(0, 1)], [1, CQ(0, -1)])):
+        long_seed = validate_seed(Sequence(x0 + [0], 3), Sequence(y0 + [0], 3), 2)
+        seed = validate_seed(Sequence(x0), Sequence(y0), 2)
+        for n in range(1, 4):
+            got, want = grs_pair(long_seed, n), grs_pair(seed, n)
+            assert got.x == want.x and got.y == want.y
+            assert got.x.length == got.y.length == got.length == 2 << n
+
+
 def test_mixed_coefficient_kinds():
     s = Sequence([Fraction(1, 2), CQ(0, Fraction(1))])
     assert not s.is_binary
