@@ -2,17 +2,26 @@
 
 The correlation oracle needs products of integer polynomials with tens of
 thousands of terms, computed exactly.  Small products use the schoolbook
-loop.  Larger ones pack each polynomial into one big Python integer
-(fixed-width digits) and let big-integer multiplication do the work; the
-digits of the product are the convolution.  Negative coefficients are
-handled by offsetting both inputs to be nonnegative and subtracting the
-three correction terms, which are plain window sums.  Everything stays in
-integer arithmetic, so results are exact at any size: the packing and the
-window sums run on int64 arrays when an exact bound shows that no value
-can leave int64, and on object arrays of Python ints otherwise.
+loop.  Larger ones write each polynomial as one decimal number, a
+fixed-width group of k decimal digits per coefficient with the constant
+term lowest, and multiply the two numbers with the stdlib ``decimal``
+module.  Its libmpdec backend multiplies large operands by an exact
+number-theoretic transform (three prime moduli joined by the Chinese
+remainder theorem), which is O(N log N) in integer arithmetic; the
+context traps ``Inexact`` and ``Rounded``, so a product that did not fit
+the precision raises instead of rounding.  The k-digit groups of the
+product are the convolution.  Negative coefficients are handled by
+offsetting both inputs to be nonnegative and subtracting the three
+correction terms, which are plain window sums.  Everything stays in
+integer arithmetic, so results are exact at any size: the digit
+conversion and the window sums run on int64 arrays when an exact bound
+shows that no value can leave int64, and on object arrays of Python ints
+otherwise.
 """
 
 from __future__ import annotations
+
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
 import numpy as np
 
@@ -50,27 +59,39 @@ def int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _pack(vals: np.ndarray, nbytes: int) -> int:
-    """Nonnegative ``vals`` as little-endian digits of ``nbytes`` bytes."""
+# Exact at any size: a product that needed rounding would raise.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
+def _pack(vals: np.ndarray, k: int) -> Decimal:
+    """Nonnegative ``vals``, each below 10**k, as one decimal number whose
+    k-digit groups, from the lowest, are ``vals[0]``, ``vals[1]``, ..."""
     if vals.dtype == np.int64:
-        # Each value is below 256**nbytes, so the dropped high bytes are zero.
-        digits = vals.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes]
-        return int.from_bytes(digits.tobytes(), "little")
-    buf = bytearray(len(vals) * nbytes)
-    for i, v in enumerate(vals.tolist()):
-        buf[i * nbytes : (i + 1) * nbytes] = v.to_bytes(nbytes, "little")
-    return int.from_bytes(bytes(buf), "little")
+        # ASCII digits, last value in the first row, filled one column
+        # (one decimal place) at a time.
+        digits = np.empty((vals.size, k), dtype=np.uint8)
+        rest = vals
+        for col in range(k - 1, -1, -1):
+            rest, digit = np.divmod(rest, 10)
+            digits[::-1, col] = digit + 48
+        return Decimal(digits.tobytes().decode("ascii"))
+    # Python ints go through Decimal, which, unlike str(int), has no digit
+    # limit (sys.get_int_max_str_digits).
+    return Decimal("".join(f"{Decimal(v):0{k}f}" for v in reversed(vals.tolist())))
 
 
-def _unpack(num: int, nbytes: int, count: int, dtype) -> np.ndarray:
-    raw = num.to_bytes(nbytes * count, "little")
+def _unpack(num: Decimal, k: int, count: int, dtype) -> np.ndarray:
+    """The ``count`` k-digit groups of ``num``, lowest first."""
+    # Zero top groups are missing from the string; the pad restores them.
+    text = str(num).rjust(count * k, "0")
     if dtype == np.int64:
-        # The caller's bound keeps every digit below 2**62: at most 8 bytes.
-        wide = np.zeros((count, 8), dtype=np.uint8)
-        wide[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(count, nbytes)
-        return wide.view("<u8").ravel().astype(np.int64)
+        digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(count, k)[::-1]
+        out = np.zeros(count, dtype=np.int64)
+        for col in range(k):
+            out = out * 10 + digits[:, col] - 48
+        return out
     return np.array(
-        [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(count)],
+        [int(Decimal(text[i * k : (i + 1) * k])) for i in range(count - 1, -1, -1)],
         dtype=object,
     )
 
@@ -99,8 +120,6 @@ def convolve_int(a, b) -> list[int]:
     mb = max(0, -int(b.min()))
     max_ap = int(a.max()) + ma
     max_bp = int(b.max()) + mb
-    if max_ap == 0 or max_bp == 0:
-        return [0] * out_len
 
     # The digits and the three corrections below are each at most
     # min(len) * (max_ap + ma) * (max_bp + mb) in magnitude, so this bound
@@ -111,8 +130,9 @@ def convolve_int(a, b) -> list[int]:
     ap = a.astype(dtype) + ma
     bp = b.astype(dtype) + mb
     digit_bound = min(a.size, b.size) * max_ap * max_bp
-    nbytes = (digit_bound.bit_length() + 8) // 8
-    out = _unpack(_pack(ap, nbytes) * _pack(bp, nbytes), nbytes, out_len, dtype)
+    k = Decimal(digit_bound).adjusted() + 1  # decimal digits: digit_bound < 10**k
+    product = _EXACT.multiply(_pack(ap, k), _pack(bp, k))
+    out = _unpack(product, k, out_len, dtype)
 
     # conv(a+ma, b+mb) = conv(a,b) + mb*conv(a,1) + ma*conv(1,b) + ma*mb*conv(1,1)
     if mb:

@@ -110,21 +110,37 @@ def crosscorr(f: Sequence, g: Sequence, s: int):
     hi = min(g.length, f.length - s)
     if fi is not None and gi is not None:
         return sum(map(mul, fi[lo + s : hi + s].tolist(), gi[lo:hi].tolist()))
-    fc = f.cq_coeffs()
-    gc = g.cq_coeffs()
-    total = CQ()
-    for j in range(lo, hi):
-        total = total + fc[j + s] * gc[j].conj()
-    if total.is_integer:
-        return int(total.re)
-    if total.is_real:
-        return total.re
-    return total
+    fre, fim, fd = _scaled_parts(f.cq_coeffs()[lo + s : hi + s])
+    gre, gim, gd = _scaled_parts(g.cq_coeffs()[lo:hi])
+    return _exact_value(
+        sum(map(mul, fre, gre)), sum(map(mul, fim, gim)),
+        sum(map(mul, fim, gre)), sum(map(mul, fre, gim)), fd, gd,
+    )
 
 
 def _scaled_ints(values: list[Fraction]) -> tuple[list[int], int]:
     d = lcm(*(v.denominator for v in values)) if values else 1
-    return [int(v * d) for v in values], d
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _scaled_parts(values) -> tuple[list[int], list[int], tuple[int, int]]:
+    """Real and imaginary parts of CQ values as integers over one common
+    denominator each: (re, im, (d_re, d_im))."""
+    re, d_re = _scaled_ints([v.re for v in values])
+    im, d_im = _scaled_ints([v.im for v in values])
+    return re, im, (d_re, d_im)
+
+
+def _exact_value(rr: int, ii: int, ir: int, ri: int, fd: tuple, gd: tuple):
+    """sum f * conj(g) = sum (fre + i fim)(gre - i gim), from the four sums
+    of products of scaled parts and the (d_re, d_im) denominators of f and
+    g: an int when integral, a Fraction when real, else a CQ."""
+    (df_re, df_im), (dg_re, dg_im) = fd, gd
+    re = Fraction(rr, df_re * dg_re) + Fraction(ii, df_im * dg_im)
+    im = Fraction(ir, df_im * dg_re) - Fraction(ri, df_re * dg_im)
+    if im:
+        return CQ(re, im)
+    return int(re) if re.denominator == 1 else re
 
 
 def _spectrum_values(f: Sequence, g: Sequence) -> dict:
@@ -139,23 +155,17 @@ def _spectrum_values(f: Sequence, g: Sequence) -> dict:
     if fi is not None and gi is not None:
         conv = convolve_int(fi, gi[::-1])
         return {k - offset: v for k, v in enumerate(conv) if v}
-    fc = f.cq_coeffs()
-    gc = g.cq_coeffs()
-    fre, df_re = _scaled_ints([v.re for v in fc])
-    fim, df_im = _scaled_ints([v.im for v in fc])
-    gre, dg_re = _scaled_ints([v.re for v in gc])
-    gim, dg_im = _scaled_ints([v.im for v in gc])
+    fre, fim, fd = _scaled_parts(f.cq_coeffs())
+    gre, gim, gd = _scaled_parts(g.cq_coeffs())
     rr = convolve_int(fre, gre[::-1])
     ii = convolve_int(fim, gim[::-1])
     ir = convolve_int(fim, gre[::-1])
     ri = convolve_int(fre, gim[::-1])
     out = {}
     for k in range(f.length + g.length - 1):
-        re = Fraction(rr[k], df_re * dg_re) + Fraction(ii[k], df_im * dg_im)
-        im = Fraction(ir[k], df_im * dg_re) - Fraction(ri[k], df_re * dg_im)
-        if re or im:
-            v = CQ(re, im)
-            out[k - offset] = int(re) if v.is_integer else (re if im == 0 else v)
+        v = _exact_value(rr[k], ii[k], ir[k], ri[k], fd, gd)
+        if v:
+            out[k - offset] = v
     return out
 
 

@@ -390,9 +390,13 @@ def read_sequence(fp: TextIO) -> Sequence:
         return seq
     if kind != "rational":
         raise ValueError(f"unknown sequence kind {kind!r}")
+    rows = [fp.readline().split() for _ in range(length)]
+    if all(len(row) == 2 and row[1] == "0/1" and row[0].endswith("/1") for row in rows):
+        # Real integers, as write_sequence writes them: no Fraction needed.
+        return Sequence([int(row[0][:-2]) for row in rows], length)
     vals = []
-    for _ in range(length):
-        re_txt, im_txt = fp.readline().split()
+    for row in rows:
+        re_txt, im_txt = row
         vals.append(CQ(Fraction(re_txt), Fraction(im_txt)))
     return Sequence(vals, length)
 

@@ -138,6 +138,8 @@ def test_usage_error_exit_code():
         "ell0=2\nlen=2 kind=binary\n++\nlen=2 kind=binary\n++\n",
         # The first sequence header lacks its length.
         "ell0=2\nkind=binary\n++\nlen=2 kind=binary\n+-\n",
+        # A malformed value in an integer rational file.
+        "ell0=2\nlen=2 kind=rational\n1/1 0/1\n1x/1 0/1\nlen=2 kind=binary\n+-\n",
     ],
 )
 def test_bad_seed_file_exit_code(tmp_path, capsys, text):

@@ -232,3 +232,60 @@ def test_convolve_array_and_negative_inputs():
     assert convolve_int(neg_a, neg_b) == schoolbook_convolve(neg_a, neg_b)
     assert convolve_int(np.array(neg_a), neg_b) == schoolbook_convolve(neg_a, neg_b)
     assert all(type(v) is int for v in convolve_int(a, b))
+
+
+def test_convolve_lengths_past_schoolbook_cutoff():
+    # Products just past the schoolbook cutoff (4096 terms), odd lengths
+    # included, take the packed multiply.
+    rng = random.Random(17)
+    for la, lb in ((4097, 1), (1, 4097), (2049, 3), (63, 67), (65, 64), (64, 65)):
+        a = [rng.randint(-9, 9) for _ in range(la)]
+        b = [rng.randint(-9, 9) for _ in range(lb)]
+        assert convolve_int(a, b) == schoolbook_convolve(a, b)
+
+
+def test_convolve_zero_top_groups():
+    # After the offset, a = [1, -1, ..., -1] becomes [2, 0, ..., 0]: the top
+    # groups of the packed product are zero, so its decimal string is short.
+    a = [1] + [-1] * 99
+    for b in ([1] * 80, [-1] * 80, [3, -2] * 40):
+        assert convolve_int(a, b) == schoolbook_convolve(a, b)
+        assert convolve_int(b, a) == schoolbook_convolve(b, a)
+
+
+def test_convolve_input_zero_after_offset():
+    # A constant negative input is all zero after its offset; only the
+    # window-sum corrections carry the result.
+    b = list(range(-20, 60))
+    for a in ([-5] * 100, [0] * 100, [7] * 100):
+        assert convolve_int(a, b) == schoolbook_convolve(a, b)
+        assert convolve_int(b, a) == schoolbook_convolve(b, a)
+    f = Sequence([-1] * 70)
+    assert spectrum(f, Sequence([1] * 70)).value(0) == -70
+
+
+def test_convolve_every_digit_width():
+    # Nonnegative inputs whose digit bound min(len) * max(a) * max(b) has k
+    # decimal digits: k <= 19 runs on int64, larger k on Python ints (values
+    # near 10**12 and 10**25, and 10**2200, whose digit groups are longer
+    # than str(int) accepts).  Each case also runs with a negated.
+    rng = random.Random(19)
+    for k in range(1, 29):
+        la, lb = (2049, 3) if k <= 2 else (97, 61)
+        m = min(la, lb)
+        # k = 19 stays below INT64_MAX / (la + lb), inside the int64 guard.
+        hi = 35 * 10**17 if k == 19 else 10**k - 1
+        max_a = rng.randint((10 ** (k - 1) + m - 1) // m, hi // m)
+        a = [rng.randint(0, max_a) for _ in range(la)]
+        a[0], a[-1] = max_a, 0
+        b = [rng.randint(0, 1) for _ in range(lb)]
+        b[0], b[-1] = 1, 0
+        assert len(str(m * max_a)) == k
+        expected = schoolbook_convolve(a, b)
+        assert convolve_int(a, b) == expected
+        assert convolve_int(np.array(a, dtype=object), b) == expected
+        assert convolve_int([-v for v in a], b) == [-v for v in expected]
+    for big in (10**12, 10**25, 10**2200):
+        a = [rng.randint(big - 10**6, big) for _ in range(97)]
+        b = [rng.randint(-big, big) for _ in range(61)]
+        assert convolve_int(a, b) == schoolbook_convolve(a, b)

@@ -214,6 +214,40 @@ def test_rational_roundtrip():
     assert buf2.getvalue() == text
 
 
+def test_integer_rational_roundtrip(seed_padded3):
+    # Integer sequences of kind rational ("k/1 0/1" lines) parse as ints,
+    # into int64 or, past int64, into Python ints; Gaussian integers
+    # ("k/1 m/1" lines) stay CQ.
+    cases = [
+        grs_pair(seed_padded3, 5).x,
+        Sequence([0, 3, -2**63, 0, 7]),
+        Sequence([10**20, 0, -(10**20)], 4),
+        Sequence([CQ(1, 1), 2, CQ(0, -3)]),
+    ]
+    for seq in cases:
+        buf = io.StringIO()
+        write_sequence(seq, buf)
+        text = buf.getvalue()
+        assert text.startswith(f"len={seq.length} kind=rational\n")
+        back = read_sequence(io.StringIO(text))
+        assert back == seq and hash(back) == hash(seq)
+        assert back.length == seq.length
+        assert [type(v) for v in back.coeffs] == [type(v) for v in seq.coeffs]
+        buf2 = io.StringIO()
+        write_sequence(back, buf2)
+        assert buf2.getvalue() == text
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["x/1 0/1", "/1 0/1", "1/1", "1/1 0/1 0/1", "1.5/1 0/1", ""],
+)
+def test_malformed_rational_line_raises(lines):
+    text = f"len=2 kind=rational\n1/1 0/1\n{lines}\n"
+    with pytest.raises(ValueError):
+        read_sequence(io.StringIO(text))
+
+
 def test_seed_pair_roundtrip(seed_pm4):
     buf = io.StringIO()
     write_seed_pair(seed_pm4, buf)
