@@ -25,6 +25,7 @@ from .field import QAlphaElem, decimal_approx
 from .sequences import (
     SeedPair,
     grs_pair,
+    int_text,
     read_seed_pair,
     read_sequence,
     rudin_shapiro_seed,
@@ -180,10 +181,10 @@ def run(config: RunConfig) -> int:
             json.dumps(
                 {
                     "shift": str(config.shift),
-                    "re_num": str(re.numerator),
-                    "re_den": str(re.denominator),
-                    "im_num": str(im.numerator),
-                    "im_den": str(im.denominator),
+                    "re_num": int_text(re.numerator),
+                    "re_den": int_text(re.denominator),
+                    "im_num": int_text(im.numerator),
+                    "im_den": int_text(im.denominator),
                 },
                 sort_keys=True,
             )

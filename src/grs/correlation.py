@@ -19,7 +19,7 @@ from operator import mul
 
 from .convolve import convolve_int
 from .qcomplex import CQ, as_cq, exact_magnitude, value_abs2, value_re_im
-from .sequences import BudgetExceeded, Sequence, coefficient_budget
+from .sequences import BudgetExceeded, Sequence, coefficient_budget, int_text
 
 __all__ = [
     "Spectrum",
@@ -41,6 +41,10 @@ class ZeroLength(ValueError):
 
 class ShiftOutOfRange(ValueError):
     """Periodic correlation shift outside [0, period)."""
+
+
+# Export columns: the shift, then the real and imaginary parts as fractions.
+_COLUMNS = ("shift", "re_num", "re_den", "im_num", "im_den")
 
 
 @dataclass(frozen=True)
@@ -66,37 +70,51 @@ class Spectrum:
         theirs = {s: as_cq(v) for s, v in other.entries.items()}
         return mine == theirs
 
-    def to_csv(self) -> str:
-        lines = ["shift,re_num,re_den,im_num,im_den"]
+    def _text_rows(self):
+        """Every entry as the texts of its shift and four integers, through
+        ``int_text``: the export path for values past the digit limit."""
         for s, v in self.items_sorted():
-            if isinstance(v, int):
-                lines.append(f"{s},{v},1,0,1")
-                continue
             re, im = value_re_im(v)
-            lines.append(
-                f"{s},{re.numerator},{re.denominator},{im.numerator},{im.denominator}"
-            )
+            yield (str(s), *map(int_text, (re.numerator, re.denominator,
+                                           im.numerator, im.denominator)))
+
+    def to_csv(self) -> str:
+        lines = [",".join(_COLUMNS)]
+        try:
+            for s, v in self.items_sorted():
+                if isinstance(v, int):
+                    lines.append(f"{s},{v},1,0,1")
+                    continue
+                re, im = value_re_im(v)
+                lines.append(
+                    f"{s},{re.numerator},{re.denominator},{im.numerator},{im.denominator}"
+                )
+        except ValueError:  # an int past the interpreter's int-to-text digit limit
+            lines[1:] = map(",".join, self._text_rows())
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         rows = []
-        for s, v in self.items_sorted():
-            if isinstance(v, int):
+        try:
+            for s, v in self.items_sorted():
+                if isinstance(v, int):
+                    rows.append(
+                        {"shift": str(s), "re_num": str(v), "re_den": "1",
+                         "im_num": "0", "im_den": "1"}
+                    )
+                    continue
+                re, im = value_re_im(v)
                 rows.append(
-                    {"shift": str(s), "re_num": str(v), "re_den": "1",
-                     "im_num": "0", "im_den": "1"}
+                    {
+                        "shift": str(s),
+                        "re_num": str(re.numerator),
+                        "re_den": str(re.denominator),
+                        "im_num": str(im.numerator),
+                        "im_den": str(im.denominator),
+                    }
                 )
-                continue
-            re, im = value_re_im(v)
-            rows.append(
-                {
-                    "shift": str(s),
-                    "re_num": str(re.numerator),
-                    "re_den": str(re.denominator),
-                    "im_num": str(im.numerator),
-                    "im_den": str(im.denominator),
-                }
-            )
+        except ValueError:  # an int past the interpreter's int-to-text digit limit
+            rows = [dict(zip(_COLUMNS, row)) for row in self._text_rows()]
         return json.dumps(rows, sort_keys=True)
 
 

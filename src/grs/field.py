@@ -6,10 +6,13 @@ conjugate pair of non-real roots (alpha1, alpha2).  Two element types are
 provided:
 
 * ``QAlphaElem`` -- an element p + q*alpha0 + r*alpha0^2 of Q(alpha0),
-  the real subfield.  Order comparisons are decided by the sign of a
-  cubic rational polynomial in (p, q, r) (the "signifier"), so every
-  equality and inequality verdict is reached with rational arithmetic
-  only; no floating point is ever consulted.
+  the real subfield, held as integer numerators (a, b, c) over one
+  positive common denominator d in lowest terms, so that p = a/d,
+  q = b/d, r = c/d.  Ring operations, powers of alpha0 and order
+  comparisons work on Python ints.  Comparisons are decided by the sign
+  of an integer cubic form in (a, b, c) (the "signifier" is that form
+  over d^3), so every equality and inequality verdict is reached with
+  exact integer arithmetic only; no floating point is ever consulted.
 
 * ``KElem`` -- an element of the full splitting field K in the basis
   alpha0^i * alpha1^j with 0 <= i < 3, 0 <= j < 2.  Arbitrary polynomial
@@ -18,14 +21,16 @@ provided:
   alpha0^3 = -alpha0^2 + 2*alpha0 + 4.
 
 Division works by multiplying with the alpha1<->alpha2 conjugate to push
-the denominator into Q(alpha0), then inverting there with the extended
-Euclidean algorithm against m(X).
+the denominator into Q(alpha0), then inverting there through the minimal
+polynomial of the divisor: v^3 + s v^2 + t v + u = 0 gives
+1/v = (v^2 + s v + t) / (-u).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
 __all__ = [
@@ -42,9 +47,6 @@ __all__ = [
     "signifier",
 ]
 
-# m(X) = X^3 + X^2 - 2X - 4, coefficients in ascending order.
-MIN_POLY = (Fraction(-4), Fraction(-2), Fraction(1), Fraction(1))
-
 # Total-degree cap for reduce_poly inputs; keeps intermediate expansion
 # of the alpha2 substitution bounded.
 MAX_REDUCE_DEGREE = 24
@@ -60,18 +62,42 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class QAlphaElem:
-    """p + q*alpha0 + r*alpha0^2 with rational p, q, r."""
+    """p + q*alpha0 + r*alpha0^2 with rational p, q, r.
 
-    p: Fraction = Fraction(0)
-    q: Fraction = Fraction(0)
-    r: Fraction = Fraction(0)
+    Held as (a + b*alpha0 + c*alpha0^2)/d with integers a, b, c and d > 0,
+    gcd(a, b, c, d) = 1; equality and hash come from these four ints.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _frac(self.p))
-        object.__setattr__(self, "q", _frac(self.q))
-        object.__setattr__(self, "r", _frac(self.r))
+    _ints: tuple[int, int, int, int]
+
+    def __init__(self, p=0, q=0, r=0):
+        p, q, r = _frac(p), _frac(q), _frac(r)
+        # Reduced fractions over the lcm of their denominators are already
+        # in lowest terms.
+        d = lcm(p.denominator, q.denominator, r.denominator)
+        object.__setattr__(self, "_ints", (
+            p.numerator * (d // p.denominator),
+            q.numerator * (d // q.denominator),
+            r.numerator * (d // r.denominator),
+            d,
+        ))
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self._ints[0], self._ints[3])
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self._ints[1], self._ints[3])
+
+    @property
+    def r(self) -> Fraction:
+        return Fraction(self._ints[2], self._ints[3])
+
+    def __repr__(self):
+        return f"QAlphaElem(p={self.p!r}, q={self.q!r}, r={self.r!r})"
 
     @classmethod
     def rational(cls, x) -> "QAlphaElem":
@@ -79,7 +105,7 @@ class QAlphaElem:
 
     @property
     def is_rational(self) -> bool:
-        return self.q == 0 and self.r == 0
+        return self._ints[1] == 0 and self._ints[2] == 0
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -89,45 +115,52 @@ class QAlphaElem:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        o = _as_qalpha(other)
-        return QAlphaElem(self.p + o.p, self.q + o.q, self.r + o.r)
+        a1, b1, c1, d1 = self._ints
+        a2, b2, c2, d2 = _ints_of(other)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, c1 * d2 + c2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_qalpha(other)
-        return QAlphaElem(self.p - o.p, self.q - o.q, self.r - o.r)
+        a1, b1, c1, d1 = self._ints
+        a2, b2, c2, d2 = _ints_of(other)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, c1 * d2 - c2 * d1, d1 * d2)
 
     def __rsub__(self, other):
         return _as_qalpha(other) - self
 
     def __neg__(self):
-        return QAlphaElem(-self.p, -self.q, -self.r)
+        a, b, c, d = self._ints
+        return _reduced(-a, -b, -c, d)
 
     def __mul__(self, other):
-        o = _as_qalpha(other)
-        p1, q1, r1 = self.p, self.q, self.r
-        p2, q2, r2 = o.p, o.q, o.r
-        c0 = p1 * p2
-        c1 = p1 * q2 + q1 * p2
-        c2 = p1 * r2 + q1 * q2 + r1 * p2
-        c3 = q1 * r2 + r1 * q2
-        c4 = r1 * r2
+        a1, b1, c1, d1 = self._ints
+        a2, b2, c2, d2 = _ints_of(other)
+        e0 = a1 * a2
+        e1 = a1 * b2 + b1 * a2
+        e2 = a1 * c2 + b1 * b2 + c1 * a2
+        e3 = b1 * c2 + c1 * b2
+        e4 = c1 * c2
         # alpha0^3 = -alpha0^2 + 2 alpha0 + 4,  alpha0^4 = 3 alpha0^2 + 2 alpha0 - 4
-        return QAlphaElem(
-            c0 + 4 * c3 - 4 * c4,
-            c1 + 2 * c3 + 2 * c4,
-            c2 - c3 + 3 * c4,
+        return _reduced(
+            e0 + 4 * e3 - 4 * e4,
+            e1 + 2 * e3 + 2 * e4,
+            e2 - e3 + 3 * e4,
+            d1 * d2,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QAlphaElem":
-        if self == _ZERO:
-            raise ZeroDivisionError("cannot invert zero")
-        inv = _poly_inverse_mod_m([self.p, self.q, self.r])
-        inv = inv + [Fraction(0)] * (3 - len(inv))
-        return QAlphaElem(inv[0], inv[1], inv[2])
+        a, b, c, d = self._ints
+        if b == 0 and c == 0:
+            if a == 0:
+                raise ZeroDivisionError("cannot invert zero")
+            return _reduced(d, 0, 0, a)
+        # v^3 + s v^2 + t v + u = 0, so v (v^2 + s v + t) = -u, and -u is
+        # the signifier, nonzero for v != 0.
+        s, t, u = min_poly_of(self)
+        return (self * self + s * self + t) / -u
 
     def __truediv__(self, other):
         return self * _as_qalpha(other).inverse()
@@ -138,7 +171,7 @@ class QAlphaElem:
     def __pow__(self, n: int) -> "QAlphaElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = QAlphaElem(Fraction(1))
+        result = QAlphaElem(1)
         base = self
         while n:
             if n & 1:
@@ -179,16 +212,47 @@ class QAlphaElem:
         return f"({self.p}) + ({self.q})*a + ({self.r})*a^2"
 
 
-_ZERO = QAlphaElem()
-ALPHA = QAlphaElem(0, 1, 0)
+def _reduced(a: int, b: int, c: int, d: int) -> QAlphaElem:
+    """(a + b*alpha0 + c*alpha0^2)/d, d != 0, in canonical form."""
+    if d < 0:
+        a, b, c, d = -a, -b, -c, -d
+    g = gcd(a, b, c, d)
+    if g != 1:
+        a, b, c, d = a // g, b // g, c // g, d // g
+    v = object.__new__(QAlphaElem)
+    object.__setattr__(v, "_ints", (a, b, c, d))
+    return v
+
+
+def _ints_of(x) -> tuple[int, int, int, int]:
+    """(a, b, c, d) of a field element; ints and Fractions are rationals."""
+    if isinstance(x, QAlphaElem):
+        return x._ints
+    if isinstance(x, int):
+        return x, 0, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, 0, x.denominator
+    raise TypeError(f"cannot interpret {type(x).__name__} as a field element")
 
 
 def _as_qalpha(x) -> QAlphaElem:
-    if isinstance(x, QAlphaElem):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QAlphaElem(Fraction(x))
-    raise TypeError(f"cannot interpret {type(x).__name__} as a field element")
+    return x if isinstance(x, QAlphaElem) else _reduced(*_ints_of(x))
+
+
+def _cubic(a: int, b: int, c: int) -> int:
+    """Integer cubic form whose sign is the sign of a + b*alpha0 + c*alpha0^2."""
+    return (
+        a**3
+        - a**2 * b
+        - 2 * a * b**2
+        + 4 * b**3
+        + 5 * a**2 * c
+        - 10 * a * b * c
+        - 4 * b**2 * c
+        + 12 * a * c**2
+        - 8 * b * c**2
+        + 16 * c**3
+    )
 
 
 def signifier(v: QAlphaElem) -> Fraction:
@@ -196,26 +260,23 @@ def signifier(v: QAlphaElem) -> Fraction:
 
     This is (minus) the constant coefficient of the monic cubic satisfied
     by v; since that cubic has exactly one real root, its constant term
-    has the opposite sign of the root.
+    has the opposite sign of the root.  It is homogeneous of degree 3, so
+    for v = (a + b*alpha0 + c*alpha0^2)/d it is the integer cubic form of
+    (a, b, c) over d^3.
     """
-    p, q, r = v.p, v.q, v.r
-    return (
-        p**3
-        - p**2 * q
-        - 2 * p * q**2
-        + 4 * q**3
-        + 5 * p**2 * r
-        - 10 * p * q * r
-        - 4 * q**2 * r
-        + 12 * p * r**2
-        - 8 * q * r**2
-        + 16 * r**3
-    )
+    a, b, c, d = _ints_of(v)
+    return Fraction(_cubic(a, b, c), d**3)
 
 
 def compare(v, w=0) -> int:
-    """Exact three-way comparison of elements of Q(alpha0): -1, 0, or +1."""
-    s = signifier(_as_qalpha(v) - _as_qalpha(w))
+    """Exact three-way comparison of elements of Q(alpha0): -1, 0, or +1.
+
+    The sign of v - w is the sign of the cubic form of its numerators over
+    the positive denominator d_v * d_w.
+    """
+    a1, b1, c1, d1 = _ints_of(v)
+    a2, b2, c2, d2 = _ints_of(w)
+    s = _cubic(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, c1 * d2 - c2 * d1)
     return (s > 0) - (s < 0)
 
 
@@ -224,75 +285,32 @@ def min_poly_of(v: QAlphaElem) -> tuple[Fraction, Fraction, Fraction]:
 
     Defined for elements of degree 3, i.e. (q, r) != (0, 0).
     """
-    p, q, r = v.p, v.q, v.r
-    if q == 0 and r == 0:
+    a, b, c, d = v._ints
+    if b == 0 and c == 0:
         raise RationalInputError("rational input has a degree-1 minimal polynomial")
-    s = -3 * p + q - 5 * r
-    t = 3 * p**2 - 2 * p * q - 2 * q**2 + 10 * p * r - 10 * q * r + 12 * r**2
+    s = Fraction(-3 * a + b - 5 * c, d)
+    t = Fraction(
+        3 * a**2 - 2 * a * b - 2 * b**2 + 10 * a * c - 10 * b * c + 12 * c**2, d * d
+    )
     u = -signifier(v)
     return (s, t, u)
 
 
 def alpha_pow(n: int) -> QAlphaElem:
-    """alpha0^n in canonical form, for any integer n."""
-    return ALPHA**n
+    """alpha0^n in canonical form, for any integer n.
 
-
-# ---------------------------------------------------------------------------
-# Polynomial helpers over Q[X] (ascending coefficient lists).
-
-
-def _poly_strip(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    quotient = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coeff = a[k + len(b) - 1] * inv_lead
-        if coeff == 0:
-            continue
-        quotient[k] = coeff
-        for i, bc in enumerate(b):
-            a[k + i] -= coeff * bc
-    return quotient, _poly_strip(a)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        if ac == 0:
-            continue
-        for j, bc in enumerate(b):
-            out[i + j] += ac * bc
-    return _poly_strip(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_strip(out)
-
-
-def _poly_inverse_mod_m(e: list[Fraction]) -> list[Fraction]:
-    """f with e*f = 1 (mod m); exists since m is irreducible and e != 0."""
-    e = _poly_strip([Fraction(c) for c in e])
-    r0, r1 = list(MIN_POLY), e
-    s0, s1 = [], [Fraction(1)]  # s tracks the coefficient of e
-    while r1:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # r0 is a nonzero constant gcd
-    g = r0[0]
-    return _poly_strip([c / g for c in s0])
+    Multiplying by alpha0 sends (a, b, c) to (4c, a + 2c, b - c).  For
+    n < 0, multiplying by 4/alpha0 = alpha0^2 + alpha0 - 2 sends (a, b, c)
+    to (-2a + 4b, a + 4c, a), so alpha0^n is |n| such steps over 4^|n|.
+    """
+    a, b, c = 1, 0, 0
+    if n >= 0:
+        for _ in range(n):
+            a, b, c = 4 * c, a + 2 * c, b - c
+        return _reduced(a, b, c, 1)
+    for _ in range(-n):
+        a, b, c = -2 * a + 4 * b, a + 4 * c, a
+    return _reduced(a, b, c, 4**-n)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +532,8 @@ def k_div(num: KElem, den: KElem) -> KElem:
     """Exact division in K.
 
     Multiplying by the alpha1<->alpha2 conjugate of the denominator turns
-    the divisor into a (real) element of Q(alpha0), which is inverted by
-    the extended Euclidean algorithm against m(X).
+    the divisor into a (real) element of Q(alpha0), which is inverted
+    there through its minimal polynomial.
     """
     num = _as_kelem(num)
     den = _as_kelem(den)

@@ -14,7 +14,9 @@ which doubles the length and preserves Golay complementarity.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, TextIO
 
@@ -361,6 +363,35 @@ def validate_seed(x0: Sequence, y0: Sequence, ell0: int) -> SeedPair:
 # ---------------------------------------------------------------------------
 # Sequence files: one header line "len=<l> kind=binary|rational", then either
 # a single +/- line or one "re_num/re_den im_num/im_den" line per coefficient.
+# str(int), int(str) and Fraction(str) refuse ints past
+# sys.get_int_max_str_digits() digits; Decimal converts exactly at any size,
+# so it takes over when they raise.
+
+_FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def int_text(v: int) -> str:
+    """str(v), for an int of any size."""
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
+
+
+def _fraction_text(v: Fraction) -> str:
+    return f"{int_text(v.numerator)}/{int_text(v.denominator)}"
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction(text), for numerators and denominators of any size."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = _FRACTION_TEXT.fullmatch(text)
+        if match is None:
+            raise
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def write_sequence(seq: Sequence, fp: TextIO) -> None:
@@ -370,10 +401,7 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
         return
     fp.write(f"len={seq.length} kind=rational\n")
     for v in seq.cq_coeffs():
-        fp.write(
-            f"{v.re.numerator}/{v.re.denominator} "
-            f"{v.im.numerator}/{v.im.denominator}\n"
-        )
+        fp.write(f"{_fraction_text(v.re)} {_fraction_text(v.im)}\n")
 
 
 def read_sequence(fp: TextIO) -> Sequence:
@@ -393,11 +421,15 @@ def read_sequence(fp: TextIO) -> Sequence:
     rows = [fp.readline().split() for _ in range(length)]
     if all(len(row) == 2 and row[1] == "0/1" and row[0].endswith("/1") for row in rows):
         # Real integers, as write_sequence writes them: no Fraction needed.
-        return Sequence([int(row[0][:-2]) for row in rows], length)
+        try:
+            ints = [int(row[0][:-2]) for row in rows]
+        except ValueError:  # malformed, or past the digit limit
+            ints = [int(_parse_fraction(row[0])) for row in rows]
+        return Sequence(ints, length)
     vals = []
     for row in rows:
         re_txt, im_txt = row
-        vals.append(CQ(Fraction(re_txt), Fraction(im_txt)))
+        vals.append(CQ(_parse_fraction(re_txt), _parse_fraction(im_txt)))
     return Sequence(vals, length)
 
 

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 from grs.cli import RunConfig, build_parser, main, run
+from grs.correlation import crosscorr
+from grs.sequences import Sequence, read_sequence, validate_seed, write_seed_pair
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -121,6 +124,39 @@ def test_approx(tmp_path):
     assert code == 0
     payload = json.loads(text)
     assert (payload["lo"], payload["hi"]) == ("1.658967", "1.658968")
+
+
+def test_gen_and_spectrum_past_int_text_limit(tmp_path):
+    # Seed values and spectrum entries with more digits than str(int) and
+    # int(str) accept by default; the rows are read back through Decimal.
+    big = 10**5000
+    seed = validate_seed(Sequence([big]), Sequence([-big]), 1)
+    with open(tmp_path / "seed.txt", "w") as fp:
+        write_seed_pair(seed, fp)
+    for member in ("x", "y"):
+        code, _ = run_cli(["gen", "--seed", str(tmp_path / "seed.txt"), "--n", "3",
+                           "--member", member], tmp_path, f"{member}.seq")
+        assert code == 0
+    with open(tmp_path / "x.seq") as fp:
+        f = read_sequence(fp)
+    with open(tmp_path / "y.seq") as fp:
+        g = read_sequence(fp)
+    expected = {s: crosscorr(f, g, s) for s in range(-7, 8)}
+    expected = {s: v for s, v in expected.items() if v}
+    assert max(map(abs, expected.values())) > 10**10000
+    files = ["--f", str(tmp_path / "x.seq"), "--g", str(tmp_path / "y.seq")]
+    code, csv_text = run_cli(["spectrum", *files, "--format", "csv"], tmp_path)
+    assert code == 0
+    rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+    assert all(row[2:] == ["1", "0", "1"] for row in rows)
+    assert {int(row[0]): int(Decimal(row[1])) for row in rows} == expected
+    code, json_text = run_cli(["spectrum", *files, "--format", "json"], tmp_path)
+    assert code == 0
+    assert {
+        int(row["shift"]): int(Decimal(row["re_num"])) for row in json.loads(json_text)
+    } == expected
+    code, text = run_cli(["corr", *files, "--shift", "-1"], tmp_path)
+    assert code == 0 and int(Decimal(json.loads(text)["re_num"])) == expected[-1]
 
 
 def test_usage_error_exit_code():

@@ -184,3 +184,102 @@ def test_ordering_dunders():
     assert A > 1 and A < 2
     assert alpha_pow(2) >= alpha_pow(2)
     assert -A <= 0
+
+
+def test_canonical_form():
+    # Differently scaled inputs and results land on one representation.
+    half = QAlphaElem(Fraction(1, 2))
+    assert QAlphaElem(Fraction(2, 4)) == half
+    assert hash(QAlphaElem(Fraction(2, 4))) == hash(half)
+    v = QAlphaElem(Fraction(1, 6), Fraction(-2, 3), Fraction(5, 4))
+    third = QAlphaElem(Fraction(1, 3))
+    for same, other in [
+        (third * 3, QAlphaElem(1)),
+        ((v + half) - half, v),
+        (v * 12 / 12, v),
+        (-(-v), v),
+        (alpha_pow(-3) * alpha_pow(3), QAlphaElem(1)),
+        (v - v, QAlphaElem()),
+    ]:
+        assert same == other and hash(same) == hash(other)
+        assert (same.p, same.q, same.r) == (other.p, other.q, other.r)
+
+
+def test_alpha_pow_matches_repeated_products():
+    up = down = QAlphaElem(1)
+    inv = A.inverse()
+    for n in range(61):
+        assert alpha_pow(n) == up
+        assert alpha_pow(-n) == down
+        up, down = up * A, down * inv
+
+
+def _signifier_reference(v):
+    # The cubic form on the Fraction coordinates, as the field's own
+    # integer form must reproduce it.
+    p, q, r = v.p, v.q, v.r
+    return (
+        p**3 - p**2 * q - 2 * p * q**2 + 4 * q**3 + 5 * p**2 * r
+        - 10 * p * q * r - 4 * q**2 * r + 12 * p * r**2 - 8 * q * r**2 + 16 * r**3
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(qalpha_elems, qalpha_elems)
+def test_signifier_matches_rational_cubic(v, w):
+    assert signifier(v) == _signifier_reference(v)
+    s = _signifier_reference(v - w)
+    assert compare(v, w) == (s > 0) - (s < 0)
+
+
+@pytest.mark.parametrize(
+    "x", [1, -1, 3, -3, Fraction(2, 7), Fraction(-5, 4), Fraction(-1, 9)]
+)
+def test_inverse_of_rationals(x):
+    v = QAlphaElem(x)
+    inv = v.inverse()
+    assert inv == QAlphaElem(1 / Fraction(x))
+    assert inv.is_rational and inv.as_fraction() == 1 / Fraction(x)
+    assert inv * v == QAlphaElem(1)
+    assert 1 / v == inv and v / x == QAlphaElem(1)
+
+
+def test_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        QAlphaElem().inverse()
+
+
+def test_floats_and_assignment_are_refused():
+    for args in [(1.5,), (0, 0.5), (0, 0, 2.0)]:
+        with pytest.raises(TypeError):
+            QAlphaElem(*args)
+    with pytest.raises(TypeError):
+        QAlphaElem.rational(0.25)
+    with pytest.raises(TypeError):
+        A + 1.0
+    with pytest.raises(TypeError):
+        compare(A, 1.5)
+    v = QAlphaElem(1, 2, 3)
+    for name in ("p", "q", "r", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, Fraction(0))
+    assert v == QAlphaElem(1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "v, text, shown",
+    [
+        (QAlphaElem(), "0/1 0/1 0/1", "(0) + (0)*a + (0)*a^2"),
+        (
+            QAlphaElem(Fraction(-3, 7), 22, Fraction(5, 9)),
+            "-3/7 22/1 5/9",
+            "(-3/7) + (22)*a + (5/9)*a^2",
+        ),
+        (alpha_pow(-1), "-1/2 1/4 1/4", "(-1/2) + (1/4)*a + (1/4)*a^2"),
+        (alpha_pow(5), "12/1 2/1 -1/1", "(12) + (2)*a + (-1)*a^2"),
+    ],
+)
+def test_text_forms_are_pinned(v, text, shown):
+    assert v.to_text() == text
+    assert str(v) == shown
+    assert QAlphaElem.from_text(text) == v

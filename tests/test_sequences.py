@@ -248,6 +248,35 @@ def test_malformed_rational_line_raises(lines):
         read_sequence(io.StringIO(text))
 
 
+# Values past the interpreter's int-to-text limit (4300 digits by default).
+_HUGE = 10**5000
+
+
+def test_roundtrip_past_int_text_limit():
+    # Both read paths: integer "k/1 0/1" lines and general fractions.
+    cases = [
+        Sequence([_HUGE, 1]),
+        Sequence([-_HUGE, 0, _HUGE + 1], 4),
+        Sequence([Fraction(_HUGE, 3), CQ(1, Fraction(-1, _HUGE))]),
+    ]
+    for seq in cases:
+        buf = io.StringIO()
+        write_sequence(seq, buf)
+        text = buf.getvalue()
+        back = read_sequence(io.StringIO(text))
+        assert back == seq and back.length == seq.length
+        buf2 = io.StringIO()
+        write_sequence(back, buf2)
+        assert buf2.getvalue() == text
+
+
+@pytest.mark.parametrize("row", ["{}x/1 0/1", "{}.5/1 0/1", "1/1 {}/1x", "1/-{} 0/1"])
+def test_malformed_rows_past_int_text_limit_raise(row):
+    text = f"len=2 kind=rational\n1/1 0/1\n{row.format('7' * 5000)}\n"
+    with pytest.raises(ValueError):
+        read_sequence(io.StringIO(text))
+
+
 def test_seed_pair_roundtrip(seed_pm4):
     buf = io.StringIO()
     write_seed_pair(seed_pm4, buf)
