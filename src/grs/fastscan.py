@@ -15,26 +15,31 @@ needs O(2^{n-t} + 2^t) memory instead of materializing length-2^n
 sequences, so peak crosscorrelation and peak sidelobe level stay
 computable far beyond the sizes where sequences fit in memory.
 
-Integer-valued pairs (binary seeds in particular) run on vectorized
-numpy kernels.  Within one block of shifts sharing q the four table
-coefficients are constant, so the peak scan evaluates whole blocks as
-combinations of the two level arrays, visiting them in decreasing order
-of the per-block bound and stopping once no remaining block can reach
-the best value found.  Every level and every block whose exact bound
-exceeds int64 is computed with Python integers (object dtype) instead.
-General complex-rational seeds use an exact scalar path.
+Every seed is first scaled to Gaussian integers by clearing its
+denominators (``_scaled_int_seed``).  A level is then one integer array
+for a real seed, or two, re and im, for a complex one.  Within one block
+of shifts sharing q the four table coefficients are constant, so one
+evaluator (``_block_values``) computes whole blocks as combinations of
+views of the level arrays; the coefficients are real, so the imaginary
+part is the same sum with the signs of the two conjugated terms flipped.
+Dense levels evaluate every block at once; the peak scan visits blocks in
+decreasing order of the per-block bound and stops once no remaining block
+can reach the best value found, comparing squared magnitudes for complex
+seeds.  Every level and every block whose exact bound exceeds int64 is
+computed with Python integers (object dtype) instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import isqrt, lcm
 
 import numpy as np
 
 from . import correlation
-from .qcomplex import CQ, as_cq, exact_magnitude, value_conj
+from .qcomplex import CQ, exact_magnitude, value_conj, value_re_im
 from .sequences import (
     BudgetExceeded,
     SeedPair,
@@ -60,7 +65,6 @@ __all__ = [
 ]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_CHUNK = 1 << 16
 
 
 class LevelTooSmall(ValueError):
@@ -134,90 +138,86 @@ def abgd(t: int) -> AbgdTable:
 # ---------------------------------------------------------------------------
 # Cached dense crosscorrelation spectra per level.
 #
-# Level k holds C_k(s) for s in (-ell_k, ell_k): levels 0 and 1 come from
-# the oracle on the (small) materialized pairs, higher levels from the
-# t = 1 instance of the coefficient formula, one O(ell_k) pass each.
+# Level k of a Gaussian-integer seed holds C_k(s) for s in (-ell_k, ell_k)
+# as a tuple of integer arrays: (re,) for a real seed, (re, im) for a
+# complex one.  Levels 0 and 1 come from the oracle on the (small)
+# materialized pairs, higher levels from the t = 1 instance of the
+# coefficient formula, one O(ell_k) pass each.
 
-_int_levels: dict[tuple[SeedPair, int], np.ndarray] = {}
-_gen_levels: dict[tuple[SeedPair, int], dict] = {}
-_scaled_seeds: dict[SeedPair, tuple[SeedPair, Fraction]] = {}
+_int_levels: dict[tuple[SeedPair, int], tuple[np.ndarray, ...]] = {}
+_scaled_seeds: dict[SeedPair, tuple[SeedPair, int]] = {}
 
 
 def clear_caches() -> None:
     _abgd_cache.clear()
     _int_levels.clear()
-    _gen_levels.clear()
     _scaled_seeds.clear()
     _geoff_memo.clear()
     _peak_cache.clear()
+    _block.cache_clear()
 
 
-def _oracle_dense_int(seed: SeedPair, k: int) -> np.ndarray:
+def _scaled_int_seed(seed: SeedPair) -> tuple[SeedPair, int]:
+    """The seed times the lcm d of every real and imaginary denominator,
+    and d^2: correlations of the scaled seed are Gaussian integers, d^2
+    times those of ``seed``."""
+    if seed.is_int:
+        return seed, 1
+    cached = _scaled_seeds.get(seed)
+    if cached is None:
+        coeffs = [s.cq_coeffs() for s in (seed.x0, seed.y0)]
+        d = lcm(*(v.denominator for cs in coeffs for c in cs for v in (c.re, c.im)))
+        x, y = (Sequence([c * d for c in cs], len(cs)) for cs in coeffs)
+        cached = _scaled_seeds[seed] = (SeedPair(x, y, seed.ell0), d * d)
+    return cached
+
+
+def _unscale(parts: tuple, scale: int):
+    """A value of the scaled seed, given by its integer parts, back at the
+    seed's scale: an int for integer seeds, a Fraction for other real seeds
+    and a CQ for complex ones."""
+    if len(parts) == 2:
+        return CQ(Fraction(parts[0], scale), Fraction(parts[1], scale))
+    return parts[0] if scale == 1 else Fraction(parts[0], scale)
+
+
+def _oracle_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
     pair = grs_pair(seed, k)
     ell = pair.length
-    entries = correlation.spectrum(pair.x, pair.y).entries
-    fits = max(map(abs, entries.values()), default=0) <= _INT64_MAX
-    arr = np.zeros(2 * ell - 1, dtype=np.int64 if fits else object)
-    for s, v in entries.items():
-        arr[s + ell - 1] = v
-    return arr
+    rows = [[0] * (2 * ell - 1) for _ in range(1 if seed.is_int else 2)]
+    for s, v in correlation.spectrum(pair.x, pair.y).entries.items():
+        for row, part in zip(rows, value_re_im(v)):
+            row[s + ell - 1] = int(part)
+    return tuple(
+        np.array(row, dtype=np.int64 if max(map(abs, row)) <= _INT64_MAX else object)
+        for row in rows
+    )
 
 
-def _int_level(seed: SeedPair, k: int) -> np.ndarray:
+def _int_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
     key = (seed, k)
-    cached = _int_levels.get(key)
-    if cached is not None:
-        return cached
-    if k <= 1:
-        arr = _oracle_dense_int(seed, k)
-    else:
-        arr = _dense_int(seed, k, 1)
-    arr.flags.writeable = False
-    _int_levels[key] = arr
-    return arr
+    level = _int_levels.get(key)
+    if level is None:
+        level = _oracle_level(seed, k) if k <= 1 else _dense_int(seed, k, 1)
+        for part in level:
+            part.flags.writeable = False
+        _int_levels[key] = level
+    return level
 
 
-def _gather(spec: np.ndarray, ell: int, u: np.ndarray) -> np.ndarray:
-    idx = u + (ell - 1)
-    ok = (idx >= 0) & (idx < spec.size)
-    out = spec[np.clip(idx, 0, spec.size - 1)]
-    out[~ok] = 0
-    return out
-
-
-def _kernel_int(
-    shifts: np.ndarray,
-    tables: AbgdTable,
-    spec_nt: np.ndarray,
-    ell_nt: int,
-    spec_nt1: np.ndarray,
-    ell_nt1: int,
-) -> np.ndarray:
-    """Vectorized four-term evaluation over an int64 shift array."""
-    big_l = 2 * ell_nt
-    if big_l & (big_l - 1) == 0:
-        # Power-of-two modulus: arithmetic shift floors like divmod does.
-        q = shifts >> big_l.bit_length() - 1
-        r = shifts & (big_l - 1)
-    else:
-        q = shifts // big_l
-        r = shifts - q * big_l
-    qi = q + tables.offset
-    ok = (qi >= 0) & (qi < tables.a.size)
-    qi = np.clip(qi, 0, tables.a.size - 1)
-    aq = np.where(ok, tables.a[qi], 0)
-    bq = np.where(ok, tables.b[qi], 0)
-    gq = np.where(ok, tables.g[qi], 0)
-    dq = np.where(ok, tables.d[qi], 0)
-    g1 = _gather(spec_nt, ell_nt, r - ell_nt)
-    g2 = _gather(spec_nt, ell_nt, ell_nt - r)
-    g3 = _gather(spec_nt1, ell_nt1, r - 3 * ell_nt1)
-    g4 = _gather(spec_nt1, ell_nt1, ell_nt1 - r)
-    return aq * g1 + bq * g2 + gq * g3 + dq * g4
-
-
-def _max_abs(spec: np.ndarray) -> int:
-    return int(np.abs(spec).max(initial=0))
+def _peak_abs(level: tuple[np.ndarray, ...]) -> int:
+    """The least integer at or above every |C_k(s)| of a level: the largest
+    |re| of a real level, the ceiling of the square root of the largest
+    re^2 + im^2 of a complex one."""
+    tops = [int(np.abs(part).max(initial=0)) for part in level]
+    if len(level) == 1:
+        return tops[0]
+    if sum(m * m for m in tops) > _INT64_MAX:
+        level = tuple(part.astype(object) for part in level)
+    re, im = level
+    sq = int((re * re + im * im).max(initial=0))
+    root = isqrt(sq)
+    return root + (root * root < sq)
 
 
 def _block_bounds(tables: AbgdTable, m_nt: int, m_nt1: int) -> np.ndarray:
@@ -226,9 +226,10 @@ def _block_bounds(tables: AbgdTable, m_nt: int, m_nt1: int) -> np.ndarray:
     m_nt1 of levels n-t and n-t-1.
 
     The Gamma and Delta terms read disjoint remainder windows, so the bound
-    also caps every partial sum of the four-term formula in its block: a
-    block whose bound fits int64 evaluates without wraparound.  The bounds
-    come back as Python integers (object dtype) when one would not fit.
+    also caps every partial sum of the four-term formula in its block, in
+    the real and in the imaginary part: a block whose bound fits int64
+    evaluates without wraparound.  The bounds come back as Python integers
+    (object dtype) when one would not fit.
     """
     ab = np.abs(tables.a) + np.abs(tables.b)
     gd = np.maximum(np.abs(tables.g), np.abs(tables.d))
@@ -237,68 +238,52 @@ def _block_bounds(tables: AbgdTable, m_nt: int, m_nt1: int) -> np.ndarray:
     return ab * m_nt + gd * m_nt1
 
 
-def _dense_int(seed: SeedPair, n: int, t: int) -> np.ndarray:
-    """All C_{x_n, y_n}(s) for s in (-ell_n, ell_n) from the levels n-t and
-    n-t-1, evaluated in chunks of shifts to bound the kernel temporaries.
-    Python integers (object dtype) when some value could leave int64."""
+def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, ...]:
+    """C_n(q * L + r) for r = 1 .. L-1 (index u = r - 1) on block q, with
+    L = 2 * ell_{n-t}: A V1 + B conj(V2) + Gamma V3 + Delta conj(V4), where
+
+        V1 = C_{n-t}(r - ell_{n-t}),        V2 = C_{n-t}(ell_{n-t} - r),
+        V3 = C_{n-t-1}(r - 3 ell_{n-t-1}),  V4 = C_{n-t-1}(ell_{n-t-1} - r).
+
+    For r >= 1 these are the level arrays themselves: V1 and V2 are the
+    level n-t spectrum forwards and reversed, V4 the level n-t-1 spectrum
+    reversed on r < ell_{n-t} and V3 the same spectrum forwards on
+    r > ell_{n-t}.  (All four vanish at r = 0.)
+
+    (a, b, g, d) are the block's table entries, or columns of entries, to
+    evaluate one block per row by broadcasting.  The coefficients are
+    real, so the imaginary part of a complex level is the same sum over
+    the im arrays with the signs of B and Delta flipped.  ``bound`` caps
+    every partial sum (see ``_block_bounds``); past int64 the levels are
+    evaluated as Python integers.  Returns one array per part of the level.
+    """
+    half = level_nt1[0].size  # ell_{n-t} - 1
+    out = []
+    for c_nt, c_nt1 in zip(level_nt, level_nt1):
+        if bound > _INT64_MAX:
+            c_nt, c_nt1 = c_nt.astype(object), c_nt1.astype(object)
+        vals = a * c_nt + b * c_nt[::-1]
+        if np.any(d):
+            vals[..., :half] += d * c_nt1[::-1]
+        if np.any(g):
+            vals[..., half + 1 :] += g * c_nt1
+        out.append(vals)
+        b, d = -b, -d
+    return tuple(out)
+
+
+def _dense_int(seed: SeedPair, n: int, t: int) -> tuple[np.ndarray, ...]:
+    """Level n of a Gaussian-integer seed from the levels n-t and n-t-1:
+    every block at once, one per row, each row followed by the zero at
+    r = 0 of the next block.  Python integers (object dtype) when some
+    value could leave int64."""
     lv1, lv2 = _split_levels(seed, n, t)
     tables = abgd(t)
-    spec_nt = _int_level(seed, lv1)
-    spec_nt1 = _int_level(seed, lv2)
-    bound = _block_bounds(tables, _max_abs(spec_nt), _max_abs(spec_nt1)).max()
-    if bound > _INT64_MAX:
-        spec_nt, spec_nt1 = spec_nt.astype(object), spec_nt1.astype(object)
-    ell = seed.ell0 << n
-    out = np.empty(2 * ell - 1, dtype=spec_nt.dtype)
-    for start in range(-(ell - 1), ell, _CHUNK):
-        stop = min(start + _CHUNK, ell)
-        shifts = np.arange(start, stop, dtype=np.int64)
-        out[start + ell - 1 : stop + ell - 1] = _kernel_int(
-            shifts, tables, spec_nt, seed.ell0 << lv1, spec_nt1, seed.ell0 << lv2
-        )
-    return out
-
-
-# -- general (complex rational) levels --------------------------------------
-
-
-def _gen_level(seed: SeedPair, k: int) -> dict:
-    key = (seed, k)
-    cached = _gen_levels.get(key)
-    if cached is not None:
-        return cached
-    if k <= 1:
-        pair = grs_pair(seed, k)
-        out = {s: as_cq(v) for s, v in correlation.spectrum(pair.x, pair.y).entries.items()}
-    else:
-        prev = _gen_level(seed, k - 1)
-        prev2 = _gen_level(seed, k - 2)
-        ell = seed.ell0 << k
-        tables = abgd(1)
-        out = {}
-        for s in range(-(ell - 1), ell):
-            v = _coeff_from_levels(s, tables, prev, ell >> 1, prev2, ell >> 2)
-            if v:
-                out[s] = v
-    _gen_levels[key] = out
-    return out
-
-
-def _coeff_from_levels(s, tables, spec_nt, ell_nt, spec_nt1, ell_nt1):
-    """Scalar four-term evaluation over dict spectra of CQ values."""
-    q, r = divmod(s, 2 * ell_nt)
-    aq, bq, gq, dq = tables.entry(q)
-    zero = CQ()
-    total = zero
-    if aq:
-        total = total + aq * spec_nt.get(r - ell_nt, zero)
-    if bq:
-        total = total + bq * spec_nt.get(ell_nt - r, zero).conj()
-    if gq:
-        total = total + gq * spec_nt1.get(r - 3 * ell_nt1, zero)
-    if dq:
-        total = total + dq * spec_nt1.get(ell_nt1 - r, zero).conj()
-    return total
+    level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
+    bound = _block_bounds(tables, _peak_abs(level_nt), _peak_abs(level_nt1)).max()
+    cols = (col[:, None] for col in (tables.a, tables.b, tables.g, tables.d))
+    blocks = _block_values(*cols, level_nt, level_nt1, bound)
+    return tuple(np.pad(v, ((0, 0), (0, 1))).reshape(-1)[:-1] for v in blocks)
 
 
 def _split_levels(seed: SeedPair, n: int, t: int) -> tuple[int, int]:
@@ -307,37 +292,27 @@ def _split_levels(seed: SeedPair, n: int, t: int) -> tuple[int, int]:
     return n - t, n - t - 1
 
 
-def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
-    """C_{x_n, y_n}(s) from the cached level n-t and n-t-1 spectra."""
+@lru_cache(maxsize=1)
+def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
+    """Block q of level n of a Gaussian-integer seed (``_block_values``).
+    The last block is kept: single lookups tend to come in runs of nearby
+    shifts."""
     lv1, lv2 = _split_levels(seed, n, t)
-    tables = abgd(t)
-    if seed.is_int:
-        spec_nt = _int_level(seed, lv1)
-        spec_nt1 = _int_level(seed, lv2)
-        ell_nt = seed.ell0 << lv1
-        ell_nt1 = seed.ell0 << lv2
-        q, r = divmod(s, 2 * ell_nt)
-        aq, bq, gq, dq = tables.entry(q)
+    level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
+    a, b, g, d = abgd(t).entry(q)
+    m_nt, m_nt1 = _peak_abs(level_nt), _peak_abs(level_nt1)
+    bound = (abs(a) + abs(b)) * m_nt + max(abs(g), abs(d)) * m_nt1
+    return _block_values(a, b, g, d, level_nt, level_nt1, bound)
 
-        def look(spec, ell, u):
-            idx = u + ell - 1
-            return int(spec[idx]) if 0 <= idx < spec.size else 0
 
-        return (
-            aq * look(spec_nt, ell_nt, r - ell_nt)
-            + bq * look(spec_nt, ell_nt, ell_nt - r)
-            + gq * look(spec_nt1, ell_nt1, r - 3 * ell_nt1)
-            + dq * look(spec_nt1, ell_nt1, ell_nt1 - r)
-        )
-    value = _coeff_from_levels(
-        s,
-        tables,
-        _gen_level(seed, lv1),
-        seed.ell0 << lv1,
-        _gen_level(seed, lv2),
-        seed.ell0 << lv2,
-    )
-    return int(value.re) if value.is_integer else value
+def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
+    """C_{x_n, y_n}(s), entry r of block q for s = q * L + r, from the
+    cached level n-t and n-t-1 spectra."""
+    lv1, _ = _split_levels(seed, n, t)
+    scaled, scale = _scaled_int_seed(seed)
+    q, r = divmod(s, 2 * (seed.ell0 << lv1))
+    vals = _block(scaled, n, t, q)
+    return _unscale(tuple(int(v[r - 1]) if r else 0 for v in vals), scale)
 
 
 def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
@@ -345,7 +320,7 @@ def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
     integer-valued seeds only (vectorized)."""
     if not seed.is_int:
         raise ValueError("vectorized spectra need integer-valued seeds")
-    return _dense_int(seed, n, t)
+    return _dense_int(seed, n, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +350,8 @@ def _geoff_value(seed: SeedPair, n: int, s: int):
     if abs(s) >= ell:
         return 0
     if n <= 1:
-        spec = _gen_level(seed, n) if not seed.is_int else None
-        if spec is not None:
-            v = spec.get(s, CQ())
-            return int(v.re) if v.is_integer else v
-        arr = _int_level(seed, n)
-        return int(arr[s + ell - 1])
+        scaled, scale = _scaled_int_seed(seed)
+        return _unscale(tuple(int(p[s + ell - 1]) for p in _int_level(scaled, n)), scale)
     if s == 0:
         return 0
     key = (seed, n, s)
@@ -439,27 +410,6 @@ def _psl_from_pcc(pcc_rep: PeakReport, ell_n: int) -> PeakReport:
     return PeakReport(pcc_rep.level + 1, pcc_rep.value, tuple(mapped))
 
 
-def _scaled_int_seed(seed: SeedPair) -> tuple[SeedPair, Fraction]:
-    """Clear denominators of a rational seed; correlations scale by d^2."""
-    cached = _scaled_seeds.get(seed)
-    if cached is not None:
-        return cached
-    denoms = [
-        v.denominator
-        for s in (seed.x0, seed.y0)
-        for v in (c.re for c in s.cq_coeffs())
-    ]
-    d = lcm(*denoms)
-    scale = Fraction(d) ** 2
-
-    def scaled(s: Sequence) -> Sequence:
-        return Sequence([c.re * d for c in s.cq_coeffs()], s.length)
-
-    result = (SeedPair(scaled(seed.x0), scaled(seed.y0), seed.ell0), scale)
-    _scaled_seeds[seed] = result
-    return result
-
-
 def streaming_peaks(
     seed: SeedPair,
     n: int,
@@ -473,8 +423,9 @@ def streaming_peaks(
 
     The default split t = floor(n/2) balances the two memory terms; any
     split with 0 < t < n gives identical output.  Levels 0..2 fall back
-    to the oracle on the materialized pair; seeds with complex
-    coefficients are scanned shift by shift in exact arithmetic.
+    to the oracle on the materialized pair.  The peak value is |v| of the
+    first witness v; a properly complex v, whose magnitude is in general
+    irrational, raises ValueError.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -496,14 +447,11 @@ def streaming_peaks(
     if need > cap:
         raise BudgetExceeded(f"scan needs about {need} cached entries, budget is {cap}")
 
-    if seed.is_int:
-        result = _streaming_int(seed, n, t, lv1, lv2)
-    elif seed.is_rational:
-        scaled_seed, scale = _scaled_int_seed(seed)
-        pcc_rep, psl_rep = _streaming_int(scaled_seed, n, t, lv1, lv2)
-        result = (_rescale_report(pcc_rep, scale), _rescale_report(psl_rep, scale))
-    else:
-        result = _streaming_general(seed, n, t, lv1, lv2)
+    scaled, scale = _scaled_int_seed(seed)
+    _, hits = _block_peak(abgd(t), _int_level(scaled, lv1), _int_level(scaled, lv2))
+    wits = tuple((s, _unscale(tuple(parts), scale)) for s, *parts in hits)
+    pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]) if wits else 0, wits)
+    result = pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
     if use_cache:
         _peak_cache[(seed, n)] = result
     return result
@@ -512,62 +460,33 @@ def streaming_peaks(
 _peak_cache: dict[tuple[SeedPair, int], tuple[PeakReport, PeakReport]] = {}
 
 
-def _rescale_report(rep: PeakReport, scale: Fraction) -> PeakReport:
-    value = rep.value / scale
-    wits = tuple((s, Fraction(v) / scale) for s, v in rep.witnesses)
-    return PeakReport(rep.level, value, wits)
+def _block_peak(tables, level_nt, level_nt1) -> tuple[int, list]:
+    """Largest |C_n(s)| over all shifts (its square for a complex level)
+    and every attaining shift with the parts of its value, (s, re) or
+    (s, re, im), sorted by shift; (0, []) when every value vanishes.
 
-
-def _streaming_int(seed, n, t, lv1, lv2) -> tuple[PeakReport, PeakReport]:
-    best, wits = _block_peak(
-        abgd(t), _int_level(seed, lv1), _int_level(seed, lv2), seed.ell0 << lv1
-    )
-    pcc_rep = PeakReport(n, best, tuple(wits))
-    return pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
-
-
-def _block_peak(tables, spec_nt, spec_nt1, ell_nt) -> tuple[int, list]:
-    """Largest |C_n(s)| over all shifts and every attaining (s, C_n(s)),
-    sorted by shift; (0, []) when every value vanishes.
-
-    With s = q * L + r, L = 2 * ell_{n-t} and 0 <= r < L, the values of
-    block q are A_q V1 + B_q V2 + Gamma_q V3 + Delta_q V4 with
-
-        V1 = C_{n-t}(r - ell_{n-t}),        V2 = C_{n-t}(ell_{n-t} - r),
-        V3 = C_{n-t-1}(r - 3 ell_{n-t-1}),  V4 = C_{n-t-1}(ell_{n-t-1} - r).
-
-    All four vanish at r = 0, and for r >= 1 they are the level arrays
-    themselves: V1 and V2 are the level n-t spectrum forwards and reversed,
-    V4 the level n-t-1 spectrum reversed on r < ell_{n-t} and V3 the same
-    spectrum forwards on r > ell_{n-t}.  So a block is evaluated on views,
-    indexed by u = r - 1.  The blocks q in [-2^(t-1), 2^(t-1)) cover shifts
-    [-ell_n, ell_n); the one shift outside the window, -ell_n, has r = 0.
+    Block q of the shifts s = q * L + r, L = 2 * ell_{n-t} and 0 <= r < L,
+    is evaluated by ``_block_values``.  The blocks q in
+    [-2^(t-1), 2^(t-1)) cover shifts [-ell_n, ell_n); the one shift outside
+    the window, -ell_n, has r = 0, where every value vanishes.
 
     Blocks are visited in decreasing order of their bound, down to the
     first bound below the best value found: blocks whose bound equals the
-    best are still visited, so every witness is kept.
+    best are still visited, so every witness is kept.  Complex levels
+    compare squared magnitudes with squared bounds, in integers.
     """
-    big_l = 2 * ell_nt
-    bounds = _block_bounds(tables, _max_abs(spec_nt), _max_abs(spec_nt1))
-    exact = None
+    big_l = level_nt[0].size + 1
+    square = len(level_nt) == 2
+    bounds = _block_bounds(tables, _peak_abs(level_nt), _peak_abs(level_nt1))
     best = 0
-    hits: list[tuple[int, np.ndarray, np.ndarray]] = []
+    hits: list[tuple[int, np.ndarray, list]] = []
     for qi in np.argsort(bounds, kind="stable")[::-1]:
-        bound = int(bounds[qi])
+        bound = int(bounds[qi]) ** (2 if square else 1)
         if bound < best or bound == 0:
             break
-        c_nt, c_nt1 = spec_nt, spec_nt1
-        if bound > _INT64_MAX:
-            if exact is None:
-                exact = spec_nt.astype(object), spec_nt1.astype(object)
-            c_nt, c_nt1 = exact
-        a, b, g, d = (int(col[qi]) for col in (tables.a, tables.b, tables.g, tables.d))
-        vals = a * c_nt + b * c_nt[::-1]
-        if d:
-            vals[: ell_nt - 1] += d * c_nt1[::-1]
-        if g:
-            vals[ell_nt:] += g * c_nt1
-        mags = np.abs(vals)
+        coeffs = (int(col[qi]) for col in (tables.a, tables.b, tables.g, tables.d))
+        vals = _block_values(*coeffs, level_nt, level_nt1, bound)
+        mags = vals[0] * vals[0] + vals[1] * vals[1] if square else np.abs(vals[0])
         m = int(mags.max())
         if m < best or m == 0:
             continue
@@ -575,37 +494,13 @@ def _block_peak(tables, spec_nt, spec_nt1, ell_nt) -> tuple[int, list]:
             best = m
             hits.clear()
         idx = np.flatnonzero(mags == best)
-        hits.append(((int(qi) - tables.offset) * big_l + 1, idx, vals[idx]))
+        hits.append(((int(qi) - tables.offset) * big_l + 1, idx, [v[idx] for v in vals]))
     wits = sorted(
-        (start + int(u), int(v)) for start, idx, vals in hits for u, v in zip(idx, vals)
+        (start + int(u), *map(int, parts))
+        for start, idx, vals in hits
+        for u, *parts in zip(idx, *vals)
     )
     return best, wits
-
-
-def _streaming_general(seed, n, t, lv1, lv2) -> tuple[PeakReport, PeakReport]:
-    spec_nt = _gen_level(seed, lv1)
-    spec_nt1 = _gen_level(seed, lv2)
-    tables = abgd(t)
-    ell = seed.ell0 << n
-    ell_nt = seed.ell0 << lv1
-    ell_nt1 = seed.ell0 << lv2
-    best_sq = Fraction(0)
-    wits: list[tuple[int, CQ]] = []
-    for s in range(-(ell - 1), ell):
-        v = _coeff_from_levels(s, tables, spec_nt, ell_nt, spec_nt1, ell_nt1)
-        if not v:
-            continue
-        sq = v.abs2()
-        if sq > best_sq:
-            best_sq = sq
-            wits = [(s, v)]
-        elif sq == best_sq:
-            wits.append((s, v))
-    if not wits:
-        pcc_rep = PeakReport(n, 0, ())
-    else:
-        pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]), tuple(wits))
-    return pcc_rep, _psl_from_pcc(pcc_rep, ell)
 
 
 def psl_report(seed: SeedPair, n: int, t_split: int | None = None) -> PeakReport:

@@ -383,15 +383,19 @@ def _fraction_text(v: Fraction) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """Fraction(text), for numerators and denominators of any size."""
+    """Fraction(text), for numerators and denominators of any size; a zero
+    denominator is a ValueError, like any other malformed value."""
     try:
-        return Fraction(text)
-    except ValueError:
-        match = _FRACTION_TEXT.fullmatch(text)
-        if match is None:
-            raise
-        num, den = match.groups()
-        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+        try:
+            return Fraction(text)
+        except ValueError:
+            match = _FRACTION_TEXT.fullmatch(text)
+            if match is None:
+                raise
+            num, den = match.groups()
+            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def write_sequence(seq: Sequence, fp: TextIO) -> None:

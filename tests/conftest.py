@@ -57,5 +57,16 @@ def seed_rational():
 
 @pytest.fixture(scope="session")
 def seed_complex():
-    """(1, i) and (1, -i): a complex seed, scanned in exact CQ arithmetic."""
+    """(1, i) and (1, -i): a complex seed, scanned on Gaussian-integer
+    levels held as re and im arrays."""
     return validate_seed(Sequence([1, CQ(0, 1)]), Sequence([1, CQ(0, -1)]), 2)
+
+
+@pytest.fixture(scope="session")
+def seed_complex_rational():
+    """(1/2, i/3) and (1/2, -i/3): a complex seed whose real and imaginary
+    parts have different denominators, scanned with both cleared."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    return validate_seed(
+        Sequence([half, CQ(0, third)]), Sequence([half, CQ(0, -third)]), 2
+    )

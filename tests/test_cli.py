@@ -188,6 +188,21 @@ def test_bad_seed_file_exit_code(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("row", ["1/0 0/1", "1/2 -1/00"])
+def test_zero_denominator_exit_code(tmp_path, capsys, row):
+    # Fraction("1/0") raises ZeroDivisionError, which is not an input error
+    # to the CLI unless the reader turns it into one.
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(
+        f"ell0=2\nlen=2 kind=rational\n1/1 0/1\n{row}\nlen=2 kind=binary\n+-\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["peaks", "--seed", str(seed_file), "--n", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: zero denominator") and err.count("\n") == 1
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "grs.cli", "peaks", "--rs", "--n", "5"],

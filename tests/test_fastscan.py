@@ -1,5 +1,6 @@
+import itertools
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -140,8 +141,8 @@ def test_streaming_beyond_cutoff(rs_seed):
     assert psl_report(rs_seed, 29).witnesses == ((357913907, 860709),)
 
 
-def test_streaming_split_independence(corpus):
-    for seed in corpus:
+def test_streaming_split_independence(corpus, seed_complex, seed_complex_rational):
+    for seed in corpus + [seed_complex, seed_complex_rational]:
         for n in range(3, 11):
             reports = [
                 streaming_peaks(seed, n, t_split=t, _cacheable=False)
@@ -190,18 +191,45 @@ def test_pruned_scan_equals_dense(corpus, seed_golay10, seed_padded3, seed_ratio
                 assert rep.witnesses == wits, (seed.ell0, n, t)
 
 
-def test_complex_seed_scan_matches_oracle(seed_complex):
-    # crosscorr takes one overlap sum per shift, so the every-shift check
-    # grows quadratically; n = 8 (1023 shifts of length 512) takes about 0.5 s.
-    for n in range(0, 9):
-        pair = grs_pair(seed_complex, n)
+def test_complex_seed_scan_matches_oracle(seed_complex, seed_complex_rational):
+    for seed, n in itertools.product([seed_complex, seed_complex_rational], range(0, 11)):
+        pair = grs_pair(seed, n)
         spec = correlation.spectrum(pair.x, pair.y)
-        for s in range(-pair.length + 1, pair.length):
-            assert as_cq(spec.value(s)) == as_cq(correlation.crosscorr(pair.x, pair.y, s))
+        if n <= 8:
+            # crosscorr takes one overlap sum per shift, so this check grows
+            # quadratically; n = 8 (1023 shifts of length 512) takes about 0.5 s.
+            for s in range(-pair.length + 1, pair.length):
+                assert as_cq(spec.value(s)) == as_cq(correlation.crosscorr(pair.x, pair.y, s))
         value, shifts = correlation.pcc(pair.x, pair.y)
-        rep, _ = streaming_peaks(seed_complex, n, _cacheable=False)
+        rep, psl_rep = streaming_peaks(seed, n, _cacheable=False)
         assert rep.value == value, n
         assert rep.witnesses == tuple((s, spec.value(s)) for s in shifts), n
+        x_next = grs_pair(seed, n + 1).x
+        psl_value, psl_shifts = correlation.psl(x_next)
+        auto = correlation.spectrum(x_next, x_next)
+        assert psl_rep.value == psl_value, n
+        assert psl_rep.witnesses == tuple((s, auto.value(s)) for s in psl_shifts), n
+
+
+def test_properly_complex_peak_still_raises(tmp_path, capsys):
+    # (1, 1+i) and (1, -1-i) is a Golay seed whose peaks have irrational
+    # magnitudes: the scan refuses them rather than report a rounded value.
+    from grs.cli import main
+    from grs.qcomplex import CQ
+    from grs.sequences import write_seed_pair
+
+    seed = validate_seed(Sequence([1, CQ(1, 1)]), Sequence([1, CQ(-1, -1)]), 2)
+    for n in (3, 10):
+        with pytest.raises(ValueError, match="irrational"):
+            streaming_peaks(seed, n, _cacheable=False)
+    seed_file = tmp_path / "seed.txt"
+    with open(seed_file, "w") as fp:
+        write_seed_pair(seed, fp)
+    with pytest.raises(SystemExit) as exc:
+        main(["peaks", "--seed", str(seed_file), "--n", "6"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "irrational" in err and err.count("\n") == 1
 
 
 def test_clear_caches_empties_every_cache(rs_seed):
@@ -209,18 +237,30 @@ def test_clear_caches_empties_every_cache(rs_seed):
 
     before, _ = streaming_peaks(rs_seed, 10)
     abgd(12)
+    coeff_by_iteration(rs_seed, 10, 5, 3)
     fastscan.clear_caches()
     caches = (
         fastscan._abgd_cache,
         fastscan._int_levels,
-        fastscan._gen_levels,
         fastscan._scaled_seeds,
         fastscan._geoff_memo,
         fastscan._peak_cache,
     )
     assert all(len(cache) == 0 for cache in caches)
+    assert fastscan._block.cache_info().currsize == 0
     again, _ = streaming_peaks(rs_seed, 10)
     assert again == before
+
+
+def test_peak_abs_is_the_integer_ceiling_of_the_modulus():
+    from grs.fastscan import _peak_abs
+
+    assert _peak_abs((np.array([-7, 3]),)) == 7
+    assert _peak_abs((np.array([3, 0]), np.array([4, 1]))) == 5
+    # |1 + i| = sqrt(2) rounds up; so does a modulus whose square leaves int64.
+    assert _peak_abs((np.array([1, 0]), np.array([1, 0]))) == 2
+    big = 3 * 10**9
+    assert _peak_abs((np.array([big]), np.array([big]))) == isqrt(2 * big * big) + 1
 
 
 def test_block_bound_is_max_of_nellie_bound():
@@ -234,25 +274,56 @@ def test_block_bound_is_max_of_nellie_bound():
             assert bounds[q + (1 << (t - 1))] == max(per_shift), (t, q)
 
 
+def _four_term_at(tables, s, spec_nt, ell_nt, spec_nt1):
+    """C_n(s) shift by shift from the four-term formula, on CQ values."""
+    def look(spec, ell, u):
+        idx = u + ell - 1
+        return spec[idx] if 0 <= idx < len(spec) else as_cq(0)
+
+    ell_nt1 = ell_nt // 2
+    q, r = divmod(s, 2 * ell_nt)
+    a, b, g, d = tables.entry(q)
+    return (
+        a * look(spec_nt, ell_nt, r - ell_nt)
+        + b * look(spec_nt, ell_nt, ell_nt - r).conj()
+        + g * look(spec_nt1, ell_nt1, r - 3 * ell_nt1)
+        + d * look(spec_nt1, ell_nt1, ell_nt1 - r).conj()
+    )
+
+
 def test_block_peak_keeps_equal_bound_blocks():
     # Random +/-1 and {-1, 0, 1} level arrays make many blocks reach their
     # bound, so ties between blocks whose bound equals the peak are common.
-    from grs.fastscan import _block_peak, _kernel_int
+    # Two parts are the re and im arrays of a complex level, whose peak is
+    # taken on squared magnitudes.
+    from grs.fastscan import _block_peak
 
     rng = np.random.default_rng(2021)
-    for t in range(1, 7):
+    for parts, t in itertools.product((1, 2), range(1, 7)):
         tables = abgd(t)
         for ell_nt in (2, 4, 6, 8):
             for values in ([-1, 1], [-1, 0, 1]):
-                spec_nt = rng.choice(values, 2 * ell_nt - 1)
-                spec_nt1 = rng.choice(values, ell_nt - 1)
+                level_nt = tuple(rng.choice(values, 2 * ell_nt - 1) for _ in range(parts))
+                level_nt1 = tuple(rng.choice(values, ell_nt - 1) for _ in range(parts))
+                cq_nt, cq_nt1 = (
+                    [as_cq(tuple(int(p[i]) for p in level) + (0,) * (2 - parts))
+                     for i in range(level[0].size)]
+                    for level in (level_nt, level_nt1)
+                )
                 ell = ell_nt << t
-                shifts = np.arange(-ell + 1, ell, dtype=np.int64)
-                dense = _kernel_int(shifts, tables, spec_nt, ell_nt, spec_nt1, ell_nt // 2)
-                best = int(np.abs(dense).max())
-                hit = np.abs(dense) == best
-                wits = list(zip(shifts[hit].tolist(), dense[hit].tolist())) if best else []
-                assert _block_peak(tables, spec_nt, spec_nt1, ell_nt) == (best, wits)
+                dense = {
+                    s: _four_term_at(tables, s, cq_nt, ell_nt, cq_nt1)
+                    for s in range(-ell + 1, ell)
+                }
+                best = max(v.abs2() for v in dense.values())
+                wits = [
+                    (s, int(v.re), int(v.im))[: 1 + parts]
+                    for s, v in dense.items()
+                    if best and v.abs2() == best
+                ]
+                if parts == 1:
+                    best = max(abs(int(v.re)) for v in dense.values())
+                assert _block_peak(tables, level_nt, level_nt1) == (best, wits)
 
 
 def test_large_coefficients_leave_int64_exactly():
@@ -356,8 +427,6 @@ def _pair_seqs(seed, n):
 def _isqrt_exact(sq: Fraction) -> Fraction:
     # Peaks of integer-valued pairs are integers, so their squares have
     # exact integer square roots.
-    from math import isqrt
-
     assert sq.denominator == 1
     root = isqrt(sq.numerator)
     assert root * root == sq.numerator
