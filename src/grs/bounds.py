@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import correlation, fastscan
 from .field import KElem, QAlphaElem, alpha_pow, compare, k_div
-from .qcomplex import CQ, as_cq
+from .qcomplex import as_cq
 from .sequences import SeedPair, grs_pair
 
 __all__ = [
@@ -265,14 +265,10 @@ class BoundVerdict:
 
 
 def _fmt_exact(v) -> str:
-    if isinstance(v, QAlphaElem):
-        return v.to_text()
-    if isinstance(v, KElem):
+    if isinstance(v, (QAlphaElem, KElem)):
         return v.to_text()
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (CQ, int)):
-        return str(v)
     return str(v)
 
 

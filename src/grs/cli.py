@@ -17,7 +17,7 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bounds, correlation, tables
 from .fastscan import streaming_peaks
@@ -76,27 +76,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rs", action="store_true", help="use the unit seed (length 1)")
         p.add_argument("--seed", dest="seed_path", help="seed pair file")
 
-    def add_common(p):
+    def add_output(p):
         p.add_argument("--output", "-o", help="output path (default: stdout)")
+
+    def add_budget(p):
         p.add_argument("--budget", type=int, help="coefficient budget override")
 
     p = sub.add_parser("gen", help="write one sequence of a generated pair")
     add_seed_opts(p)
     p.add_argument("--n", type=int, required=True, help="recursion level")
     p.add_argument("--member", choices=("x", "y"), default="x")
-    add_common(p)
+    add_output(p)
+    add_budget(p)
 
     p = sub.add_parser("corr", help="one exact crosscorrelation value")
     p.add_argument("--f", dest="f_path", required=True, help="sequence file")
     p.add_argument("--g", dest="g_path", required=True, help="sequence file")
     p.add_argument("--shift", type=int, required=True)
-    add_common(p)
+    add_output(p)
 
     p = sub.add_parser("spectrum", help="full exact crosscorrelation spectrum")
     p.add_argument("--f", dest="f_path", required=True)
     p.add_argument("--g", dest="g_path", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p)
+    add_output(p)
+    add_budget(p)
 
     p = sub.add_parser("peaks", help="streaming peak crosscorrelation scan")
     add_seed_opts(p)
@@ -104,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-split", dest="t_split", type=int)
     p.add_argument("--psl", dest="with_psl", action="store_true",
                    help="include the derived level n+1 sidelobe report")
-    add_common(p)
+    add_output(p)
+    add_budget(p)
 
     p = sub.add_parser("tables", help="regenerate a reference table as CSV")
     p.add_argument("--which", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--max", dest="n_max", type=int, help="largest level / step count")
-    p.add_argument("--t-split", dest="t_split", type=int)
-    add_common(p)
+    add_output(p)
 
     p = sub.add_parser("verify", help="run an exact verification suite")
     p.add_argument(
@@ -118,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max", dest="n_max", type=int)
     add_seed_opts(p)
-    add_common(p)
+    add_output(p)
 
     p = sub.add_parser("approx", help="decimal bracket of p + q*a + r*a^2")
     p.add_argument("--expr", required=True,
                    help="'p_num/p_den q_num/q_den r_num/r_den'")
     p.add_argument("--digits", type=int, default=6)
-    add_common(p)
+    add_output(p)
 
     return parser
 
@@ -249,21 +253,11 @@ def _run_suite(config: RunConfig):
             seeds = [("seed", _load_seed(config))]
         else:
             seeds = _corpus_seeds()
-        out = []
-        for name, seed in seeds:
-            for v in bounds.verify_generic_bound(seed, n_max):
-                out.append(
-                    bounds.BoundVerdict(
-                        f"{name}_{v.claim_id}",
-                        v.lhs,
-                        v.rhs,
-                        v.relation,
-                        v.observed,
-                        v.holds,
-                        v.witness,
-                    )
-                )
-        return out
+        return [
+            replace(v, claim_id=f"{name}_{v.claim_id}")
+            for name, seed in seeds
+            for v in bounds.verify_generic_bound(seed, n_max)
+        ]
     if config.suite == "inequalities":
         return bounds.inequality_suite()
     if config.suite == "identities":

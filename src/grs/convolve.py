@@ -48,15 +48,14 @@ INT64_MAX = 2**63 - 1
 
 def int_array(values) -> np.ndarray:
     """Integers as an int64 array, or an object array (Python ints) when
-    one leaves int64.  Int64 and object arrays pass through unchanged."""
-    if isinstance(values, np.ndarray):
-        if values.dtype in (np.int64, object):
-            return values
+    one leaves int64.  Int64 arrays pass through unchanged, and so do
+    object arrays with a value past int64."""
+    if isinstance(values, np.ndarray) and values.dtype not in (np.int64, object):
         values = values.tolist()
     try:
-        return np.array(values, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
     except OverflowError:
-        return np.array(values, dtype=object)
+        return np.asarray(values, dtype=object)
 
 
 # Exact at any size: a product that needed rounding would raise.

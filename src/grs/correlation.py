@@ -14,8 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
 from operator import mul
+
+import numpy as np
 
 from .convolve import convolve_int
 from .qcomplex import CQ, as_cq, exact_magnitude, value_abs2, value_re_im
@@ -122,69 +124,53 @@ def crosscorr(f: Sequence, g: Sequence, s: int):
     """Single correlation value from the definition (an overlap sum)."""
     if abs(s) >= max(f.length, g.length):
         return 0
-    fi = f.int_coeffs()
-    gi = g.int_coeffs()
     lo = max(0, -s)
     hi = min(g.length, f.length - s)
-    if fi is not None and gi is not None:
-        return sum(map(mul, fi[lo + s : hi + s].tolist(), gi[lo:hi].tolist()))
-    fre, fim, fd = _scaled_parts(f.cq_coeffs()[lo + s : hi + s])
-    gre, gim, gd = _scaled_parts(g.cq_coeffs()[lo:hi])
-    return _exact_value(
-        sum(map(mul, fre, gre)), sum(map(mul, fim, gim)),
-        sum(map(mul, fim, gre)), sum(map(mul, fre, gim)), fd, gd,
+    re, im = _numerators(
+        lambda a, b: sum(map(mul, a[lo + s : hi + s].tolist(), b[lo:hi].tolist())), f, g
     )
+    return _exact_value(f.den * g.den, re, im)
 
 
-def _scaled_ints(values: list[Fraction]) -> tuple[list[int], int]:
-    d = lcm(*(v.denominator for v in values)) if values else 1
-    return [v.numerator * (d // v.denominator) for v in values], d
+def _numerators(prod, f: Sequence, g: Sequence) -> tuple:
+    """Numerators (re, im) of f * conj(g) over f.den * g.den, from
+    ``prod``, the product of one part of f with one part of g:
+    re = fre gre + fim gim and im = fim gre - fre gim.  Products with an
+    absent part are skipped, so two real sequences take one product and
+    give im = None."""
+    (fre, *fim), (gre, *gim) = f.parts, g.parts
+    re = prod(fre, gre)
+    if fim and gim:
+        re = np.add(re, prod(fim[0], gim[0]), dtype=object)
+    im = prod(fim[0], gre) if fim else None
+    if gim:
+        ri = prod(fre, gim[0])
+        im = np.negative(ri, dtype=object) if im is None else np.subtract(im, ri, dtype=object)
+    return re, im
 
 
-def _scaled_parts(values) -> tuple[list[int], list[int], tuple[int, int]]:
-    """Real and imaginary parts of CQ values as integers over one common
-    denominator each: (re, im, (d_re, d_im))."""
-    re, d_re = _scaled_ints([v.re for v in values])
-    im, d_im = _scaled_ints([v.im for v in values])
-    return re, im, (d_re, d_im)
-
-
-def _exact_value(rr: int, ii: int, ir: int, ri: int, fd: tuple, gd: tuple):
-    """sum f * conj(g) = sum (fre + i fim)(gre - i gim), from the four sums
-    of products of scaled parts and the (d_re, d_im) denominators of f and
-    g: an int when integral, a Fraction when real, else a CQ."""
-    (df_re, df_im), (dg_re, dg_im) = fd, gd
-    re = Fraction(rr, df_re * dg_re) + Fraction(ii, df_im * dg_im)
-    im = Fraction(ir, df_im * dg_re) - Fraction(ri, df_re * dg_im)
+def _exact_value(den: int, re: int, im: int | None = None):
+    """(re + i im) / den: an int when integral, a Fraction when real, else
+    a CQ."""
     if im:
-        return CQ(re, im)
-    return int(re) if re.denominator == 1 else re
+        return CQ(Fraction(re, den), Fraction(im, den))
+    if den == 1:
+        return re
+    v = Fraction(re, den)
+    return int(v) if v.denominator == 1 else v
 
 
 def _spectrum_values(f: Sequence, g: Sequence) -> dict:
-    """All nonzero C_{f,g}(s) via exact integer convolution.
-
-    Rational coefficients are scaled to integers first; complex ones are
-    split into four real convolutions.
-    """
+    """All nonzero C_{f,g}(s) via exact integer convolution of the
+    numerator arrays: one convolution for two real sequences, up to four
+    for complex ones."""
     offset = g.length - 1
-    fi = f.int_coeffs()
-    gi = g.int_coeffs()
-    if fi is not None and gi is not None:
-        conv = convolve_int(fi, gi[::-1])
-        return {k - offset: v for k, v in enumerate(conv) if v}
-    fre, fim, fd = _scaled_parts(f.cq_coeffs())
-    gre, gim, gd = _scaled_parts(g.cq_coeffs())
-    rr = convolve_int(fre, gre[::-1])
-    ii = convolve_int(fim, gim[::-1])
-    ir = convolve_int(fim, gre[::-1])
-    ri = convolve_int(fre, gim[::-1])
-    out = {}
-    for k in range(f.length + g.length - 1):
-        v = _exact_value(rr[k], ii[k], ir[k], ri[k], fd, gd)
-        if v:
-            out[k - offset] = v
-    return out
+    re, im = _numerators(lambda a, b: convolve_int(a, b[::-1]), f, g)
+    den = f.den * g.den
+    if im is None and den == 1:
+        return {k - offset: v for k, v in enumerate(re) if v}
+    pairs = enumerate(zip(re, repeat(0) if im is None else im))
+    return {k - offset: _exact_value(den, r, i) for k, (r, i) in pairs if r or i}
 
 
 def spectrum(f: Sequence, g: Sequence, budget: int | None = None) -> Spectrum:

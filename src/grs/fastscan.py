@@ -15,13 +15,14 @@ needs O(2^{n-t} + 2^t) memory instead of materializing length-2^n
 sequences, so peak crosscorrelation and peak sidelobe level stay
 computable far beyond the sizes where sequences fit in memory.
 
-Every seed is first scaled to Gaussian integers by clearing its
-denominators (``_scaled_int_seed``).  A level is then one integer array
-for a real seed, or two, re and im, for a complex one.  Within one block
-of shifts sharing q the four table coefficients are constant, so one
-evaluator (``_block_values``) computes whole blocks as combinations of
-views of the level arrays; the coefficients are real, so the imaginary
-part is the same sum with the signs of the two conjugated terms flipped.
+Every level is held as Gaussian integers: the correlations of the seed
+times d^2, where d = lcm(x0.den, y0.den) clears every denominator of the
+seed.  A level is then one integer array for a real seed, or two, re and
+im, for a complex one.  Within one block of shifts sharing q the four
+table coefficients are constant, so one evaluator (``_block_values``)
+computes whole blocks as combinations of views of the level arrays; the
+coefficients are real, so the imaginary part is the same sum with the
+signs of the two conjugated terms flipped.
 Dense levels evaluate every block at once; the peak scan visits blocks in
 decreasing order of the per-block bound and stops once no remaining block
 can reach the best value found, comparing squared magnitudes for complex
@@ -32,18 +33,16 @@ computed with Python integers (object dtype) instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
 import numpy as np
 
 from . import correlation
-from .qcomplex import CQ, exact_magnitude, value_conj, value_re_im
+from .qcomplex import exact_magnitude, value_conj, value_re_im
 from .sequences import (
     BudgetExceeded,
     SeedPair,
-    Sequence,
     coefficient_budget,
     grs_pair,
 )
@@ -138,56 +137,38 @@ def abgd(t: int) -> AbgdTable:
 # ---------------------------------------------------------------------------
 # Cached dense crosscorrelation spectra per level.
 #
-# Level k of a Gaussian-integer seed holds C_k(s) for s in (-ell_k, ell_k)
+# Level k holds d^2 C_k(s) for s in (-ell_k, ell_k), d^2 = ``_scale(seed)``,
 # as a tuple of integer arrays: (re,) for a real seed, (re, im) for a
-# complex one.  Levels 0 and 1 come from the oracle on the (small)
-# materialized pairs, higher levels from the t = 1 instance of the
-# coefficient formula, one O(ell_k) pass each.
+# complex one; ``correlation._exact_value`` maps their entries back.
+# Levels 0 and 1 come from the oracle on the (small) materialized pairs,
+# higher levels from the t = 1 instance of the coefficient formula, one
+# O(ell_k) pass each.
 
 _int_levels: dict[tuple[SeedPair, int], tuple[np.ndarray, ...]] = {}
-_scaled_seeds: dict[SeedPair, tuple[SeedPair, int]] = {}
 
 
 def clear_caches() -> None:
     _abgd_cache.clear()
     _int_levels.clear()
-    _scaled_seeds.clear()
     _geoff_memo.clear()
     _peak_cache.clear()
     _block.cache_clear()
 
 
-def _scaled_int_seed(seed: SeedPair) -> tuple[SeedPair, int]:
-    """The seed times the lcm d of every real and imaginary denominator,
-    and d^2: correlations of the scaled seed are Gaussian integers, d^2
-    times those of ``seed``."""
-    if seed.is_int:
-        return seed, 1
-    cached = _scaled_seeds.get(seed)
-    if cached is None:
-        coeffs = [s.cq_coeffs() for s in (seed.x0, seed.y0)]
-        d = lcm(*(v.denominator for cs in coeffs for c in cs for v in (c.re, c.im)))
-        x, y = (Sequence([c * d for c in cs], len(cs)) for cs in coeffs)
-        cached = _scaled_seeds[seed] = (SeedPair(x, y, seed.ell0), d * d)
-    return cached
-
-
-def _unscale(parts: tuple, scale: int):
-    """A value of the scaled seed, given by its integer parts, back at the
-    seed's scale: an int for integer seeds, a Fraction for other real seeds
-    and a CQ for complex ones."""
-    if len(parts) == 2:
-        return CQ(Fraction(parts[0], scale), Fraction(parts[1], scale))
-    return parts[0] if scale == 1 else Fraction(parts[0], scale)
+def _scale(seed: SeedPair) -> int:
+    """d^2 for the lcm d of the seed's denominators: d^2 times every
+    correlation of the seed is a Gaussian integer."""
+    return lcm(seed.x0.den, seed.y0.den) ** 2
 
 
 def _oracle_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
     pair = grs_pair(seed, k)
     ell = pair.length
-    rows = [[0] * (2 * ell - 1) for _ in range(1 if seed.is_int else 2)]
+    scale = _scale(seed)
+    rows = [[0] * (2 * ell - 1) for _ in range(1 if seed.is_rational else 2)]
     for s, v in correlation.spectrum(pair.x, pair.y).entries.items():
         for row, part in zip(rows, value_re_im(v)):
-            row[s + ell - 1] = int(part)
+            row[s + ell - 1] = int(part * scale)
     return tuple(
         np.array(row, dtype=np.int64 if max(map(abs, row)) <= _INT64_MAX else object)
         for row in rows
@@ -273,7 +254,7 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
 
 
 def _dense_int(seed: SeedPair, n: int, t: int) -> tuple[np.ndarray, ...]:
-    """Level n of a Gaussian-integer seed from the levels n-t and n-t-1:
+    """Level n from the levels n-t and n-t-1:
     every block at once, one per row, each row followed by the zero at
     r = 0 of the next block.  Python integers (object dtype) when some
     value could leave int64."""
@@ -294,7 +275,7 @@ def _split_levels(seed: SeedPair, n: int, t: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=1)
 def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
-    """Block q of level n of a Gaussian-integer seed (``_block_values``).
+    """Block q of level n (``_block_values``).
     The last block is kept: single lookups tend to come in runs of nearby
     shifts."""
     lv1, lv2 = _split_levels(seed, n, t)
@@ -309,10 +290,9 @@ def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
     """C_{x_n, y_n}(s), entry r of block q for s = q * L + r, from the
     cached level n-t and n-t-1 spectra."""
     lv1, _ = _split_levels(seed, n, t)
-    scaled, scale = _scaled_int_seed(seed)
     q, r = divmod(s, 2 * (seed.ell0 << lv1))
-    vals = _block(scaled, n, t, q)
-    return _unscale(tuple(int(v[r - 1]) if r else 0 for v in vals), scale)
+    vals = _block(seed, n, t, q)
+    return correlation._exact_value(_scale(seed), *(int(v[r - 1]) if r else 0 for v in vals))
 
 
 def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
@@ -350,8 +330,8 @@ def _geoff_value(seed: SeedPair, n: int, s: int):
     if abs(s) >= ell:
         return 0
     if n <= 1:
-        scaled, scale = _scaled_int_seed(seed)
-        return _unscale(tuple(int(p[s + ell - 1]) for p in _int_level(scaled, n)), scale)
+        parts = (int(p[s + ell - 1]) for p in _int_level(seed, n))
+        return correlation._exact_value(_scale(seed), *parts)
     if s == 0:
         return 0
     key = (seed, n, s)
@@ -443,13 +423,13 @@ def streaming_peaks(
     t = t_split if t_split is not None else max(1, n // 2)
     lv1, lv2 = _split_levels(seed, n, t)
     cap = coefficient_budget(budget)
-    need = 4 * (seed.ell0 << lv1) + (1 << t)
+    need = 4 * (seed.ell0 << lv1) * (1 if seed.is_rational else 2) + (1 << t)
     if need > cap:
         raise BudgetExceeded(f"scan needs about {need} cached entries, budget is {cap}")
 
-    scaled, scale = _scaled_int_seed(seed)
-    _, hits = _block_peak(abgd(t), _int_level(scaled, lv1), _int_level(scaled, lv2))
-    wits = tuple((s, _unscale(tuple(parts), scale)) for s, *parts in hits)
+    scale = _scale(seed)
+    _, hits = _block_peak(abgd(t), _int_level(seed, lv1), _int_level(seed, lv2))
+    wits = tuple((s, correlation._exact_value(scale, *parts)) for s, *parts in hits)
     pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]) if wits else 0, wits)
     result = pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
     if use_cache:

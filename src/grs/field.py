@@ -206,7 +206,10 @@ class QAlphaElem:
         parts = text.split()
         if len(parts) != 3:
             raise ValueError("expected three rationals 'p q r'")
-        return cls(*(Fraction(part) for part in parts))
+        try:
+            return cls(*(Fraction(part) for part in parts))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def __str__(self):
         return f"({self.p}) + ({self.q})*a + ({self.r})*a^2"

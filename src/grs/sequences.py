@@ -2,9 +2,10 @@
 doubling recursion that generates Golay complementary pairs from a seed.
 
 A sequence (f_0, ..., f_{l-1}) is identified with the polynomial
-sum f_j z^j; coefficients are exact complex rationals, stored as one
-integer array when all of them are real integers.  The recursion step maps a
-pair (x, y) of equal declared length l to
+sum f_j z^j; coefficients are exact complex rationals, stored as integer
+numerator arrays, re and (unless all zero) im, over one common
+denominator.  The recursion step maps a pair (x, y) of equal declared
+length l to
 
     x' = x + z^l * y,      y' = x - z^l * y,
 
@@ -18,6 +19,8 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -92,55 +95,68 @@ def coefficient_budget(budget: int | None = None) -> int:
     return DEFAULT_COEFF_BUDGET
 
 
-def _canonical(values) -> tuple[np.ndarray | None, tuple[CQ, ...] | None]:
-    """(integer array, None) when every coefficient is a real integer, else
-    (None, tuple of CQ)."""
+def _canonical(values) -> tuple[tuple, int]:
+    """(parts, den): the real and imaginary parts of exact complex rational
+    values as integer numerators over their least common denominator."""
     if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
-        return values.astype(np.int64), None
+        return (values.astype(np.int64),), 1
     vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if not all(isinstance(v, int) for v in vals):
-        cqs = [as_cq(v) for v in vals]
-        if not all(c.is_integer for c in cqs):
-            return None, tuple(cqs)
-        vals = [int(c.re) for c in cqs]
-    return int_array(vals), None
+    if all(isinstance(v, int) for v in vals):
+        return (vals,), 1
+    cqs = [as_cq(v) for v in vals]
+    den = lcm(*(x.denominator for c in cqs for x in (c.re, c.im)))
+    re = [c.re.numerator * (den // c.re.denominator) for c in cqs]
+    im = [c.im.numerator * (den // c.im.denominator) for c in cqs]
+    return (re, im), den
 
 
 class Sequence:
     """Immutable sequence with a declared support bound ``length``.
 
-    A sequence whose coefficients are all real integers holds one
-    read-only numpy array of ``length`` entries: int64, or object dtype
-    (Python ints) when a value leaves int64.  Any other sequence holds a
-    tuple of CQ.  The representation is canonical, so equality and hashing
-    compare the trimmed coefficients and treat sequences as polynomials
-    (the declared length does not matter, trailing zeros are ignored).
+    The coefficients are ``parts``, a tuple ``(re,)`` or ``(re, im)`` of
+    read-only arrays of ``length`` integer numerators, over ``den``, their
+    least positive common denominator.  An array is int64, or object dtype
+    (Python ints) when a value leaves int64; ``im`` is absent when it would
+    be all zero.  A sequence of real integers is one array over den = 1.
+    The representation is canonical, so equality and hashing compare den
+    and the trimmed parts and treat sequences as polynomials (the declared
+    length does not matter, trailing zeros are ignored).
     """
 
-    __slots__ = ("length", "_arr", "_cq", "_degree", "_key", "_hash")
+    __slots__ = ("length", "parts", "den", "_degree", "_key", "_hash")
 
     def __init__(self, values: Iterable, length: int | None = None):
-        arr, cq = _canonical(values)
-        size = len(arr) if arr is not None else len(cq)
+        self._set(*_canonical(values), length)
+
+    @classmethod
+    def _of(cls, parts: tuple, den: int) -> "Sequence":
+        """The sequence with numerator arrays ``parts`` over ``den``.  den
+        and the numerators must have gcd 1, which holds over the lcm of
+        reduced denominators."""
+        seq = object.__new__(cls)
+        seq._set(parts, den, None)
+        return seq
+
+    def _set(self, parts: tuple, den: int, length: int | None) -> None:
+        parts = [int_array(part) for part in parts]
+        nonzero = [np.flatnonzero(part) for part in parts]
+        if len(parts) == 2 and not nonzero[1].size:
+            del parts[1], nonzero[1]
+        size = parts[0].size
         if length is None:
             length = size
         if length < size:
             raise ValueError("declared length smaller than the coefficient list")
-        if arr is not None:
-            if length > size:
-                arr = np.concatenate((arr, np.zeros(length - size, dtype=arr.dtype)))
-            arr.flags.writeable = False
-            nonzero = np.flatnonzero(arr)
-            degree = int(nonzero[-1]) if nonzero.size else -1
-            trimmed = arr[: degree + 1]
-            key = trimmed.tobytes() if arr.dtype == np.int64 else tuple(trimmed.tolist())
-        else:
-            cq = cq + (CQ(),) * (length - size)
-            degree = length - 1
-            while degree >= 0 and not cq[degree]:
-                degree -= 1
-            key = cq[: degree + 1]
-        for name, value in (("length", length), ("_arr", arr), ("_cq", cq),
+        if length > size:
+            parts = [np.concatenate((p, np.zeros(length - size, dtype=p.dtype))) for p in parts]
+        for part in parts:
+            part.flags.writeable = False
+        degree = max((int(nz[-1]) for nz in nonzero if nz.size), default=-1)
+        key = (den, *(
+            p[: degree + 1].tobytes() if p.dtype == np.int64 else tuple(p[: degree + 1].tolist())
+            for p in parts
+        ))
+        for name, value in (("length", length), ("parts", tuple(parts)), ("den", den),
                             ("_degree", degree), ("_key", key), ("_hash", hash(key))):
             object.__setattr__(self, name, value)
 
@@ -169,36 +185,32 @@ class Sequence:
     @property
     def coeffs(self) -> tuple:
         """The ``length`` coefficients: Python ints, or CQ values."""
-        return tuple(self._arr.tolist()) if self._arr is not None else self._cq
+        return tuple(self.parts[0].tolist()) if self.is_int_real else self.cq_coeffs()
 
     @property
     def is_binary(self) -> bool:
         """Nonempty with every coefficient +1 or -1."""
-        arr = self._arr
+        arr = self.int_coeffs()
         return arr is not None and arr.size > 0 and bool(np.all((arr == 1) | (arr == -1)))
 
-    def value_at(self, j: int):
-        if not 0 <= j < self.length:
-            return 0
-        return int(self._arr[j]) if self._arr is not None else self._cq[j]
-
     def cq_coeffs(self) -> tuple[CQ, ...]:
-        if self._cq is not None:
-            return self._cq
-        return tuple(CQ(v) for v in self._arr.tolist())
+        den = self.den
+        im = self.parts[1].tolist() if len(self.parts) == 2 else repeat(0)
+        return tuple(CQ(Fraction(r, den), Fraction(i, den))
+                     for r, i in zip(self.parts[0].tolist(), im))
 
     def int_coeffs(self) -> np.ndarray | None:
         """All coefficients as a read-only int64 or object (Python int)
         array, or None if some coefficient is not a real integer."""
-        return self._arr
+        return self.parts[0] if self.is_int_real else None
 
     @property
     def is_int_real(self) -> bool:
-        return self._arr is not None
+        return self.den == 1 and len(self.parts) == 1
 
     @property
     def is_rational_real(self) -> bool:
-        return self._arr is not None or all(v.is_real for v in self._cq)
+        return len(self.parts) == 1
 
     @property
     def degree(self) -> int:
@@ -212,7 +224,7 @@ class Sequence:
     def sign_string(self) -> str:
         if not self.is_binary:
             raise ValueError("not a binary sequence")
-        return np.where(self._arr == 1, ord("+"), ord("-")).astype(np.uint8).tobytes().decode()
+        return np.where(self.parts[0] == 1, ord("+"), ord("-")).astype(np.uint8).tobytes().decode()
 
     def __len__(self):
         return self.length
@@ -278,6 +290,22 @@ def _fitted(arr: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate((arr[:length], pad))
 
 
+def _scaled(arr: np.ndarray, k: int) -> np.ndarray:
+    """arr * k, exactly: as Python ints when a product would leave int64."""
+    if k == 1:
+        return arr
+    if arr.dtype == np.int64 and arr.size and max(-int(arr.min()), int(arr.max())) * k > INT64_MAX:
+        arr = arr.astype(object)
+    return arr * k
+
+
+def _member_parts(seq: Sequence, ell: int, den: int, count: int) -> list[np.ndarray]:
+    """The first ``ell`` coefficients of ``seq`` as ``count`` numerator
+    arrays over ``den``, a multiple of seq.den; a missing im part is zeros."""
+    parts = [_scaled(_fitted(part, ell), den // seq.den) for part in seq.parts]
+    return parts + [np.zeros(ell, dtype=np.int64)] * (count - len(parts))
+
+
 def _negated(arr: np.ndarray) -> np.ndarray:
     """-arr, exactly: -(-2**63) leaves int64, so such an array is negated
     as Python ints."""
@@ -287,19 +315,14 @@ def _negated(arr: np.ndarray) -> np.ndarray:
 
 
 def grs_step(pair: GolayPair) -> GolayPair:
-    """One doubling step: (x, y) -> (x + z^l y, x - z^l y)."""
+    """One doubling step: (x, y) -> (x + z^l y, x - z^l y), on the
+    numerator arrays of both members over the lcm of their denominators."""
     ell = pair.length
-    if pair.x.is_int_real and pair.y.is_int_real:
-        xs = _fitted(pair.x.int_coeffs(), ell)
-        ys = _fitted(pair.y.int_coeffs(), ell)
-        new_x = Sequence(np.concatenate((xs, ys)))
-        new_y = Sequence(np.concatenate((xs, _negated(ys))))
-    else:
-        xs, ys = (
-            s.cq_coeffs()[:ell] + (CQ(),) * (ell - s.length) for s in (pair.x, pair.y)
-        )
-        new_x = Sequence(xs + ys)
-        new_y = Sequence(xs + tuple(-v for v in ys))
+    den = lcm(pair.x.den, pair.y.den)
+    count = max(len(pair.x.parts), len(pair.y.parts))
+    xs, ys = (_member_parts(s, ell, den, count) for s in (pair.x, pair.y))
+    new_x = Sequence._of(tuple(map(np.concatenate, zip(xs, ys))), den)
+    new_y = Sequence._of(tuple(np.concatenate((a, _negated(b))) for a, b in zip(xs, ys)), den)
     return GolayPair(new_x, new_y, pair.level + 1, pair.ell0)
 
 
@@ -378,8 +401,8 @@ def int_text(v: int) -> str:
         return str(Decimal(v))
 
 
-def _fraction_text(v: Fraction) -> str:
-    return f"{int_text(v.numerator)}/{int_text(v.denominator)}"
+def _fraction_text(num: int, den: int) -> str:
+    return f"{int_text(num)}/{int_text(den)}"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -404,8 +427,16 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
         fp.write(seq.sign_string() + "\n")
         return
     fp.write(f"len={seq.length} kind=rational\n")
-    for v in seq.cq_coeffs():
-        fp.write(f"{_fraction_text(v.re)} {_fraction_text(v.im)}\n")
+    den = seq.den
+    columns = []
+    for part in seq.parts:
+        if den > INT64_MAX:
+            part = part.astype(object)
+        g = np.gcd(part, den)  # each value in lowest terms, as Fraction writes it
+        columns.append(map(_fraction_text, (part // g).tolist(), (den // g).tolist()))
+    if len(columns) == 1:
+        columns.append(repeat("0/1"))
+    fp.writelines(f"{re} {im}\n" for re, im in zip(*columns))
 
 
 def read_sequence(fp: TextIO) -> Sequence:

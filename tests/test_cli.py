@@ -203,6 +203,31 @@ def test_zero_denominator_exit_code(tmp_path, capsys, row):
     assert err.startswith("error: zero denominator") and err.count("\n") == 1
 
 
+def test_approx_zero_denominator_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", "--expr", "1/0 0 0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: zero denominator") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tables", "--which", "3", "--t-split", "2"],
+        ["tables", "--which", "3", "--budget", "1"],
+        ["corr", "--f", "f.seq", "--g", "g.seq", "--shift", "0", "--budget", "1"],
+        ["verify", "--suite", "identities", "--budget", "1"],
+        ["approx", "--expr", "0 1 0", "--budget", "1"],
+    ],
+)
+def test_options_without_effect_are_rejected(args):
+    # --budget is taken only where a budget applies: gen, spectrum, peaks.
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "grs.cli", "peaks", "--rs", "--n", "5"],

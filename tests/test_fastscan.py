@@ -242,7 +242,6 @@ def test_clear_caches_empties_every_cache(rs_seed):
     caches = (
         fastscan._abgd_cache,
         fastscan._int_levels,
-        fastscan._scaled_seeds,
         fastscan._geoff_memo,
         fastscan._peak_cache,
     )
@@ -347,9 +346,15 @@ def test_large_coefficients_leave_int64_exactly():
             assert (rep.value, rep.witnesses) == (peak, wits), (n, t)
 
 
-def test_streaming_budget_guard(rs_seed):
+def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
     with pytest.raises(BudgetExceeded):
         streaming_peaks(rs_seed, 12, budget=64, _cacheable=False)
+    # A complex level is two arrays, re and im, so it counts twice: the
+    # same scan fits the budget on a real seed and not on a complex one.
+    rep, _ = streaming_peaks(seed_rational, 20, t_split=5, budget=300000)
+    assert rep.value == Fraction(28293, 4)
+    with pytest.raises(BudgetExceeded):
+        streaming_peaks(seed_complex, 20, t_split=5, budget=300000)
 
 
 def test_streaming_rational_seed():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grs.correlation import crosscorr, spectrum
-from grs.qcomplex import CQ
+from grs.qcomplex import CQ, as_cq
 from grs.sequences import (
     BudgetExceeded,
     DegreeTooLarge,
@@ -126,11 +126,29 @@ def test_representation_is_canonical():
         (Sequence([10**20, -1]), Sequence([CQ(10**20), CQ(-1)])),
         (Sequence([Fraction(6, 3), 0], 2), Sequence([2])),
         (Sequence(np.array([1, -1], dtype=np.int8)), Sequence.binary("+-")),
+        (Sequence([Fraction(2, 4), 0], 2), Sequence([CQ(Fraction(1, 2), 0)])),
+        (Sequence([Fraction(1, 2), CQ(0, Fraction(1, 3))]),
+         Sequence(np.array([CQ(Fraction(3, 6)), CQ(0, Fraction(2, 6))], dtype=object))),
+        (Sequence([CQ(Fraction(10**20, 3), Fraction(-1, 3))]),
+         Sequence([(Fraction(2 * 10**20, 6), Fraction(-1, 3)), 0], 2)),
+        (Sequence([CQ(3, 0), CQ(Fraction(1, 2), 0)]), Sequence([3, Fraction(1, 2)])),
     ]
     for a, b in cases:
         assert a == b and hash(a) == hash(b)
     assert Sequence([10**20, -1]) != Sequence([10**20, 1])
     assert Sequence([2]) != Sequence([CQ(2, 1)])
+    assert Sequence([Fraction(1, 2)]) != Sequence([1])
+    # One least denominator for every real and imaginary part; an all-zero
+    # im part is dropped; numerators are int64 whenever they fit.
+    seq = Sequence([Fraction(2, 4), CQ(Fraction(1, 6), Fraction(-2, 3))])
+    assert seq.den == 6
+    assert [p.tolist() for p in seq.parts] == [[3, 1], [0, -4]]
+    real = Sequence([CQ(Fraction(1, 2), 0), CQ(5, 0)])
+    assert real.den == 2 and [p.tolist() for p in real.parts] == [[1, 10]]
+    assert real.is_rational_real and not real.is_int_real
+    assert Sequence([Fraction(4, 2)]).den == 1 and Sequence([Fraction(4, 2)]).is_int_real
+    assert Sequence([Fraction(1, 3)]).parts[0].dtype == np.int64
+    assert Sequence([Fraction(10**20, 3)]).parts[0].dtype == object
 
 
 def test_coeffs_are_python_values():
@@ -171,6 +189,32 @@ def test_step_leaves_int64_exactly():
     assert back.y.int_coeffs().dtype == np.int64
 
 
+def _cq_step(x: list, y: list, ell: int) -> tuple[list, list]:
+    """The doubling step on CQ coefficient lists, the reference for
+    grs_step."""
+    xs, ys = (list(v[:ell]) + [CQ()] * (ell - len(v)) for v in (x, y))
+    return xs + ys, xs + [-v for v in ys]
+
+
+def test_step_matches_cq_reference():
+    # The members differ in denominator (1 and 5) and in number of parts
+    # (re only, re and im), each way round, so every step rescales one of
+    # them and pads the other's im with zeros.
+    c = CQ(Fraction(3, 5), Fraction(4, 5))
+    for x0, y0, ell0 in (([1], [c], 1), ([1, 1], [c, -c], 2)):
+        for x0, y0 in ((x0, y0), (y0, x0)):
+            seed = validate_seed(Sequence(x0), Sequence(y0), ell0)
+            x, y = [as_cq(v) for v in x0], [as_cq(v) for v in y0]
+            for n in range(1, 5):
+                x, y = _cq_step(x, y, ell0 << (n - 1))
+                pair = grs_pair(seed, n)
+                assert pair.x.coeffs == tuple(x) and pair.y.coeffs == tuple(y), n
+                assert pair.x == Sequence(x) and pair.y == Sequence(y), n
+                assert hash(pair.x) == hash(Sequence(x)), n
+                assert pair.x.den == pair.y.den == 5, n
+                assert all(p.dtype == np.int64 for s in (pair.x, pair.y) for p in s.parts)
+
+
 def test_step_ignores_declared_length_beyond_seed_length():
     # Seeds need only degree below ell0, so a seed may declare a longer
     # support; its trailing zeros must not shift the second half.
@@ -206,7 +250,7 @@ def test_rational_roundtrip():
     buf = io.StringIO()
     write_sequence(seq, buf)
     text = buf.getvalue()
-    assert text.startswith("len=3 kind=rational\n")
+    assert text == "len=3 kind=rational\n1/3 -2/7\n5/1 0/1\n1/1 0/1\n"
     assert read_sequence(io.StringIO(text)) == seq
     # Bit-exact: writing the parsed sequence again gives identical text.
     buf2 = io.StringIO()
