@@ -316,10 +316,10 @@ def nestor_cecilia_check(seed: SeedPair, s0: int, n_max: int) -> list[BoundVerdi
     spectra = []
     for k in range(n_max + 1):
         pair = grs_pair(seed, k)
-        spectra.append(correlation.spectrum(pair.x, pair.y).entries)
+        spectra.append(correlation.spectrum(pair.x, pair.y))
 
     def val(k: int, s: int):
-        return as_cq(spectra[k].get(s, 0))
+        return as_cq(spectra[k].value(s))
 
     out = []
     for n in range(2, n_max + 1):

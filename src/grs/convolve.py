@@ -58,6 +58,12 @@ def int_array(values) -> np.ndarray:
         return np.asarray(values, dtype=object)
 
 
+def abs_max(arr: np.ndarray) -> int:
+    """The largest |v| of an integer array as a Python int, exact at
+    -2**63 where np.abs wraps; 0 when empty."""
+    return max(-int(arr.min()), int(arr.max())) if arr.size else 0
+
+
 # Exact at any size: a product that needed rounding would raise.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
@@ -82,37 +88,45 @@ def _pack(vals: np.ndarray, k: int) -> Decimal:
 def _unpack(num: Decimal, k: int, count: int, dtype) -> np.ndarray:
     """The ``count`` k-digit groups of ``num``, lowest first."""
     # Zero top groups are missing from the string; the pad restores them.
-    text = str(num).rjust(count * k, "0")
     if dtype == np.int64:
-        digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(count, k)[::-1]
+        raw = str(num).rjust(count * k, "0").encode("ascii")
+        digits = np.frombuffer(raw, dtype=np.uint8).reshape(count, k)[::-1] - 48
+        del raw  # the digits are a copy: free the text before the output is built
         out = np.zeros(count, dtype=np.int64)
         for col in range(k):
-            out = out * 10 + digits[:, col] - 48
+            out *= 10
+            out += digits[:, col]
         return out
+    text = str(num).rjust(count * k, "0")
     return np.array(
         [int(Decimal(text[i * k : (i + 1) * k])) for i in range(count - 1, -1, -1)],
         dtype=object,
     )
 
 
-def _window_sums(vals: np.ndarray, width: int) -> np.ndarray:
-    """Convolution of ``vals`` with a run of ``width`` ones, from prefix
-    sums in the dtype of ``vals``."""
-    n = len(vals)
-    prefix = np.concatenate((np.zeros(1, dtype=vals.dtype), np.cumsum(vals)))
-    k = np.arange(n + width - 1)
-    return prefix[np.minimum(k + 1, n)] - prefix[np.maximum(0, k - width + 1)]
+def _add_window_sums(out: np.ndarray, vals: np.ndarray, width: int, c: int) -> None:
+    """out += c * (``vals`` convolved with a run of ``width`` ones), in
+    place, from one prefix sum in the dtype of ``out``: entry k of the
+    window sum is prefix(min(k, n - 1)) - prefix(k - width), with
+    prefix(j) = vals[0] + ... + vals[j], and 0 for j < 0."""
+    n = vals.size
+    prefix = np.cumsum(vals, dtype=out.dtype)
+    prefix *= c
+    out[:n] += prefix
+    out[n:] += prefix[-1]
+    out[width:] -= prefix[:-1]
 
 
-def convolve_int(a, b) -> list[int]:
+def convolve_int(a, b) -> np.ndarray:
     """Exact convolution (polynomial product coefficients) of integer
-    sequences: lists of ints, or int64 or object arrays."""
+    sequences (lists of ints, or int64 or object arrays), as an int64
+    array, or an object array of Python ints when a value leaves int64."""
     a = int_array(a)
     b = int_array(b)
     if not a.size or not b.size:
-        return []
+        return np.zeros(0, dtype=np.int64)
     if a.size * b.size <= _SCHOOLBOOK_CUTOFF:
-        return schoolbook_convolve(a.tolist(), b.tolist())
+        return int_array(schoolbook_convolve(a.tolist(), b.tolist()))
 
     out_len = a.size + b.size - 1
     ma = max(0, -int(a.min()))
@@ -135,9 +149,9 @@ def convolve_int(a, b) -> list[int]:
 
     # conv(a+ma, b+mb) = conv(a,b) + mb*conv(a,1) + ma*conv(1,b) + ma*mb*conv(1,1)
     if mb:
-        out = out - mb * _window_sums(ap, b.size)
+        _add_window_sums(out, ap, b.size, -mb)
     if ma:
-        out = out - ma * _window_sums(bp, a.size)
+        _add_window_sums(out, bp, a.size, -ma)
     if ma and mb:
-        out = out + ma * mb * _window_sums(np.ones(a.size, dtype=dtype), b.size)
-    return out.tolist()
+        _add_window_sums(out, np.ones(a.size, dtype=dtype), b.size, ma * mb)
+    return out

@@ -6,22 +6,26 @@ C_{f,g}(s) = sum_j f_{j+s} * conj(g_j); the full spectrum is the
 coefficient list of the Laurent polynomial f(z) * conj(g)(z).  These are
 computed directly from the sequences (never from the fast recursion of
 grs.fastscan, which is tested against this module), with exact integer,
-rational, or complex-rational values throughout.
+rational, or complex-rational values throughout.  A spectrum is held the
+way a Sequence is: integer numerator arrays, re and (unless all zero) im,
+over one denominator.  Peak statistics work on those arrays, and the
+exports format them a block of rows at a time, so neither builds a Python
+value per shift.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property, partial
 from operator import mul
+from types import MappingProxyType
 
 import numpy as np
 
-from .convolve import convolve_int
-from .qcomplex import CQ, as_cq, exact_magnitude, value_abs2, value_re_im
-from .sequences import BudgetExceeded, Sequence, coefficient_budget, int_text
+from .convolve import INT64_MAX, abs_max, convolve_int, int_array
+from .qcomplex import CQ, as_cq, exact_magnitude, value_abs2
+from .sequences import BudgetExceeded, Sequence, _negated, coefficient_budget, int_text
 
 __all__ = [
     "Spectrum",
@@ -47,77 +51,93 @@ class ShiftOutOfRange(ValueError):
 
 # Export columns: the shift, then the real and imaginary parts as fractions.
 _COLUMNS = ("shift", "re_num", "re_den", "im_num", "im_den")
+_CSV_ROW = "%d,%d,%d,%d,%d\n"
+# One row as json.dumps(rows, sort_keys=True) writes it: keys in sorted order.
+_JSON_ORDER = sorted(range(len(_COLUMNS)), key=_COLUMNS.__getitem__)
+_JSON_ROW = "{" + ", ".join(f'"{_COLUMNS[i]}": "%d"' for i in _JSON_ORDER) + "}"
+# Rows formatted at a time: this bounds the Python ints an export holds.
+_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sparse map shift -> exact correlation value, zero outside (-L, L)."""
+    """Exact correlation values by shift: C(offset + k) is
+    (re[k] + i im[k]) / den for each index k of the arrays in ``parts``,
+    ``(re,)`` or ``(re, im)``, and zero at every other shift.
 
-    entries: dict
+    The arrays are read-only int64, or object (Python ints) past int64;
+    ``im`` is absent when all zero, and ``den`` is positive.  Every shift
+    with a nonzero value lies in (-support_bound, support_bound).
+    """
+
+    parts: tuple
+    den: int
+    offset: int
     support_bound: int
 
     def value(self, s: int):
-        return self.entries.get(s, 0)
+        """C(s): an int when integral, a Fraction when real, else a CQ."""
+        k = s - self.offset
+        if not 0 <= k < self.parts[0].size:
+            return 0
+        return _exact_value(self.den, *(int(part[k]) for part in self.parts))
+
+    def _nonzero(self) -> np.ndarray:
+        """Indices of the nonzero values, increasing."""
+        mask = self.parts[0] != 0
+        for im in self.parts[1:]:
+            mask |= im != 0
+        return np.flatnonzero(mask)
 
     def shifts(self) -> list[int]:
-        return sorted(self.entries)
+        return (self._nonzero() + self.offset).tolist()
 
-    def items_sorted(self):
-        return sorted(self.entries.items())
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """Read-only map shift -> C(s) over the nonzero values, with the
+        types of ``value``; built on first access."""
+        rows = self._nonzero()
+        columns = [part[rows].tolist() for part in self.parts]
+        values = columns[0] if self.den == 1 and len(columns) == 1 else map(
+            partial(_exact_value, self.den), *columns
+        )
+        return MappingProxyType(dict(zip((rows + self.offset).tolist(), values)))
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        mine = {s: as_cq(v) for s, v in self.entries.items()}
-        theirs = {s: as_cq(v) for s, v in other.entries.items()}
-        return mine == theirs
+        return self.entries == other.entries
 
-    def _text_rows(self):
-        """Every entry as the texts of its shift and four integers, through
-        ``int_text``: the export path for values past the digit limit."""
-        for s, v in self.items_sorted():
-            re, im = value_re_im(v)
-            yield (str(s), *map(int_text, (re.numerator, re.denominator,
-                                           im.numerator, im.denominator)))
+    def _text_blocks(self, row: str, sep: str, order=range(len(_COLUMNS))):
+        """The nonzero values in increasing shift, ``_CHUNK`` rows at a time:
+        each row is the %-template ``row`` filled with the columns of
+        _COLUMNS, in lowest terms, taken in ``order``; rows are joined by
+        ``sep``.  Blocks past int64 go through ``int_text``, which has no
+        digit limit."""
+        rows = self._nonzero()
+        den = self.den
+        for start in range(0, rows.size, _CHUNK):
+            idx = rows[start : start + _CHUNK]
+            columns = [idx + self.offset]
+            for part in self.parts:
+                num = part[idx].astype(object) if den > INT64_MAX else part[idx]
+                g = np.gcd(num, den)
+                columns += [num // g, den // g]
+            if len(self.parts) == 1:
+                columns += [np.zeros(idx.size, dtype=np.int64), np.ones(idx.size, dtype=np.int64)]
+            table = np.stack([columns[i] for i in order], axis=1)
+            if table.dtype == np.int64:
+                yield sep.join([row] * idx.size) % tuple(table.ravel().tolist())
+            else:
+                texts = map(int_text, table.ravel().tolist())
+                yield sep.join([row.replace("%d", "%s")] * idx.size) % tuple(texts)
 
     def to_csv(self) -> str:
-        lines = [",".join(_COLUMNS)]
-        try:
-            for s, v in self.items_sorted():
-                if isinstance(v, int):
-                    lines.append(f"{s},{v},1,0,1")
-                    continue
-                re, im = value_re_im(v)
-                lines.append(
-                    f"{s},{re.numerator},{re.denominator},{im.numerator},{im.denominator}"
-                )
-        except ValueError:  # an int past the interpreter's int-to-text digit limit
-            lines[1:] = map(",".join, self._text_rows())
-        return "\n".join(lines) + "\n"
+        return "".join([",".join(_COLUMNS) + "\n", *self._text_blocks(_CSV_ROW, "")])
 
     def to_json(self) -> str:
-        rows = []
-        try:
-            for s, v in self.items_sorted():
-                if isinstance(v, int):
-                    rows.append(
-                        {"shift": str(s), "re_num": str(v), "re_den": "1",
-                         "im_num": "0", "im_den": "1"}
-                    )
-                    continue
-                re, im = value_re_im(v)
-                rows.append(
-                    {
-                        "shift": str(s),
-                        "re_num": str(re.numerator),
-                        "re_den": str(re.denominator),
-                        "im_num": str(im.numerator),
-                        "im_den": str(im.denominator),
-                    }
-                )
-        except ValueError:  # an int past the interpreter's int-to-text digit limit
-            rows = [dict(zip(_COLUMNS, row)) for row in self._text_rows()]
-        return json.dumps(rows, sort_keys=True)
+        """The rows as json.dumps(rows, sort_keys=True) writes them."""
+        return "[" + ", ".join(self._text_blocks(_JSON_ROW, ", ", _JSON_ORDER)) + "]"
 
 
 def crosscorr(f: Sequence, g: Sequence, s: int):
@@ -132,20 +152,29 @@ def crosscorr(f: Sequence, g: Sequence, s: int):
     return _exact_value(f.den * g.den, re, im)
 
 
+def _exact_sum(a, b):
+    """a + b for two integer arrays, or two ints: in int64 when no sum can
+    leave it, else in Python ints."""
+    if isinstance(a, np.ndarray) and a.dtype == b.dtype == np.int64:
+        if abs_max(a) + abs_max(b) <= INT64_MAX:
+            return a + b
+    return np.add(a, b, dtype=object)
+
+
 def _numerators(prod, f: Sequence, g: Sequence) -> tuple:
     """Numerators (re, im) of f * conj(g) over f.den * g.den, from
-    ``prod``, the product of one part of f with one part of g:
-    re = fre gre + fim gim and im = fim gre - fre gim.  Products with an
+    ``prod``, the product of one part of f with one part of conj(g):
+    re = fre gre + fim gim and im = fim gre + fre (-gim).  Products with an
     absent part are skipped, so two real sequences take one product and
     give im = None."""
     (fre, *fim), (gre, *gim) = f.parts, g.parts
     re = prod(fre, gre)
     if fim and gim:
-        re = np.add(re, prod(fim[0], gim[0]), dtype=object)
+        re = _exact_sum(re, prod(fim[0], gim[0]))
     im = prod(fim[0], gre) if fim else None
     if gim:
-        ri = prod(fre, gim[0])
-        im = np.negative(ri, dtype=object) if im is None else np.subtract(im, ri, dtype=object)
+        ri = prod(fre, _negated(gim[0]))
+        im = ri if im is None else _exact_sum(im, ri)
     return re, im
 
 
@@ -160,55 +189,41 @@ def _exact_value(den: int, re: int, im: int | None = None):
     return int(v) if v.denominator == 1 else v
 
 
-def _spectrum_values(f: Sequence, g: Sequence) -> dict:
-    """All nonzero C_{f,g}(s) via exact integer convolution of the
-    numerator arrays: one convolution for two real sequences, up to four
-    for complex ones."""
-    offset = g.length - 1
-    re, im = _numerators(lambda a, b: convolve_int(a, b[::-1]), f, g)
-    den = f.den * g.den
-    if im is None and den == 1:
-        return {k - offset: v for k, v in enumerate(re) if v}
-    pairs = enumerate(zip(re, repeat(0) if im is None else im))
-    return {k - offset: _exact_value(den, r, i) for k, (r, i) in pairs if r or i}
-
-
 def spectrum(f: Sequence, g: Sequence, budget: int | None = None) -> Spectrum:
-    """Full crosscorrelation spectrum of (f, g), i.e. f(z) * conj(g)(z)."""
+    """Full crosscorrelation spectrum of (f, g), i.e. f(z) * conj(g)(z),
+    by exact integer convolution of the numerator arrays: one convolution
+    for two real sequences, up to four for complex ones."""
     cap = coefficient_budget(budget)
     if f.length + g.length - 1 > cap:
         raise BudgetExceeded(
             f"spectrum needs {f.length + g.length - 1} entries, budget is {cap}"
         )
-    return Spectrum(_spectrum_values(f, g), max(f.length, g.length))
+    re, im = _numerators(lambda a, b: convolve_int(a, b[::-1]), f, g)
+    parts = [int_array(re)] + ([int_array(im)] if im is not None and im.any() else [])
+    for part in parts:
+        part.flags.writeable = False
+    return Spectrum(tuple(parts), f.den * g.den, 1 - g.length, max(f.length, g.length))
 
 
-def _peak(entries: dict) -> tuple[object, list[int]]:
-    """Maximum |value| (compared by exact squared modulus) and the sorted
-    list of shifts attaining it."""
-    if all(isinstance(v, int) for v in entries.values()):
-        best = max(map(abs, entries.values()), default=0)
-        if best == 0:
-            return 0, []
-        return best, sorted(s for s, v in entries.items() if abs(v) == best)
-    best_sq = Fraction(0)
-    shifts: list[int] = []
-    for s, v in entries.items():
-        sq = value_abs2(v)
-        if sq > best_sq:
-            best_sq = sq
-            shifts = [s]
-        elif sq == best_sq and sq > 0:
-            shifts.append(s)
-    if not shifts:
+def _peak(spec: Spectrum, first: int | None = None) -> tuple[object, list[int]]:
+    """Maximum |value| over the shifts from ``first`` on (every shift when
+    None), compared by exact squared modulus, and the sorted list of shifts
+    attaining it."""
+    start = 0 if first is None else max(0, first - spec.offset)
+    parts = [part[start:] for part in spec.parts]
+    if sum(abs_max(part) ** 2 for part in parts) > INT64_MAX:
+        parts = [part.astype(object) for part in parts]
+    sq = sum(part * part for part in parts)
+    best = sq.max(initial=0)
+    if not best:
         return 0, []
-    shifts.sort()
-    return exact_magnitude(entries[shifts[0]]), shifts
+    shifts = (np.flatnonzero(sq == best) + spec.offset + start).tolist()
+    return exact_magnitude(spec.value(shifts[0])), shifts
 
 
 def pcc(f: Sequence, g: Sequence):
     """Peak crosscorrelation: (max |C_{f,g}(s)|, all attaining shifts)."""
-    return _peak(spectrum(f, g).entries)
+    return _peak(spectrum(f, g))
 
 
 def psl(f: Sequence):
@@ -219,10 +234,7 @@ def psl(f: Sequence):
     """
     if f.length == 0:
         raise ZeroLength("cannot take the peak sidelobe of an empty sequence")
-    entries = {
-        s: v for s, v in spectrum(f, f).entries.items() if s > 0
-    }
-    return _peak(entries)
+    return _peak(spectrum(f, f), 1)
 
 
 def periodic_corr(f: Sequence, g: Sequence, k: int, s: int):
@@ -237,12 +249,15 @@ def periodic_corr(f: Sequence, g: Sequence, k: int, s: int):
     return as_cq(a) + as_cq(b) if isinstance(a, CQ) or isinstance(b, CQ) else a + b
 
 
-def _sum_abs2(values) -> Fraction:
-    """Sum of |v|^2, in integers when every value is an int."""
-    vals = list(values)
-    if all(isinstance(v, int) for v in vals):
-        return Fraction(sum(v * v for v in vals))
-    return sum(map(value_abs2, vals), Fraction(0))
+def _sum_abs2(spec: Spectrum) -> Fraction:
+    """Sum of |C(s)|^2 over every shift, in integers: in int64 when no
+    partial sum can leave it."""
+    total = 0
+    for part in spec.parts:
+        if part.size * abs_max(part) ** 2 > INT64_MAX:
+            part = part.astype(object)
+        total += int(np.dot(part, part))
+    return Fraction(total, spec.den**2)
 
 
 def _energy(f: Sequence) -> Fraction:
@@ -255,8 +270,8 @@ def demerit_auto(f: Sequence) -> Fraction:
     by the squared zero-shift value."""
     if f.is_zero:
         raise ZeroLength("demerit factor of the zero sequence is undefined")
-    entries = spectrum(f, f).entries
-    num = _sum_abs2(v for s, v in entries.items() if s != 0)
+    spec = spectrum(f, f)
+    num = _sum_abs2(spec) - value_abs2(spec.value(0))
     e = _energy(f)
     return num / (e * e)
 
@@ -266,5 +281,5 @@ def demerit_cross(f: Sequence, g: Sequence) -> Fraction:
     normalized by the product of the zero-shift autocorrelations."""
     if f.is_zero or g.is_zero:
         raise ZeroLength("demerit factor needs nonzero sequences")
-    num = _sum_abs2(spectrum(f, g).entries.values())
+    num = _sum_abs2(spectrum(f, g))
     return num / (_energy(f) * _energy(g))

@@ -39,10 +39,13 @@ from math import isqrt, lcm
 import numpy as np
 
 from . import correlation
-from .qcomplex import exact_magnitude, value_conj, value_re_im
+from .qcomplex import exact_magnitude, value_conj
 from .sequences import (
     BudgetExceeded,
     SeedPair,
+    Sequence,
+    _fitted,
+    _scaled,
     coefficient_budget,
     grs_pair,
 )
@@ -163,16 +166,15 @@ def _scale(seed: SeedPair) -> int:
 
 def _oracle_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
     pair = grs_pair(seed, k)
-    ell = pair.length
-    scale = _scale(seed)
-    rows = [[0] * (2 * ell - 1) for _ in range(1 if seed.is_rational else 2)]
-    for s, v in correlation.spectrum(pair.x, pair.y).entries.items():
-        for row, part in zip(rows, value_re_im(v)):
-            row[s + ell - 1] = int(part * scale)
-    return tuple(
-        np.array(row, dtype=np.int64 if max(map(abs, row)) <= _INT64_MAX else object)
-        for row in rows
-    )
+    # Both members fitted to length ell_k (a seed member may be declared
+    # shorter or longer), so the spectrum's arrays hold -ell_k < s < ell_k;
+    # spec.den = x.den * y.den divides d^2.
+    x, y = (Sequence._of(tuple(_fitted(p, pair.length) for p in s.parts), s.den)
+            for s in (pair.x, pair.y))
+    spec = correlation.spectrum(x, y)
+    parts = [_scaled(part, _scale(seed) // spec.den) for part in spec.parts]
+    count = 1 if seed.is_rational else 2
+    return (*parts, *[np.zeros(parts[0].size, dtype=np.int64)] * (count - len(parts)))
 
 
 def _int_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
@@ -375,9 +377,10 @@ class PeakReport:
         }
 
 
-def _report_from_entries(level: int, entries: dict) -> PeakReport:
-    value, shifts = correlation._peak(entries)
-    return PeakReport(level, value, tuple((s, entries[s]) for s in shifts))
+def _report(level: int, spec: correlation.Spectrum, first: int | None = None) -> PeakReport:
+    """The oracle's peak of ``spec`` over the shifts from ``first`` on."""
+    value, shifts = correlation._peak(spec, first)
+    return PeakReport(level, value, tuple((s, spec.value(s)) for s in shifts))
 
 
 def _psl_from_pcc(pcc_rep: PeakReport, ell_n: int) -> PeakReport:
@@ -411,7 +414,7 @@ def streaming_peaks(
         raise ValueError("level must be nonnegative")
     if n <= 2:
         pair = grs_pair(seed, n, budget=budget)
-        rep = _report_from_entries(n, correlation.spectrum(pair.x, pair.y).entries)
+        rep = _report(n, correlation.spectrum(pair.x, pair.y))
         return rep, _psl_from_pcc(rep, seed.ell0 << n)
 
     use_cache = _cacheable and t_split is None
@@ -491,10 +494,7 @@ def psl_report(seed: SeedPair, n: int, t_split: int | None = None) -> PeakReport
     """
     if n == 0:
         pair = grs_pair(seed, 0)
-        entries = {
-            s: v for s, v in correlation.spectrum(pair.x, pair.x).entries.items() if s > 0
-        }
-        return _report_from_entries(0, entries)
+        return _report(0, correlation.spectrum(pair.x, pair.x), 1)
     return streaming_peaks(seed, n - 1, t_split=t_split)[1]
 
 

@@ -22,8 +22,11 @@ class CQ:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+        # Fractions are immutable, so a part that is one is kept as it is.
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", _frac(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", _frac(self.im))
 
     def conj(self) -> "CQ":
         return CQ(self.re, -self.im)

@@ -25,7 +25,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .convolve import INT64_MAX, int_array
+from .convolve import INT64_MAX, abs_max, int_array
 from .qcomplex import CQ, as_cq
 
 __all__ = [
@@ -291,10 +291,10 @@ def _fitted(arr: np.ndarray, length: int) -> np.ndarray:
 
 
 def _scaled(arr: np.ndarray, k: int) -> np.ndarray:
-    """arr * k, exactly: as Python ints when a product would leave int64."""
+    """arr * k, exactly: as Python ints when k or a product leaves int64."""
     if k == 1:
         return arr
-    if arr.dtype == np.int64 and arr.size and max(-int(arr.min()), int(arr.max())) * k > INT64_MAX:
+    if arr.dtype == np.int64 and max(k, abs_max(arr) * k) > INT64_MAX:
         arr = arr.astype(object)
     return arr * k
 
@@ -391,6 +391,8 @@ def validate_seed(x0: Sequence, y0: Sequence, ell0: int) -> SeedPair:
 # so it takes over when they raise.
 
 _FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# Rational rows as write_sequence writes them: "num/den num/den" lines.
+_PLAIN_ROWS = re.compile(r"(?:[+-]?[0-9]+/[0-9]+ [+-]?[0-9]+/[0-9]+\n)*")
 
 
 def int_text(v: int) -> str:
@@ -453,19 +455,44 @@ def read_sequence(fp: TextIO) -> Sequence:
         return seq
     if kind != "rational":
         raise ValueError(f"unknown sequence kind {kind!r}")
-    rows = [fp.readline().split() for _ in range(length)]
-    if all(len(row) == 2 and row[1] == "0/1" and row[0].endswith("/1") for row in rows):
-        # Real integers, as write_sequence writes them: no Fraction needed.
-        try:
-            ints = [int(row[0][:-2]) for row in rows]
-        except ValueError:  # malformed, or past the digit limit
-            ints = [int(_parse_fraction(row[0])) for row in rows]
-        return Sequence(ints, length)
-    vals = []
-    for row in rows:
-        re_txt, im_txt = row
-        vals.append(CQ(_parse_fraction(re_txt), _parse_fraction(im_txt)))
-    return Sequence(vals, length)
+    return _rational_sequence([fp.readline() for _ in range(length)])
+
+
+def _int_texts(texts: list[str]) -> np.ndarray:
+    """Integer texts as an int64 array, or an object array past int64."""
+    try:
+        return int_array(list(map(int, texts)))
+    except ValueError:  # past the interpreter's int-from-text digit limit
+        return int_array([int(Decimal(t)) for t in texts])
+
+
+def _rational_columns(lines: list[str]) -> np.ndarray:
+    """The numerators and denominators of the re and im fields of
+    ``lines``, as the four rows of an integer array."""
+    body = "".join(lines)
+    if _PLAIN_ROWS.fullmatch(body):
+        table = _int_texts(body.replace("/", " ").split()).reshape(-1, 4).T
+        if table.shape[1] == len(lines) and table[1].all() and table[3].all():
+            return table
+    # Any other spacing or form that Fraction reads (2, 1.5, 3e2), and the
+    # errors: a row without two fields, a malformed value, a zero denominator.
+    fracs = []
+    for line in lines:
+        re_txt, im_txt = line.split()
+        fracs += [_parse_fraction(re_txt), _parse_fraction(im_txt)]
+    return int_array([v for f in fracs for v in (f.numerator, f.denominator)]).reshape(-1, 4).T
+
+
+def _rational_sequence(lines: list[str]) -> Sequence:
+    """The sequence of the rational rows ``lines``: each field reduced to
+    lowest terms, then scaled to the lcm of the reduced denominators."""
+    nums, dens = [], []
+    for num, den in _rational_columns(lines).reshape(2, 2, -1):
+        g = np.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    common = lcm(*np.unique(np.concatenate(dens)).tolist())
+    return Sequence._of(tuple(_scaled(num, common) // den for num, den in zip(nums, dens)), common)
 
 
 def write_seed_pair(seed: SeedPair, fp: TextIO) -> None:

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grs.convolve import convolve_int, schoolbook_convolve
+from grs import correlation
+from grs.convolve import _SCHOOLBOOK_CUTOFF, convolve_int, schoolbook_convolve
 from grs.correlation import (
     ShiftOutOfRange,
+    Spectrum,
     ZeroLength,
     crosscorr,
     demerit_auto,
@@ -19,8 +22,8 @@ from grs.correlation import (
     psl,
     spectrum,
 )
-from grs.qcomplex import CQ, as_cq
-from grs.sequences import Sequence, grs_pair, rudin_shapiro
+from grs.qcomplex import CQ, as_cq, value_re_im
+from grs.sequences import Sequence, grs_pair, int_text, rudin_shapiro
 
 
 def test_crosscorr_basics(rs_seed):
@@ -188,13 +191,13 @@ def test_convolve_matches_schoolbook():
     for _ in range(40):
         a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 80))]
         b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 80))]
-        assert convolve_int(a, b) == schoolbook_convolve(a, b)
+        assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
     # Force the packed path with a long +/-1 convolution.
     a = [rng.choice((1, -1)) for _ in range(3000)]
     b = [rng.choice((1, -1)) for _ in range(500)]
-    assert convolve_int(a, b) == schoolbook_convolve(a, b)
+    assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
     big = [rng.randint(-(10**12), 10**12) for _ in range(200)]
-    assert convolve_int(big, big) == schoolbook_convolve(big, big)
+    assert convolve_int(big, big).tolist() == schoolbook_convolve(big, big)
 
 
 def test_convolve_exact_past_int64():
@@ -216,7 +219,7 @@ def test_convolve_exact_past_int64():
          [rng.randint(-(5 * 10**7), 5 * 10**7) for _ in range(100)]),
     ]
     for a, b in cases:
-        assert convolve_int(a, b) == schoolbook_convolve(a, b)
+        assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
 
 
 def test_convolve_array_and_negative_inputs():
@@ -224,14 +227,16 @@ def test_convolve_array_and_negative_inputs():
     a = rng.integers(-(2**31), 2**31, 250)
     b = rng.integers(-9, 10, 180)
     expected = schoolbook_convolve(a.tolist(), b.tolist())
-    assert convolve_int(a, b) == expected
-    assert convolve_int(a.astype(object), b.astype(np.int8)) == expected
-    assert convolve_int(a[::-1], b) == schoolbook_convolve(a[::-1].tolist(), b.tolist())
+    assert convolve_int(a, b).tolist() == expected
+    assert convolve_int(a.astype(object), b.astype(np.int8)).tolist() == expected
+    assert convolve_int(a[::-1], b).tolist() == schoolbook_convolve(a[::-1].tolist(), b.tolist())
     neg_a = [-v for v in rng.integers(1, 2**31, 300).tolist()]
     neg_b = [-v for v in rng.integers(1, 2**20, 130).tolist()]
-    assert convolve_int(neg_a, neg_b) == schoolbook_convolve(neg_a, neg_b)
-    assert convolve_int(np.array(neg_a), neg_b) == schoolbook_convolve(neg_a, neg_b)
-    assert all(type(v) is int for v in convolve_int(a, b))
+    assert convolve_int(neg_a, neg_b).tolist() == schoolbook_convolve(neg_a, neg_b)
+    assert convolve_int(np.array(neg_a), neg_b).tolist() == schoolbook_convolve(neg_a, neg_b)
+    out = convolve_int(a, b)
+    assert out.dtype in (np.int64, object)
+    assert all(type(v) is int for v in out.tolist())
 
 
 def test_convolve_lengths_past_schoolbook_cutoff():
@@ -241,7 +246,7 @@ def test_convolve_lengths_past_schoolbook_cutoff():
     for la, lb in ((4097, 1), (1, 4097), (2049, 3), (63, 67), (65, 64), (64, 65)):
         a = [rng.randint(-9, 9) for _ in range(la)]
         b = [rng.randint(-9, 9) for _ in range(lb)]
-        assert convolve_int(a, b) == schoolbook_convolve(a, b)
+        assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
 
 
 def test_convolve_zero_top_groups():
@@ -249,8 +254,8 @@ def test_convolve_zero_top_groups():
     # groups of the packed product are zero, so its decimal string is short.
     a = [1] + [-1] * 99
     for b in ([1] * 80, [-1] * 80, [3, -2] * 40):
-        assert convolve_int(a, b) == schoolbook_convolve(a, b)
-        assert convolve_int(b, a) == schoolbook_convolve(b, a)
+        assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
+        assert convolve_int(b, a).tolist() == schoolbook_convolve(b, a)
 
 
 def test_convolve_input_zero_after_offset():
@@ -258,8 +263,8 @@ def test_convolve_input_zero_after_offset():
     # window-sum corrections carry the result.
     b = list(range(-20, 60))
     for a in ([-5] * 100, [0] * 100, [7] * 100):
-        assert convolve_int(a, b) == schoolbook_convolve(a, b)
-        assert convolve_int(b, a) == schoolbook_convolve(b, a)
+        assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
+        assert convolve_int(b, a).tolist() == schoolbook_convolve(b, a)
     f = Sequence([-1] * 70)
     assert spectrum(f, Sequence([1] * 70)).value(0) == -70
 
@@ -282,10 +287,146 @@ def test_convolve_every_digit_width():
         b[0], b[-1] = 1, 0
         assert len(str(m * max_a)) == k
         expected = schoolbook_convolve(a, b)
-        assert convolve_int(a, b) == expected
-        assert convolve_int(np.array(a, dtype=object), b) == expected
-        assert convolve_int([-v for v in a], b) == [-v for v in expected]
+        assert convolve_int(a, b).tolist() == expected
+        assert convolve_int(np.array(a, dtype=object), b).tolist() == expected
+        assert convolve_int([-v for v in a], b).tolist() == [-v for v in expected]
     for big in (10**12, 10**25, 10**2200):
         a = [rng.randint(big - 10**6, big) for _ in range(97)]
         b = [rng.randint(-big, big) for _ in range(61)]
-        assert convolve_int(a, b) == schoolbook_convolve(a, b)
+        assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
+
+
+@pytest.mark.parametrize("top", [9, 10**25])
+def test_convolve_window_corrections(top):
+    # The corrections for negative inputs are applied in place: only a
+    # negative, only b, or both, on int64 (top = 9) and on Python ints
+    # (top = 10**25), for products below, at and above the schoolbook cutoff.
+    rng = random.Random(23)
+    for la, lb in ((63, 64), (64, 64), (65, 64), (300, 7), (7, 300)):
+        assert (la * lb <= _SCHOOLBOOK_CUTOFF) == (la * lb <= 64 * 64)
+        for neg_a, neg_b in ((True, False), (False, True), (True, True)):
+            a = [rng.randint(-top if neg_a else 0, top) for _ in range(la)]
+            b = [rng.randint(-top if neg_b else 0, top) for _ in range(lb)]
+            a[0], b[-1] = (-top if neg_a else top), (-top if neg_b else top)
+            out = convolve_int(a, b)
+            assert out.tolist() == schoolbook_convolve(a, b)
+            assert out.dtype == (np.int64 if top == 9 else object)
+
+
+def _reference_rows(values: dict) -> list[tuple]:
+    """The export rows of a map shift -> value, by the per-entry algorithm:
+    sorted shifts, each part as a Fraction in lowest terms."""
+    rows = []
+    for s, v in sorted(values.items()):
+        re, im = value_re_im(v)
+        rows.append((str(s), *map(int_text, (re.numerator, re.denominator,
+                                             im.numerator, im.denominator))))
+    return rows
+
+
+def _array_spectrum(rng, count, den, top, complex_):
+    """A Spectrum of ``count`` nonzero values among zeros, and the same
+    values as a map shift -> int, Fraction or CQ built here."""
+    size = 2 * count + 3
+    rows = sorted(rng.sample(range(size), count))
+    re, im = [0] * size, [0] * size
+    for k in rows:
+        while not (re[k] or im[k]):
+            re[k] = rng.choice((0, rng.randint(-top, top)))
+            im[k] = rng.randint(-top, top) if complex_ else 0
+    offset = -count
+    parts = (np.array(re, dtype=object), np.array(im, dtype=object))[: 2 if complex_ else 1]
+    if top < 2**62:
+        parts = tuple(part.astype(np.int64) for part in parts)
+    values = {}
+    for k in rows:
+        v = CQ(Fraction(re[k], den), Fraction(im[k], den))
+        values[offset + k] = v if not v.is_real else int(v.re) if v.is_integer else v.re
+    return Spectrum(parts, den, offset, size), values
+
+
+_EXPORT_CASES = {
+    "integer": (1, 1000, False),
+    "rational": (6, 36, False),
+    "complex": (10, 100, True),
+    "past int64": (3 * 10**19, 10**25, True),
+    "past the int-to-text limit": (7, 10**5000, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXPORT_CASES))
+@pytest.mark.parametrize("chunk", [4, None])
+def test_export_matches_per_entry_reference(case, chunk, monkeypatch):
+    # Counts just below, at and just above one chunk, and two chunks.
+    den, top, complex_ = _EXPORT_CASES[case]
+    if chunk is None:
+        if top > 10**25:
+            return  # thousands of 5000-digit values: the small chunk covers it
+        chunk = correlation._CHUNK
+    monkeypatch.setattr(correlation, "_CHUNK", chunk)
+    rng = random.Random(f"{case}/{chunk}")
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+        spec, values = _array_spectrum(rng, count, den, top, complex_)
+        rows = _reference_rows(values)
+        assert spec.to_csv() == "".join(",".join(row) + "\n" for row in [
+            ("shift", "re_num", "re_den", "im_num", "im_den"), *rows
+        ])
+        keys = ("shift", "re_num", "re_den", "im_num", "im_den")
+        assert spec.to_json() == json.dumps([dict(zip(keys, row)) for row in rows],
+                                            sort_keys=True)
+        assert spec.shifts() == sorted(values)
+        if count <= 2 * 4 + 1:
+            assert dict(spec.entries) == values
+            assert [type(v) for v in spec.entries.values()] == [
+                type(values[s]) for s in spec.entries
+            ]
+
+
+def test_entries_are_read_only():
+    pair = rudin_shapiro(3)
+    spec = spectrum(pair.x, pair.y)
+    with pytest.raises(TypeError):
+        spec.entries[0] = 1
+    assert spec.entries == {s: spec.value(s) for s in spec.shifts()}
+
+
+def test_peak_past_int64():
+    # Squared magnitudes past int64 are compared as Python ints; ties keep
+    # every shift; a properly complex witness still raises.
+    real = Spectrum((np.array([5, -(2**63), 2**63 - 1, 0]),), 1, 0, 4)
+    assert correlation._peak(real) == (2**63, [1])
+    assert correlation._sum_abs2(real) == 25 + 2**126 + (2**63 - 1) ** 2
+    a = 3 * 10**9
+    re = np.array([4 * a, 5 * a, 0, -5 * a, 0, 0], dtype=np.int64)
+    im = np.array([3 * a, 0, 0, 0, 5 * a, 1], dtype=np.int64)
+    spec = Spectrum((re, im), 2, -2, 6)
+    with pytest.raises(ValueError, match="irrational"):
+        correlation._peak(spec)
+    assert correlation._peak(spec, -1) == (Fraction(5 * a, 2), [-1, 1, 2])
+    assert correlation._peak(spec, 3) == (Fraction(1, 2), [3])
+    assert correlation._peak(spec, 4) == (0, [])
+    assert correlation._sum_abs2(spec) == Fraction(100 * a * a + 1, 4)
+
+
+def test_spectrum_and_export_memory(seed_pm4):
+    # The spectrum holds numerator arrays, and the export formats a block
+    # of rows at a time: neither peaks above a small multiple of the array
+    # bytes plus the output text.  One Python object per shift (a dict of
+    # values, or a list of row strings) goes past both bounds.
+    pair = grs_pair(seed_pm4, 13)
+    spectrum(pair.x, pair.y).to_csv()
+    array_bytes = 8 * (pair.x.length + pair.y.length - 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spec = spectrum(pair.x, pair.y)
+        spectrum_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        text = spec.to_csv()
+        export_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert spec.parts[0].nbytes == array_bytes
+    assert spectrum_peak < 5 * array_bytes, spectrum_peak
+    assert export_peak < 2 * len(text) + array_bytes, (export_peak, len(text))

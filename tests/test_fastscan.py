@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from golden import TABLE1, TABLE2, TABLE3, TABLE4
-from grs import correlation
+from grs import correlation, fastscan
 from grs.fastscan import (
     LevelTooSmall,
     ShiftZero,
@@ -19,7 +19,7 @@ from grs.fastscan import (
     psl_report,
     streaming_peaks,
 )
-from grs.qcomplex import as_cq
+from grs.qcomplex import CQ, as_cq
 from grs.sequences import BudgetExceeded, Sequence, grs_pair, validate_seed
 
 
@@ -249,6 +249,31 @@ def test_clear_caches_empties_every_cache(rs_seed):
     assert fastscan._block.cache_info().currsize == 0
     again, _ = streaming_peaks(rs_seed, 10)
     assert again == before
+
+
+def test_oracle_levels_match_per_entry_reference(
+    corpus, seed_golay10, seed_padded3, seed_rational, seed_complex, seed_complex_rational
+):
+    # Levels 0 and 1 filled from the spectrum's arrays equal the per-entry
+    # fill: d^2 C_k(s) at index s + ell_k - 1, one row per part of the seed.
+    # Of the last two seeds, one declares its members longer than ell0, and
+    # one has x.den * y.den = 5 below d^2 = 25.
+    long_members = validate_seed(Sequence([1, 1, 0, 0]), Sequence([1, -1, 0, 0]), 3)
+    w = CQ(Fraction(3, 5), Fraction(4, 5))
+    unequal_dens = validate_seed(Sequence([1, 1]), Sequence([w, -w]), 2)
+    seeds = corpus + [seed_golay10, seed_padded3, seed_rational, seed_complex,
+                      seed_complex_rational, long_members, unequal_dens]
+    for seed, k in itertools.product(seeds, (0, 1)):
+        pair = grs_pair(seed, k)
+        ell = pair.length
+        scale = fastscan._scale(seed)
+        rows = [[0] * (2 * ell - 1) for _ in range(1 if seed.is_rational else 2)]
+        for s, v in correlation.spectrum(pair.x, pair.y).entries.items():
+            for row, part in zip(rows, (as_cq(v).re, as_cq(v).im)):
+                row[s + ell - 1] = int(part * scale)
+        level = fastscan._oracle_level(seed, k)
+        assert [part.tolist() for part in level] == rows
+        assert all(part.dtype == np.int64 for part in level)
 
 
 def test_peak_abs_is_the_integer_ceiling_of_the_modulus():

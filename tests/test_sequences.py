@@ -215,6 +215,20 @@ def test_step_matches_cq_reference():
                 assert all(p.dtype == np.int64 for s in (pair.x, pair.y) for p in s.parts)
 
 
+def test_step_scales_zero_parts_by_a_factor_past_int64():
+    # x0 = (i) has an all-zero re part over den 1; y0 = (w^28), |w| = 1,
+    # has den 5^28 > 2^63, so x's parts are scaled by 5^28.
+    w = CQ(Fraction(3, 5), Fraction(4, 5))
+    w28 = CQ(1)
+    for _ in range(28):
+        w28 = w28 * w
+    seed = validate_seed(Sequence([CQ(0, 1)]), Sequence([w28]), 1)
+    assert seed.y0.den == 5**28 > 2**63
+    pair = grs_pair(seed, 2)
+    assert pair.x.cq_coeffs() == (CQ(0, 1), w28, CQ(0, 1), -w28)
+    assert pair.x.den == 5**28
+
+
 def test_step_ignores_declared_length_beyond_seed_length():
     # Seeds need only degree below ell0, so a seed may declare a longer
     # support; its trailing zeros must not shift the second half.
@@ -292,6 +306,24 @@ def test_malformed_rational_line_raises(lines):
         read_sequence(io.StringIO(text))
 
 
+def test_rational_forms_read_like_fractions():
+    # Rows as write_sequence writes them, rows with unreduced fractions,
+    # and other forms Fraction reads, give the sequence of those Fractions.
+    rows = ["2/4 0/6", "-3/1 -1/1", "+1/2 -4/8", "0/5 7/3"]
+    others = ["3 -1", "0.5 1e1", "1_0/4 0", "  1/2\t 3/4 "]
+    for lines in (rows, others, rows + others):
+        text = f"len={len(lines)} kind=rational\n" + "\n".join(lines) + "\n"
+        expected = Sequence([CQ(*map(Fraction, line.split())) for line in lines])
+        assert read_sequence(io.StringIO(text)) == expected
+
+
+@pytest.mark.parametrize("row, field", [("1/0 0/1", "1/0"), ("1/2 3/0", "3/0"), ("5/0 0/0", "5/0")])
+def test_zero_denominator_names_the_field(row, field):
+    text = f"len=2 kind=rational\n1/1 0/1\n{row}\n"
+    with pytest.raises(ValueError, match=f"zero denominator in '{field}'"):
+        read_sequence(io.StringIO(text))
+
+
 # Values past the interpreter's int-to-text limit (4300 digits by default).
 _HUGE = 10**5000
 
@@ -299,6 +331,7 @@ _HUGE = 10**5000
 def test_roundtrip_past_int_text_limit():
     # Both read paths: integer "k/1 0/1" lines and general fractions.
     cases = [
+        Sequence([Fraction(1, 10**20), 1]),
         Sequence([_HUGE, 1]),
         Sequence([-_HUGE, 0, _HUGE + 1], 4),
         Sequence([Fraction(_HUGE, 3), CQ(1, Fraction(-1, _HUGE))]),
