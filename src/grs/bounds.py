@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import correlation, fastscan
 from .field import KElem, QAlphaElem, alpha_pow, compare, k_div
@@ -124,28 +127,24 @@ def _entry_index_closed(s0: int, ell0: int) -> int:
 # ---------------------------------------------------------------------------
 # Closed-form constants in the splitting field.
 
-_e_cache: dict[tuple[int, int], KElem] | None = None
-
-
-def e_constants() -> dict[tuple[int, int], KElem]:
+@cache
+def e_constants() -> Mapping[tuple[int, int], KElem]:
     """The six interpolation constants E_{j,v} (j mod 3, v in {0,1}):
 
         E_{j,0} = (2 + a_{j+1} a_{j+2}) / ((a_j - a_{j+1})(a_j - a_{j+2}))
         E_{j,1} = -(1 + a_{j+1} + a_{j+2}) / (same denominator)
 
-    computed exactly in K; the j = 0 pair is real.
+    computed exactly in K; the j = 0 pair is real.  Built once, and
+    read-only.
     """
-    global _e_cache
-    if _e_cache is None:
-        roots = [KElem.root(j) for j in range(3)]
-        out = {}
-        for j in range(3):
-            a, b, c = roots[j], roots[(j + 1) % 3], roots[(j + 2) % 3]
-            den = (a - b) * (a - c)
-            out[(j, 0)] = k_div(2 + b * c, den)
-            out[(j, 1)] = k_div(-(1 + b + c), den)
-        _e_cache = out
-    return _e_cache
+    roots = [KElem.root(j) for j in range(3)]
+    out = {}
+    for j in range(3):
+        a, b, c = roots[j], roots[(j + 1) % 3], roots[(j + 2) % 3]
+        den = (a - b) * (a - c)
+        out[(j, 0)] = k_div(2 + b * c, den)
+        out[(j, 1)] = k_div(-(1 + b + c), den)
+    return MappingProxyType(out)
 
 
 def e_sums() -> dict[int, KElem]:

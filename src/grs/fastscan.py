@@ -39,6 +39,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from . import correlation
+from .convolve import INT64_MAX, abs_max
 from .qcomplex import exact_magnitude, value_conj
 from .sequences import (
     BudgetExceeded,
@@ -65,8 +66,6 @@ __all__ = [
     "derrel_bound",
     "clear_caches",
 ]
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class LevelTooSmall(ValueError):
@@ -192,10 +191,10 @@ def _peak_abs(level: tuple[np.ndarray, ...]) -> int:
     """The least integer at or above every |C_k(s)| of a level: the largest
     |re| of a real level, the ceiling of the square root of the largest
     re^2 + im^2 of a complex one."""
-    tops = [int(np.abs(part).max(initial=0)) for part in level]
+    tops = [abs_max(part) for part in level]
     if len(level) == 1:
         return tops[0]
-    if sum(m * m for m in tops) > _INT64_MAX:
+    if sum(m * m for m in tops) > INT64_MAX:
         level = tuple(part.astype(object) for part in level)
     re, im = level
     sq = int((re * re + im * im).max(initial=0))
@@ -216,7 +215,7 @@ def _block_bounds(tables: AbgdTable, m_nt: int, m_nt1: int) -> np.ndarray:
     """
     ab = np.abs(tables.a) + np.abs(tables.b)
     gd = np.maximum(np.abs(tables.g), np.abs(tables.d))
-    if int(ab.max()) * m_nt + int(gd.max()) * m_nt1 > _INT64_MAX:
+    if int(ab.max()) * m_nt + int(gd.max()) * m_nt1 > INT64_MAX:
         ab, gd = ab.astype(object), gd.astype(object)
     return ab * m_nt + gd * m_nt1
 
@@ -243,7 +242,7 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
     half = level_nt1[0].size  # ell_{n-t} - 1
     out = []
     for c_nt, c_nt1 in zip(level_nt, level_nt1):
-        if bound > _INT64_MAX:
+        if bound > INT64_MAX:
             c_nt, c_nt1 = c_nt.astype(object), c_nt1.astype(object)
         vals = a * c_nt + b * c_nt[::-1]
         if np.any(d):
@@ -398,7 +397,6 @@ def streaming_peaks(
     n: int,
     t_split: int | None = None,
     budget: int | None = None,
-    _cacheable: bool = True,
 ) -> tuple[PeakReport, PeakReport]:
     """Peak crosscorrelation of the level-n pair by a bound-pruned block
     scan over two cached low-level spectra (see ``_block_peak``), plus the
@@ -417,18 +415,18 @@ def streaming_peaks(
         rep = _report(n, correlation.spectrum(pair.x, pair.y))
         return rep, _psl_from_pcc(rep, seed.ell0 << n)
 
-    use_cache = _cacheable and t_split is None
-    if use_cache:
-        cached = _peak_cache.get((seed, n))
-        if cached is not None:
-            return cached
-
     t = t_split if t_split is not None else max(1, n // 2)
     lv1, lv2 = _split_levels(seed, n, t)
     cap = coefficient_budget(budget)
     need = 4 * (seed.ell0 << lv1) * (1 if seed.is_rational else 2) + (1 << t)
     if need > cap:
         raise BudgetExceeded(f"scan needs about {need} cached entries, budget is {cap}")
+
+    use_cache = t_split is None
+    if use_cache:
+        cached = _peak_cache.get((seed, n))
+        if cached is not None:
+            return cached
 
     scale = _scale(seed)
     _, hits = _block_peak(abgd(t), _int_level(seed, lv1), _int_level(seed, lv2))

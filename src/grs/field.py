@@ -14,11 +14,11 @@ provided:
   over d^3), so every equality and inequality verdict is reached with
   exact integer arithmetic only; no floating point is ever consulted.
 
-* ``KElem`` -- an element of the full splitting field K in the basis
-  alpha0^i * alpha1^j with 0 <= i < 3, 0 <= j < 2.  Arbitrary polynomial
-  expressions in the three roots are brought to this basis by rewriting
-  alpha2 = -1 - alpha0 - alpha1, alpha1^2 in terms of lower powers, and
-  alpha0^3 = -alpha0^2 + 2*alpha0 + 4.
+* ``KElem`` -- an element u + v*alpha1 of the full splitting field K,
+  with u and v in Q(alpha0).  K = Q(alpha0)(alpha1), and alpha1 is a root
+  of m(Y)/(Y - alpha0) = Y^2 + (alpha0 + 1)*Y + (alpha0^2 + alpha0 - 2),
+  so alpha1^2 folds back into the pair and every operation in K runs on
+  the integer ``QAlphaElem`` arithmetic.  alpha2 = -1 - alpha0 - alpha1.
 
 Division works by multiplying with the alpha1<->alpha2 conjugate to push
 the denominator into Q(alpha0), then inverting there through the minimal
@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple
+
+from .qcomplex import _frac
 
 __all__ = [
     "QAlphaElem",
@@ -47,19 +49,14 @@ __all__ = [
     "signifier",
 ]
 
-# Total-degree cap for reduce_poly inputs; keeps intermediate expansion
-# of the alpha2 substitution bounded.
+# Total-degree cap for reduce_poly inputs, which are short closed-form
+# expressions; it bounds the root powers (and their numerators) built per
+# monomial.
 MAX_REDUCE_DEGREE = 24
 
 
 class RationalInputError(ValueError):
     """Raised when an operation needs a non-rational field element."""
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating point values are not accepted here")
-    return Fraction(x)
 
 
 @dataclass(frozen=True, init=False)
@@ -317,157 +314,106 @@ def alpha_pow(n: int) -> QAlphaElem:
 
 
 # ---------------------------------------------------------------------------
-# The splitting field K, basis alpha0^i * alpha1^j (0 <= i < 3, 0 <= j < 2).
+# The splitting field K = Q(alpha0)(alpha1).
 
-# X^i Y^j, j >= 2:  Y^2 -> -XY - Y - X^2 - X + 2
-_Y2_RULE = (((1, 1), -1), ((0, 1), -1), ((2, 0), -1), ((1, 0), -1), ((0, 0), 2))
-# X^i, i >= 3:  X^3 -> -X^2 + 2X + 4
-_X3_RULE = ((2, -1), (1, 2), (0, 4))
-
-
-def _reduce_xy(terms: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
-    # Merge-as-you-go keeps the term count polynomial; a term-at-a-time
-    # worklist would re-expand shared subterms exponentially.
-    acc: dict[tuple[int, int], Fraction] = {}
-    for key, c in terms.items():
-        if c != 0:
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(c)
-
-    def _apply(key, coeff, replacements):
-        i, j = key
-        del acc[i, j]
-        for (di, dj), mult in replacements:
-            new = (i + di, j + dj)
-            val = acc.get(new, Fraction(0)) + coeff * mult
-            if val:
-                acc[new] = val
-            elif new in acc:
-                del acc[new]
-
-    while True:
-        high = [k for k in acc if k[1] >= 2]
-        if not high:
-            break
-        for i, j in high:
-            if (i, j) in acc:
-                _apply((i, j), acc[i, j], [((di, dj - 2), m) for (di, dj), m in _Y2_RULE])
-    while True:
-        high = [k for k in acc if k[0] >= 3]
-        if not high:
-            break
-        for i, j in high:
-            if (i, j) in acc:
-                _apply((i, j), acc[i, j], [((di - 3, 0), m) for di, m in _X3_RULE])
-    return {k: v for k, v in acc.items() if v != 0}
+# alpha1 and alpha2 are the roots of m(Y)/(Y - alpha0) = Y^2 + _Y1*Y + _Y0.
+_Y1 = QAlphaElem(1, 1, 0)  # alpha0 + 1 = -(alpha1 + alpha2)
+_Y0 = QAlphaElem(-2, 1, 1)  # alpha0^2 + alpha0 - 2 = alpha1 * alpha2
+_ZERO = QAlphaElem()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KElem:
-    """Element of K = Q(alpha0, alpha1, alpha2); six rational coordinates
-    in row-major (i, j) order over the basis alpha0^i * alpha1^j."""
+    """Element u + v*alpha1 of K = Q(alpha0, alpha1, alpha2), u and v in
+    Q(alpha0); equality and hash come from (u, v).
 
-    c: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
+    Built from six rational coordinates in row-major (i, j) order over the
+    basis alpha0^i * alpha1^j, that is (u.p, v.p, u.q, v.q, u.r, v.r).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(_frac(x) for x in self.c))
-        if len(self.c) != 6:
+    u: QAlphaElem
+    v: QAlphaElem
+
+    def __init__(self, c):
+        c = tuple(c)
+        if len(c) != 6:
             raise ValueError("KElem needs six coordinates")
+        object.__setattr__(self, "u", QAlphaElem(c[0], c[2], c[4]))
+        object.__setattr__(self, "v", QAlphaElem(c[1], c[3], c[5]))
+
+    @property
+    def c(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
+        u, v = self.u, self.v
+        return (u.p, v.p, u.q, v.q, u.r, v.r)
 
     @classmethod
     def zero(cls) -> "KElem":
-        return cls((0, 0, 0, 0, 0, 0))
+        return _kelem(_ZERO, _ZERO)
 
     @classmethod
     def one(cls) -> "KElem":
-        return cls((1, 0, 0, 0, 0, 0))
+        return _kelem(QAlphaElem(1), _ZERO)
 
     @classmethod
     def rational(cls, x) -> "KElem":
-        return cls((_frac(x), 0, 0, 0, 0, 0))
+        return _kelem(QAlphaElem(x), _ZERO)
 
     @classmethod
     def from_qalpha(cls, v: QAlphaElem) -> "KElem":
-        return cls((v.p, 0, v.q, 0, v.r, 0))
+        return _kelem(v, _ZERO)
 
     @classmethod
     def root(cls, j: int) -> "KElem":
         """alpha_j as a KElem, j in {0, 1, 2}."""
         if j == 0:
-            return cls((0, 0, 1, 0, 0, 0))
+            return _kelem(QAlphaElem(0, 1), _ZERO)
         if j == 1:
-            return cls((0, 1, 0, 0, 0, 0))
+            return _kelem(_ZERO, QAlphaElem(1))
         if j == 2:  # alpha2 = -1 - alpha0 - alpha1
-            return cls((-1, -1, -1, 0, 0, 0))
+            return _kelem(-_Y1, QAlphaElem(-1))
         raise ValueError("root index must be 0, 1, or 2")
-
-    def coord(self, i: int, j: int) -> Fraction:
-        return self.c[2 * i + j]
-
-    def _as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return {
-            (i, j): self.c[2 * i + j]
-            for i in range(3)
-            for j in range(2)
-            if self.c[2 * i + j] != 0
-        }
-
-    @classmethod
-    def _from_dict(cls, d: Mapping[tuple[int, int], Fraction]) -> "KElem":
-        coords = [Fraction(0)] * 6
-        for (i, j), v in d.items():
-            coords[2 * i + j] = v
-        return cls(tuple(coords))
 
     @property
     def is_real(self) -> bool:
         """Real iff alpha1 does not appear in the reduced form."""
-        return self.c[1] == 0 and self.c[3] == 0 and self.c[5] == 0
+        return self.v == _ZERO
 
     def to_qalpha(self) -> QAlphaElem:
         if not self.is_real:
             raise ValueError(f"{self} is not real")
-        return QAlphaElem(self.c[0], self.c[2], self.c[4])
+        return self.u
 
     def conj_swapped(self) -> "KElem":
         """Image under the automorphism exchanging alpha1 and alpha2.
 
         On real-coefficient expressions this is complex conjugation.
         """
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), v in self._as_dict().items():
-            if j == 0:
-                out[(i, 0)] = out.get((i, 0), Fraction(0)) + v
-            else:  # alpha1 -> alpha2 = -1 - X - Y
-                for key, mult in (((i, 0), -1), ((i + 1, 0), -1), ((i, 1), -1)):
-                    out[key] = out.get(key, Fraction(0)) + v * mult
-        return KElem._from_dict(_reduce_xy(out))
+        # u + v*alpha2 = u + v*(-_Y1 - alpha1)
+        return _kelem(self.u - self.v * _Y1, -self.v)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         o = _as_kelem(other)
-        return KElem(tuple(a + b for a, b in zip(self.c, o.c)))
+        return _kelem(self.u + o.u, self.v + o.v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = _as_kelem(other)
-        return KElem(tuple(a - b for a, b in zip(self.c, o.c)))
+        return _kelem(self.u - o.u, self.v - o.v)
 
     def __rsub__(self, other):
         return _as_kelem(other) - self
 
     def __neg__(self):
-        return KElem(tuple(-a for a in self.c))
+        return _kelem(-self.u, -self.v)
 
     def __mul__(self, other):
         o = _as_kelem(other)
-        prod: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self._as_dict().items():
-            for (i2, j2), v2 in o._as_dict().items():
-                key = (i1 + i2, j1 + j2)
-                prod[key] = prod.get(key, Fraction(0)) + v1 * v2
-        return KElem._from_dict(_reduce_xy(prod))
+        # alpha1^2 = -_Y1*alpha1 - _Y0
+        vv = self.v * o.v
+        return _kelem(self.u * o.u - vv * _Y0, self.u * o.v + self.v * o.u - vv * _Y1)
 
     __rmul__ = __mul__
 
@@ -490,6 +436,13 @@ class KElem:
         return self.to_text()
 
 
+def _kelem(u: QAlphaElem, v: QAlphaElem) -> KElem:
+    k = object.__new__(KElem)
+    object.__setattr__(k, "u", u)
+    object.__setattr__(k, "v", v)
+    return k
+
+
 def _as_kelem(x) -> KElem:
     if isinstance(x, KElem):
         return x
@@ -504,12 +457,11 @@ def reduce_poly(terms: Mapping[tuple[int, int, int], object]) -> KElem:
     """Evaluate a rational polynomial in (alpha0, alpha1, alpha2) to a KElem.
 
     ``terms`` maps exponent triples (i, j, k) for X^i Y^j Z^k to rational
-    coefficients, where X, Y, Z stand for alpha0, alpha1, alpha2.  The
-    substitution Z -> -X - Y - 1 is applied first, then powers of Y and X
-    are reduced to the canonical basis.
+    coefficients, where X, Y, Z stand for alpha0, alpha1, alpha2; each
+    monomial is a product of KElem powers of the three roots.
     """
-    z_sub = {(1, 0): Fraction(-1), (0, 1): Fraction(-1), (0, 0): Fraction(-1)}
-    acc: dict[tuple[int, int], Fraction] = {}
+    x, y, z = (KElem.root(j) for j in range(3))
+    total = KElem.zero()
     for (i, j, k), coeff in terms.items():
         coeff = _frac(coeff)
         if coeff == 0:
@@ -518,17 +470,8 @@ def reduce_poly(terms: Mapping[tuple[int, int, int], object]) -> KElem:
             raise ValueError(
                 f"total degree {i + j + k} exceeds the cap of {MAX_REDUCE_DEGREE}"
             )
-        term: dict[tuple[int, int], Fraction] = {(i, j): coeff}
-        for _ in range(k):
-            nxt: dict[tuple[int, int], Fraction] = {}
-            for (a, b), v in term.items():
-                for (da, db), m in z_sub.items():
-                    key = (a + da, b + db)
-                    nxt[key] = nxt.get(key, Fraction(0)) + v * m
-            term = nxt
-        for key, v in term.items():
-            acc[key] = acc.get(key, Fraction(0)) + v
-    return KElem._from_dict(_reduce_xy(acc))
+        total = total + x**i * y**j * z**k * coeff
+    return total
 
 
 def k_div(num: KElem, den: KElem) -> KElem:

@@ -234,7 +234,7 @@ def test_criterion_09_property_suites(corpus, rs_seed):
     for seed in corpus:
         for n in range(3, 13):
             reports = [
-                streaming_peaks(seed, n, t_split=t, _cacheable=False)
+                streaming_peaks(seed, n, t_split=t)
                 for t in range(1, n)
             ]
             ok = ok and all(r == reports[0] for r in reports)

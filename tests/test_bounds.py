@@ -86,6 +86,20 @@ def test_e_constants_published_values():
     assert e_sums()[0].to_qalpha() == QAlphaElem(
         Fraction(6, 59), Fraction(4, 59), Fraction(9, 59)
     )
+    assert {key: v.to_text() for key, v in e.items()} == {
+        (0, 0): "20/59 0/1 7/118 0/1 1/118 0/1",
+        (0, 1): "-14/59 0/1 1/118 0/1 17/118 0/1",
+        (1, 0): "21/59 3/59 -1/118 -1/118 -1/118 0/1",
+        (1, 1): "3/59 -8/59 -17/118 -17/118 -17/118 0/1",
+        (2, 0): "18/59 -3/59 -3/59 1/118 0/1 0/1",
+        (2, 1): "11/59 8/59 8/59 17/118 0/1 0/1",
+    }
+
+
+def test_e_constants_are_read_only():
+    with pytest.raises(TypeError):
+        e_constants()[(0, 0)] = KElem.zero()
+    assert all(v.holds for v in identity_suite())
 
 
 def test_e_constants_interpolation_identities():

@@ -145,7 +145,7 @@ def test_streaming_split_independence(corpus, seed_complex, seed_complex_rationa
     for seed in corpus + [seed_complex, seed_complex_rational]:
         for n in range(3, 11):
             reports = [
-                streaming_peaks(seed, n, t_split=t, _cacheable=False)
+                streaming_peaks(seed, n, t_split=t)
                 for t in range(1, n)
             ]
             assert all(r == reports[0] for r in reports)
@@ -155,8 +155,9 @@ def test_streaming_even_skip_consistency(rs_seed, seed_pm2):
     # The unit seed's level-1 pair is the pm2 seed, so its peaks one level
     # up must agree, even shifts (where the unit seed's values vanish)
     # included.
-    rep_rs, _ = streaming_peaks(rs_seed, 7, _cacheable=False)
-    rep_pm, _ = streaming_peaks(seed_pm2, 6, _cacheable=False)
+    fastscan.clear_caches()
+    rep_rs, _ = streaming_peaks(rs_seed, 7)
+    rep_pm, _ = streaming_peaks(seed_pm2, 6)
     assert rep_rs.value == rep_pm.value
     assert rep_rs.witnesses == rep_pm.witnesses
 
@@ -185,13 +186,14 @@ def test_pruned_scan_equals_dense(corpus, seed_golay10, seed_padded3, seed_ratio
     for seed in corpus + [seed_golay10, seed_padded3, seed_rational]:
         for n in range(3, 17):
             for t in range(1, n):
-                rep, _ = streaming_peaks(seed, n, t_split=t, _cacheable=False)
+                rep, _ = streaming_peaks(seed, n, t_split=t)
                 value, wits = _dense_peak(seed, n, t)
                 assert rep.value == value, (seed.ell0, n, t)
                 assert rep.witnesses == wits, (seed.ell0, n, t)
 
 
 def test_complex_seed_scan_matches_oracle(seed_complex, seed_complex_rational):
+    fastscan.clear_caches()
     for seed, n in itertools.product([seed_complex, seed_complex_rational], range(0, 11)):
         pair = grs_pair(seed, n)
         spec = correlation.spectrum(pair.x, pair.y)
@@ -201,7 +203,7 @@ def test_complex_seed_scan_matches_oracle(seed_complex, seed_complex_rational):
             for s in range(-pair.length + 1, pair.length):
                 assert as_cq(spec.value(s)) == as_cq(correlation.crosscorr(pair.x, pair.y, s))
         value, shifts = correlation.pcc(pair.x, pair.y)
-        rep, psl_rep = streaming_peaks(seed, n, _cacheable=False)
+        rep, psl_rep = streaming_peaks(seed, n)
         assert rep.value == value, n
         assert rep.witnesses == tuple((s, spec.value(s)) for s in shifts), n
         x_next = grs_pair(seed, n + 1).x
@@ -219,9 +221,10 @@ def test_properly_complex_peak_still_raises(tmp_path, capsys):
     from grs.sequences import write_seed_pair
 
     seed = validate_seed(Sequence([1, CQ(1, 1)]), Sequence([1, CQ(-1, -1)]), 2)
+    fastscan.clear_caches()
     for n in (3, 10):
         with pytest.raises(ValueError, match="irrational"):
-            streaming_peaks(seed, n, _cacheable=False)
+            streaming_peaks(seed, n)
     seed_file = tmp_path / "seed.txt"
     with open(seed_file, "w") as fp:
         write_seed_pair(seed, fp)
@@ -367,13 +370,18 @@ def test_large_coefficients_leave_int64_exactly():
             assert iter_spectrum(seed, n, t).tolist() == oracle, (n, t)
             for s in range(-ell + 1, ell):
                 assert coeff_by_iteration(seed, n, t, s) == oracle[s + ell - 1]
-            rep, _ = streaming_peaks(seed, n, t_split=t, _cacheable=False)
+            rep, _ = streaming_peaks(seed, n, t_split=t)
             assert (rep.value, rep.witnesses) == (peak, wits), (n, t)
 
 
 def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
+    fastscan.clear_caches()
     with pytest.raises(BudgetExceeded):
-        streaming_peaks(rs_seed, 12, budget=64, _cacheable=False)
+        streaming_peaks(rs_seed, 12, budget=64)
+    # A cached peak report does not get round the budget.
+    assert streaming_peaks(rs_seed, 12)[0].value == 373
+    with pytest.raises(BudgetExceeded):
+        streaming_peaks(rs_seed, 12, budget=64)
     # A complex level is two arrays, re and im, so it counts twice: the
     # same scan fits the budget on a real seed and not on a complex one.
     rep, _ = streaming_peaks(seed_rational, 20, t_split=5, budget=300000)

@@ -283,3 +283,153 @@ def test_text_forms_are_pinned(v, text, shown):
     assert v.to_text() == text
     assert str(v) == shown
     assert QAlphaElem.from_text(text) == v
+
+
+# The six-coordinate reduction KElem used before it was held as
+# u + v*alpha1, kept as the reference for the current arithmetic.  An
+# element is a dict {(i, j): coefficient} over alpha0^i * alpha1^j, reduced
+# by rewriting alpha1^2 and alpha0^3 into lower powers.
+
+# X^i Y^j, j >= 2:  Y^2 -> -XY - Y - X^2 - X + 2
+_Y2_RULE = (((1, 1), -1), ((0, 1), -1), ((2, 0), -1), ((1, 0), -1), ((0, 0), 2))
+# X^i, i >= 3:  X^3 -> -X^2 + 2X + 4
+_X3_RULE = ((2, -1), (1, 2), (0, 4))
+
+
+def _ref_reduce(terms):
+    acc = {key: Fraction(c) for key, c in terms.items() if c != 0}
+
+    def _apply(key, coeff, replacements):
+        i, j = key
+        del acc[i, j]
+        for (di, dj), mult in replacements:
+            new = (i + di, j + dj)
+            val = acc.get(new, Fraction(0)) + coeff * mult
+            if val:
+                acc[new] = val
+            elif new in acc:
+                del acc[new]
+
+    while True:
+        high = [k for k in acc if k[1] >= 2]
+        if not high:
+            break
+        for i, j in high:
+            if (i, j) in acc:
+                _apply((i, j), acc[i, j], [((di, dj - 2), m) for (di, dj), m in _Y2_RULE])
+    while True:
+        high = [k for k in acc if k[0] >= 3]
+        if not high:
+            break
+        for i, j in high:
+            if (i, j) in acc:
+                _apply((i, j), acc[i, j], [((di - 3, 0), m) for di, m in _X3_RULE])
+    return tuple(acc.get((i, j), Fraction(0)) for i in range(3) for j in range(2))
+
+
+def _ref_terms(c):
+    return {(i, j): c[2 * i + j] for i in range(3) for j in range(2) if c[2 * i + j]}
+
+
+def _ref_mul(c1, c2):
+    prod = {}
+    for (i1, j1), v1 in _ref_terms(c1).items():
+        for (i2, j2), v2 in _ref_terms(c2).items():
+            key = (i1 + i2, j1 + j2)
+            prod[key] = prod.get(key, Fraction(0)) + v1 * v2
+    return _ref_reduce(prod)
+
+
+def _ref_conj(c):
+    out = {}
+    for (i, j), v in _ref_terms(c).items():
+        if j == 0:
+            out[(i, 0)] = out.get((i, 0), Fraction(0)) + v
+        else:  # alpha1 -> alpha2 = -1 - alpha0 - alpha1
+            for key, mult in (((i, 0), -1), ((i + 1, 0), -1), ((i, 1), -1)):
+                out[key] = out.get(key, Fraction(0)) + v * mult
+    return _ref_reduce(out)
+
+
+def _ref_div(num, den):
+    norm = _ref_mul(den, _ref_conj(den))
+    assert norm[1::2] == (0, 0, 0)
+    inv = QAlphaElem(*norm[::2]).inverse()
+    return _ref_mul(_ref_mul(num, _ref_conj(den)), (inv.p, 0, inv.q, 0, inv.r, 0))
+
+
+def _ref_pow(c, n):
+    out = (1, 0, 0, 0, 0, 0)
+    for _ in range(n):
+        out = _ref_mul(out, c)
+    return out
+
+
+def _ref_reduce_poly(terms):
+    # alpha2 = -alpha0 - alpha1 - 1, substituted one factor at a time.
+    acc = {}
+    for (i, j, k), coeff in terms.items():
+        term = {(i, j): Fraction(coeff)}
+        for _ in range(k):
+            nxt = {}
+            for (a, b), v in term.items():
+                for key, m in (((a + 1, b), -1), ((a, b + 1), -1), ((a, b), -1)):
+                    nxt[key] = nxt.get(key, Fraction(0)) + v * m
+            term = nxt
+        for key, v in term.items():
+            acc[key] = acc.get(key, Fraction(0)) + v
+    return _ref_reduce(acc)
+
+
+def _random_coords(rng):
+    # Zero the alpha1 half now and then, so real elements come up too.
+    coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(6)]
+    if rng.random() < 0.25:
+        coords[1::2] = [0, 0, 0]
+    return tuple(coords)
+
+
+def test_kelem_matches_six_coordinate_reference():
+    rng = random.Random(2026)
+    for _ in range(200):
+        c1, c2 = _random_coords(rng), _random_coords(rng)
+        x, y = KElem(c1), KElem(c2)
+        assert (x * y).c == _ref_mul(c1, c2)
+        assert (x + y).c == tuple(a + b for a, b in zip(c1, c2))
+        assert x.conj_swapped().c == _ref_conj(c1)
+        assert x.is_real == (c1[1::2] == (0, 0, 0))
+        if any(c2):
+            assert k_div(x, y).c == _ref_div(c1, c2)
+        if any(c1):
+            n = rng.randint(1, 4)
+            assert (x ** -n).c == _ref_pow(_ref_div((1, 0, 0, 0, 0, 0), c1), n)
+    for _ in range(40):
+        p = _poly3(rng, terms=5, deg=5)
+        assert reduce_poly(p).c == _ref_reduce_poly(p)
+
+
+def test_kelem_surface():
+    c = (Fraction(1, 2), -3, 0, Fraction(7, 5), 2, 0)
+    x = KElem(c)
+    assert x.c == c
+    assert x.to_text() == str(x) == "1/2 -3/1 0/1 7/5 2/1 0/1"
+    assert (x.u, x.v) == (QAlphaElem(Fraction(1, 2), 0, 2), QAlphaElem(-3, Fraction(7, 5)))
+    y = KElem.from_qalpha(x.u) + KElem.root(1) * KElem.from_qalpha(x.v)
+    assert x == y and hash(x) == hash(y)
+    with pytest.raises(ValueError):
+        KElem((1, 2, 3))
+    with pytest.raises(TypeError):
+        KElem((0.5, 0, 0, 0, 0, 0))
+    # root j in row-major coordinates (u.p, v.p, u.q, v.q, u.r, v.r)
+    assert [KElem.root(j).c for j in range(3)] == [
+        (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (-1, -1, -1, 0, 0, 0)
+    ]
+    assert KElem.root(1) * KElem.root(1) == reduce_poly({(0, 2, 0): 1})
+    # alpha0 * alpha1 has v = alpha0: no rational part, yet not real.
+    mixed = KElem.root(0) * KElem.root(1)
+    assert mixed.c == (0, 0, 0, 1, 0, 0)
+    assert not mixed.is_real
+    with pytest.raises(ValueError):
+        mixed.to_qalpha()
+    v = QAlphaElem(Fraction(-3, 7), 22, Fraction(5, 9))
+    assert KElem.from_qalpha(v).is_real and KElem.from_qalpha(v).to_qalpha() == v
