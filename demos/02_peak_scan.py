@@ -1,8 +1,9 @@
 """Peak scans without materializing the sequences.
 
 The coefficient-table recursion evaluates any crosscorrelation value of
-the level-n pair from two cached spectra around level n/2, so peaks are
-computable in O(2^(n/2)) memory.  Run:
+the level-n pair from two cached lower-level spectra.  The peak scan
+searches the tree of coefficient blocks best first, bounded by the peaks
+of lower levels, so its memory does not grow with n.  Run:
 
     python3 demos/02_peak_scan.py
 """
@@ -32,7 +33,8 @@ print(f"levels 0..20 in {time.monotonic() - t0:.2f}s")
 rep = psl_report(seed, 17)
 print("\nsidelobe peak of level 17:", rep.value, "at", rep.witnesses)
 
-# Split choice does not change the output, only the memory balance.
+# The split sets the leaf depth of the search and the two dense levels;
+# it does not change the output.
 for t_split in (5, 8, 12):
     rep, _ = streaming_peaks(seed, 16, t_split=t_split)
     print(f"t_split={t_split:2d} -> {rep.value} at {rep.witnesses}")

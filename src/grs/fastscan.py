@@ -10,10 +10,7 @@ L = ell_{n-t+1} and 0 <= r < L,
            + Delta_{t,q} conj(C_{n-t-1}(ell_{n-t-1} - r)),
 
 where the four integer coefficient families A, B, Gamma, Delta satisfy a
-parity-split recursion in t (see ``abgd``).  Scanning all shifts this way
-needs O(2^{n-t} + 2^t) memory instead of materializing length-2^n
-sequences, so peak crosscorrelation and peak sidelobe level stay
-computable far beyond the sizes where sequences fit in memory.
+parity-split recursion in t (see ``abgd``).
 
 Every level is held as Gaussian integers: the correlations of the seed
 times d^2, where d = lcm(x0.den, y0.den) clears every denominator of the
@@ -22,19 +19,24 @@ im, for a complex one.  Within one block of shifts sharing q the four
 table coefficients are constant, so one evaluator (``_block_values``)
 computes whole blocks as combinations of views of the level arrays; the
 coefficients are real, so the imaginary part is the same sum with the
-signs of the two conjugated terms flipped.
-Dense levels evaluate every block at once; the peak scan visits blocks in
-decreasing order of the per-block bound and stops once no remaining block
-can reach the best value found, comparing squared magnitudes for complex
-seeds.  Every level and every block whose exact bound exceeds int64 is
-computed with Python integers (object dtype) instead.
+signs of the two conjugated terms flipped.  Every level and every block
+whose exact bound exceeds int64 is computed with Python integers (object
+dtype) instead.
+
+The blocks of all step counts form one binary tree over the shifts
+(``_children``).  The peak scan searches it best first, bounding every
+block by the exact peaks of two lower levels, and evaluates only the
+leaves that can reach the best value found (``_tree_peak``).  Those peaks
+come from dense levels up to a small floor and from the same search above
+it, so the memory of a default scan does not grow with n.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 
 import numpy as np
 
@@ -93,47 +95,53 @@ class AbgdTable:
 
     def entry(self, j: int) -> tuple[int, int, int, int]:
         """(A, B, Gamma, Delta) at index j; zero outside the support."""
-        idx = j + self.offset
-        if not 0 <= idx < self.a.size:
-            return (0, 0, 0, 0)
-        return (int(self.a[idx]), int(self.b[idx]), int(self.g[idx]), int(self.d[idx]))
+        return _coeffs(self.t, j)
 
 
-_abgd_cache: list[AbgdTable] = []
+_ROOTS = {-1: (-1, 0, 2, 0), 0: (0, 1, 0, 2)}
+
+
+def _children(node):
+    """The coefficients (A', B', Gamma', Delta') of blocks 2q | 2q+1 at step
+    count t+1 from those of block q at step count t (``_ROOTS`` at t = 1),
+    on integers or on arrays of them: A' = -A + B | Gamma;
+    B' = Delta | A - B;  Gamma' = 2A + 2B | 0;  Delta' = 0 | 2A + 2B."""
+    a, b, g, d = node
+    return (-a + b, d, 2 * a + 2 * b, 0 * a), (g, a - b, 0 * a, 2 * a + 2 * b)
+
+
+def _coeffs(t: int, q: int) -> tuple[int, int, int, int]:
+    """``abgd(t).entry(q)`` without the table: the sign of q picks the root,
+    its lower t-1 bits the children on the path down, in O(t)."""
+    if t < 1:
+        raise ValueError("step count must be at least 1")
+    if not -(1 << (t - 1)) <= q < 1 << (t - 1):
+        return (0, 0, 0, 0)
+    node = _ROOTS[q >> (t - 1)]
+    for bit in reversed(range(t - 1)):
+        node = _children(node)[q >> bit & 1]
+    return node
 
 
 def abgd(t: int) -> AbgdTable:
-    """Coefficient tables at step count t >= 1.
-
-    Base: A_{1,-1} = -1, B_{1,0} = 1, Gamma_{1,-1} = 2, Delta_{1,0} = 2.
-    Step (even j uses index j/2, odd j uses (j-1)/2 of the previous row):
-    A' = -A + B | Gamma;  B' = Delta | A - B;  Gamma' = 2A + 2B | 0;
-    Delta' = 0 | 2A + 2B.
-    """
+    """Coefficient tables at step count t >= 1: the roots at t = 1, then
+    entry j from entry floor(j/2) of the previous row by ``_children``."""
     if t < 1:
         raise ValueError("step count must be at least 1")
-    if not _abgd_cache:
-        mk = lambda pairs: np.array(pairs, dtype=np.int64)
-        _abgd_cache.append(
-            AbgdTable(1, mk([-1, 0]), mk([0, 1]), mk([2, 0]), mk([0, 2]))
-        )
-    while len(_abgd_cache) < t:
-        prev = _abgd_cache[-1]
-        size = 2 * prev.a.size
-        a = np.zeros(size, dtype=np.int64)
-        b = np.zeros(size, dtype=np.int64)
-        g = np.zeros(size, dtype=np.int64)
-        d = np.zeros(size, dtype=np.int64)
-        a[0::2] = -prev.a + prev.b
-        a[1::2] = prev.g
-        b[0::2] = prev.d
-        b[1::2] = prev.a - prev.b
-        g[0::2] = 2 * prev.a + 2 * prev.b
-        d[1::2] = 2 * prev.a + 2 * prev.b
-        for arr in (a, b, g, d):
-            arr.flags.writeable = False
-        _abgd_cache.append(AbgdTable(prev.t + 1, a, b, g, d))
-    return _abgd_cache[t - 1]
+    rows = np.array(list(_ROOTS.values()), dtype=np.int64).T
+    for _ in range(t - 1):
+        rows = np.stack(_children(rows), axis=-1).reshape(4, -1)
+    return AbgdTable(t, *rows)
+
+
+def _bound(node, m_nt: int, m_nt1: int) -> int:
+    """(|A| + |B|) m_nt + max(|Gamma|, |Delta|) m_nt1, the largest
+    ``nellie_bound`` of a block, as a sum: one of Gamma and Delta is zero.
+    Gamma and Delta read disjoint remainder windows, so it caps every
+    partial sum of the four-term formula, real and imaginary, too: a block
+    whose bound fits int64 evaluates without wraparound."""
+    a, b, g, d = node
+    return (abs(a) + abs(b)) * m_nt + (abs(g) + abs(d)) * m_nt1
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +152,17 @@ def abgd(t: int) -> AbgdTable:
 # complex one; ``correlation._exact_value`` maps their entries back.
 # Levels 0 and 1 come from the oracle on the (small) materialized pairs,
 # higher levels from the t = 1 instance of the coefficient formula, one
-# O(ell_k) pass each.
+# O(ell_k) pass each.  ``_peak_bounds`` holds m_k, the least integer at
+# or above every |d^2 C_k(s)|, for k = 0, 1, ... in ascending order.
 
 _int_levels: dict[tuple[SeedPair, int], tuple[np.ndarray, ...]] = {}
+_peak_bounds: dict[SeedPair, list[int]] = {}
 
 
 def clear_caches() -> None:
-    _abgd_cache.clear()
     _int_levels.clear()
     _geoff_memo.clear()
-    _peak_cache.clear()
+    _peak_bounds.clear()
     _block.cache_clear()
 
 
@@ -197,27 +206,33 @@ def _peak_abs(level: tuple[np.ndarray, ...]) -> int:
     if sum(m * m for m in tops) > INT64_MAX:
         level = tuple(part.astype(object) for part in level)
     re, im = level
-    sq = int((re * re + im * im).max(initial=0))
+    return _root_up(int((re * re + im * im).max(initial=0)))
+
+
+def _root_up(sq: int) -> int:
+    """The least integer at or above the square root of sq."""
     root = isqrt(sq)
     return root + (root * root < sq)
 
 
-def _block_bounds(tables: AbgdTable, m_nt: int, m_nt1: int) -> np.ndarray:
-    """Per-block bound (|A_q| + |B_q|) m_nt + max(|Gamma_q|, |Delta_q|) m_nt1,
-    the maximum over r of ``nellie_bound`` for the peak magnitudes m_nt and
-    m_nt1 of levels n-t and n-t-1.
+def _floor(seed: SeedPair) -> int:
+    """The default dense floor: the largest level k >= 1 with
+    ell_k <= 2^13 (level 13 of the unit seed), or 1 when there is none."""
+    return max(1, ((1 << 13) // seed.ell0).bit_length() - 1)
 
-    The Gamma and Delta terms read disjoint remainder windows, so the bound
-    also caps every partial sum of the four-term formula in its block, in
-    the real and in the imaginary part: a block whose bound fits int64
-    evaluates without wraparound.  The bounds come back as Python integers
-    (object dtype) when one would not fit.
-    """
-    ab = np.abs(tables.a) + np.abs(tables.b)
-    gd = np.maximum(np.abs(tables.g), np.abs(tables.d))
-    if int(ab.max()) * m_nt + int(gd.max()) * m_nt1 > INT64_MAX:
-        ab, gd = ab.astype(object), gd.astype(object)
-    return ab * m_nt + gd * m_nt1
+
+def _peak_bounds_to(seed: SeedPair, k: int) -> list[int]:
+    """m_0, m_1, ... of the seed, at least to m_k: read off the dense level
+    up to the floor, found by the tree search one level lower above it."""
+    ms = _peak_bounds.setdefault(seed, [])
+    floor = _floor(seed)
+    for j in range(len(ms), k + 1):
+        if j <= floor:
+            ms.append(_peak_abs(_int_level(seed, j)))
+        else:
+            best, _ = _tree_peak(seed, j, j - floor)
+            ms.append(best if seed.is_rational else _root_up(best))
+    return ms
 
 
 def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, ...]:
@@ -236,7 +251,7 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
     evaluate one block per row by broadcasting.  The coefficients are
     real, so the imaginary part of a complex level is the same sum over
     the im arrays with the signs of B and Delta flipped.  ``bound`` caps
-    every partial sum (see ``_block_bounds``); past int64 the levels are
+    every partial sum (see ``_bound``); past int64 the levels are
     evaluated as Python integers.  Returns one array per part of the level.
     """
     half = level_nt1[0].size  # ell_{n-t} - 1
@@ -260,11 +275,12 @@ def _dense_int(seed: SeedPair, n: int, t: int) -> tuple[np.ndarray, ...]:
     r = 0 of the next block.  Python integers (object dtype) when some
     value could leave int64."""
     lv1, lv2 = _split_levels(seed, n, t)
-    tables = abgd(t)
+    table = abgd(t)
+    cols = (table.a, table.b, table.g, table.d)
     level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
-    bound = _block_bounds(tables, _peak_abs(level_nt), _peak_abs(level_nt1)).max()
-    cols = (col[:, None] for col in (tables.a, tables.b, tables.g, tables.d))
-    blocks = _block_values(*cols, level_nt, level_nt1, bound)
+    ms = _peak_bounds_to(seed, lv1)
+    bound = _bound([c.astype(object) for c in cols], ms[lv1], ms[lv2]).max()
+    blocks = _block_values(*(c[:, None] for c in cols), level_nt, level_nt1, bound)
     return tuple(np.pad(v, ((0, 0), (0, 1))).reshape(-1)[:-1] for v in blocks)
 
 
@@ -281,10 +297,8 @@ def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
     shifts."""
     lv1, lv2 = _split_levels(seed, n, t)
     level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
-    a, b, g, d = abgd(t).entry(q)
-    m_nt, m_nt1 = _peak_abs(level_nt), _peak_abs(level_nt1)
-    bound = (abs(a) + abs(b)) * m_nt + max(abs(g), abs(d)) * m_nt1
-    return _block_values(a, b, g, d, level_nt, level_nt1, bound)
+    node, ms = _coeffs(t, q), _peak_bounds_to(seed, lv1)
+    return _block_values(*node, level_nt, level_nt1, _bound(node, ms[lv1], ms[lv2]))
 
 
 def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
@@ -386,27 +400,23 @@ def _psl_from_pcc(pcc_rep: PeakReport, ell_n: int) -> PeakReport:
     """Map a level-n crosscorrelation peak to the level-(n+1) sidelobe
     peak: the autocorrelation at positive shift s equals
     conj(C_n(ell_n - s))."""
-    mapped = sorted(
-        (ell_n - s, value_conj(v)) for s, v in pcc_rep.witnesses
-    )
+    mapped = sorted((ell_n - s, value_conj(v)) for s, v in pcc_rep.witnesses)
     return PeakReport(pcc_rep.level + 1, pcc_rep.value, tuple(mapped))
 
 
-def streaming_peaks(
-    seed: SeedPair,
-    n: int,
-    t_split: int | None = None,
-    budget: int | None = None,
-) -> tuple[PeakReport, PeakReport]:
-    """Peak crosscorrelation of the level-n pair by a bound-pruned block
-    scan over two cached low-level spectra (see ``_block_peak``), plus the
-    derived peak sidelobe report for level n+1.
+def streaming_peaks(seed: SeedPair, n: int, t_split: int | None = None,
+                    budget: int | None = None) -> tuple[PeakReport, PeakReport]:
+    """Peak crosscorrelation of the level-n pair by a best-first search of
+    the shift tree (see ``_tree_peak``), plus the derived peak sidelobe
+    report for level n+1.
 
-    The default split t = floor(n/2) balances the two memory terms; any
-    split with 0 < t < n gives identical output.  Levels 0..2 fall back
-    to the oracle on the materialized pair.  The peak value is |v| of the
-    first witness v; a properly complex v, whose magnitude is in general
-    irrational, raises ValueError.
+    The split t is the depth of the leaves, whose blocks are evaluated
+    from the dense levels n-t and n-t-1; by default n-t is the seed's
+    dense floor, or n-1 below it.  Any split with 0 < t < n gives
+    identical output.  Levels 0..2 fall back to the oracle on the
+    materialized pair.  The peak value is |v| of the first witness v; a
+    properly complex v, whose magnitude is in general irrational, raises
+    ValueError.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -415,59 +425,56 @@ def streaming_peaks(
         rep = _report(n, correlation.spectrum(pair.x, pair.y))
         return rep, _psl_from_pcc(rep, seed.ell0 << n)
 
-    t = t_split if t_split is not None else max(1, n // 2)
-    lv1, lv2 = _split_levels(seed, n, t)
+    t = t_split if t_split is not None else n - min(_floor(seed), n - 1)
+    lv1, _ = _split_levels(seed, n, t)
     cap = coefficient_budget(budget)
-    need = 4 * (seed.ell0 << lv1) * (1 if seed.is_rational else 2) + (1 << t)
+    need = 4 * (seed.ell0 << lv1) * (1 if seed.is_rational else 2)
     if need > cap:
         raise BudgetExceeded(f"scan needs about {need} cached entries, budget is {cap}")
 
-    use_cache = t_split is None
-    if use_cache:
-        cached = _peak_cache.get((seed, n))
-        if cached is not None:
-            return cached
-
-    scale = _scale(seed)
-    _, hits = _block_peak(abgd(t), _int_level(seed, lv1), _int_level(seed, lv2))
+    scale, hits = _scale(seed), _tree_peak(seed, n, t)[1]
     wits = tuple((s, correlation._exact_value(scale, *parts)) for s, *parts in hits)
     pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]) if wits else 0, wits)
-    result = pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
-    if use_cache:
-        _peak_cache[(seed, n)] = result
-    return result
+    return pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
 
 
-_peak_cache: dict[tuple[SeedPair, int], tuple[PeakReport, PeakReport]] = {}
-
-
-def _block_peak(tables, level_nt, level_nt1) -> tuple[int, list]:
-    """Largest |C_n(s)| over all shifts (its square for a complex level)
+def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
+    """Largest |d^2 C_n(s)| over all shifts (its square for a complex seed)
     and every attaining shift with the parts of its value, (s, re) or
     (s, re, im), sorted by shift; (0, []) when every value vanishes.
 
-    Block q of the shifts s = q * L + r, L = 2 * ell_{n-t} and 0 <= r < L,
-    is evaluated by ``_block_values``.  The blocks q in
-    [-2^(t-1), 2^(t-1)) cover shifts [-ell_n, ell_n); the one shift outside
-    the window, -ell_n, has r = 0, where every value vanishes.
-
-    Blocks are visited in decreasing order of their bound, down to the
-    first bound below the best value found: blocks whose bound equals the
-    best are still visited, so every witness is kept.  Complex levels
-    compare squared magnitudes with squared bounds, in integers.
+    Node q at depth k holds the shifts q * 2 ell_{n-k} + r, 0 <= r <
+    2 ell_{n-k}; the two roots cover [-ell_n, ell_n), and -ell_n has r = 0,
+    where every value vanishes.  Its bound is ``_bound`` for m_{n-k} and
+    m_{n-k-1}, capped by its parent's.  Nodes are expanded by decreasing
+    bound down to the leaves at depth t, evaluated from r = 1 on, until
+    a bound falls below the best value: nodes whose bound equals it are
+    still expanded, so every witness is kept.  Complex levels compare
+    squared magnitudes with squared bounds.
     """
-    big_l = level_nt[0].size + 1
-    square = len(level_nt) == 2
-    bounds = _block_bounds(tables, _peak_abs(level_nt), _peak_abs(level_nt1))
-    best = 0
-    hits: list[tuple[int, np.ndarray, list]] = []
-    for qi in np.argsort(bounds, kind="stable")[::-1]:
-        bound = int(bounds[qi]) ** (2 if square else 1)
+    lv1, lv2 = _split_levels(seed, n, t)
+    level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
+    power = 1 if seed.is_rational else 2
+    big_l = 2 * (seed.ell0 << lv1)
+    ms = _peak_bounds_to(seed, n - 1)
+
+    def node(depth, q, coeffs, cap):
+        own = _bound(coeffs, ms[n - depth], ms[n - depth - 1])
+        return (-min(own, cap), depth, q, coeffs, own)
+
+    heap = sorted(node(1, q, coeffs, inf) for q, coeffs in _ROOTS.items())
+    best, hits = 0, []
+    while heap:
+        neg, depth, q, coeffs, own = heapq.heappop(heap)
+        bound = (-neg) ** power
         if bound < best or bound == 0:
             break
-        coeffs = (int(col[qi]) for col in (tables.a, tables.b, tables.g, tables.d))
-        vals = _block_values(*coeffs, level_nt, level_nt1, bound)
-        mags = vals[0] * vals[0] + vals[1] * vals[1] if square else np.abs(vals[0])
+        if depth < t:
+            for child_q, child in zip((2 * q, 2 * q + 1), _children(coeffs)):
+                heapq.heappush(heap, node(depth + 1, child_q, child, -neg))
+            continue
+        vals = _block_values(*coeffs, level_nt, level_nt1, own**power)
+        mags = vals[0] * vals[0] + vals[1] * vals[1] if power == 2 else np.abs(vals[0])
         m = int(mags.max())
         if m < best or m == 0:
             continue
@@ -475,13 +482,12 @@ def _block_peak(tables, level_nt, level_nt1) -> tuple[int, list]:
             best = m
             hits.clear()
         idx = np.flatnonzero(mags == best)
-        hits.append(((int(qi) - tables.offset) * big_l + 1, idx, [v[idx] for v in vals]))
-    wits = sorted(
+        hits.append((q * big_l + 1, idx, [v[idx] for v in vals]))
+    return best, sorted(
         (start + int(u), *map(int, parts))
         for start, idx, vals in hits
         for u, *parts in zip(idx, *vals)
     )
-    return best, wits
 
 
 def psl_report(seed: SeedPair, n: int, t_split: int | None = None) -> PeakReport:
@@ -511,13 +517,9 @@ def nellie_bound(t: int, q: int, r: int, ell_nt: int, m_nt, m_nt1):
         raise ValueError("remainder out of range")
     if r == 0:
         return 0
-    aq, bq, gq, dq = abgd(t).entry(q)
-    base = (abs(aq) + abs(bq)) * m_nt
-    if r < ell_nt:
-        return base + abs(dq) * m_nt1
-    if r == ell_nt:
-        return base
-    return base + abs(gq) * m_nt1
+    a, b, g, d = _coeffs(t, q)
+    tail = d if r < ell_nt else g if r > ell_nt else 0
+    return (abs(a) + abs(b)) * m_nt + abs(tail) * m_nt1
 
 
 def derrel_bound(pcc0, psl0, n: int, q: int):
@@ -528,7 +530,5 @@ def derrel_bound(pcc0, psl0, n: int, q: int):
     """
     if n < 2:
         raise LevelTooSmall("seed-statistics bound needs n >= 2")
-    aq, bq, gq, dq = abgd(n - 1).entry(q)
-    return (abs(aq) + abs(bq) + abs(gq) + abs(dq)) * pcc0 + (abs(aq) + abs(bq)) * (
-        2 * psl0
-    )
+    a, b, g, d = _coeffs(n - 1, q)
+    return (abs(a) + abs(b) + abs(g) + abs(d)) * pcc0 + (abs(a) + abs(b)) * (2 * psl0)

@@ -200,6 +200,17 @@ def test_rs_bounds_full_paper_range():
     assert streaming_peaks(rudin_shapiro_seed(), 38)[0].value == 133991557
 
 
+def test_rs_verdicts_hold_to_level_200():
+    # Every upper bound and the envelope far past the paper's range; the
+    # envelope is closest to failing near n = 166.
+    verdicts = verify_rs_bounds(200) + verify_rs_lower_bounds(200)
+    assert all(v.holds for v in verdicts)
+    by_id = {v.claim_id: v for v in verdicts}
+    envelope = by_id["rs_pcc_envelope_n166"]
+    assert envelope.holds and envelope.witness == {"n": 166, "form": "squared"}
+    assert len(verdicts) == 686
+
+
 def test_generic_prefactor_values():
     assert generic_prefactor(1, 0) == 9 * alpha_pow(-4)
     assert generic_prefactor(1, 1) == 9 * alpha_pow(-4) + 18 * alpha_pow(-5)

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -49,6 +49,19 @@ def test_abgd_support_and_parity():
                 assert g == 0
             else:
                 assert d == 0
+
+
+def test_coeff_walk_equals_table():
+    # The O(t) walk down the child maps reads the same entries as the whole
+    # table, and zeros outside its support.
+    for t in range(1, 11):
+        table = abgd(t)
+        half = 1 << (t - 1)
+        for q in range(-2 * half, 2 * half):
+            row = [0] * 4
+            if -half <= q < half:
+                row = [int(col[q + half]) for col in (table.a, table.b, table.g, table.d)]
+            assert list(fastscan._coeffs(t, q)) == row, (t, q)
 
 
 def test_coeff_by_iteration_examples(rs_seed):
@@ -130,6 +143,16 @@ def test_streaming_psl_reports(rs_seed):
     for n in range(0, 15):
         rep = psl_report(rs_seed, n)
         assert rep.witnesses == TABLE4[n]
+
+
+def test_streaming_golden_large_levels(rs_seed):
+    # Far past any materializable level; two leaf depths agree on each.
+    for n, value in ((50, 59901979961), (100, 6109881259849012232609),
+                     (166, 1973078732664453215819858214744627849)):
+        reports = [streaming_peaks(rs_seed, n, t_split=t)[0] for t in (n - 13, n - 9)]
+        assert reports[0] == reports[1]
+        assert reports[0].value == value
+        assert streaming_peaks(rs_seed, n)[0] == reports[0]
 
 
 def test_streaming_beyond_cutoff(rs_seed):
@@ -238,19 +261,19 @@ def test_properly_complex_peak_still_raises(tmp_path, capsys):
 def test_clear_caches_empties_every_cache(rs_seed):
     from grs import fastscan
 
-    before, _ = streaming_peaks(rs_seed, 10)
+    before, _ = streaming_peaks(rs_seed, 20)
     abgd(12)
     coeff_by_iteration(rs_seed, 10, 5, 3)
+    coeff_by_geoff(rs_seed, 10, 3)
     fastscan.clear_caches()
     caches = (
-        fastscan._abgd_cache,
         fastscan._int_levels,
         fastscan._geoff_memo,
-        fastscan._peak_cache,
+        fastscan._peak_bounds,
     )
     assert all(len(cache) == 0 for cache in caches)
     assert fastscan._block.cache_info().currsize == 0
-    again, _ = streaming_peaks(rs_seed, 10)
+    again, _ = streaming_peaks(rs_seed, 20)
     assert again == before
 
 
@@ -290,67 +313,90 @@ def test_peak_abs_is_the_integer_ceiling_of_the_modulus():
     assert _peak_abs((np.array([big]), np.array([big]))) == isqrt(2 * big * big) + 1
 
 
-def test_block_bound_is_max_of_nellie_bound():
-    from grs.fastscan import _block_bounds
+def test_tree_bounds_dominate_every_block(corpus, seed_golay10, seed_padded3):
+    # Every node of the shift tree, at every depth, bounds |C_n(s)| on its
+    # whole block, with its parent's bound as a cap; level n is dense.
+    for seed in corpus + [seed_golay10, seed_padded3]:
+        for n in range(2, 13):
+            ell = seed.ell0 << n
+            mags = np.abs(iter_spectrum(seed, n, 1))
+            ms = fastscan._peak_bounds_to(seed, n - 1)
+            assert ms[n - 1] == fastscan._peak_abs(fastscan._int_level(seed, n - 1))
+            nodes = [(q, node, inf) for q, node in fastscan._ROOTS.items()]
+            for depth in range(1, n):
+                size = 2 * (seed.ell0 << (n - depth))
+                below = []
+                for q, node, cap in nodes:
+                    bound = min(cap, fastscan._bound(node, ms[n - depth], ms[n - depth - 1]))
+                    lo, hi = max(q * size, 1 - ell), min((q + 1) * size, ell)
+                    assert mags[lo + ell - 1 : hi + ell - 1].max() <= bound, (n, depth, q)
+                    below += [(2 * q + i, c, bound) for i, c in enumerate(fastscan._children(node))]
+                nodes = below
 
-    for t in range(1, 7):
-        ell_nt = 4
-        bounds = _block_bounds(abgd(t), 11, 7)
-        for q in range(-(1 << (t - 1)), 1 << (t - 1)):
-            per_shift = [nellie_bound(t, q, r, ell_nt, 11, 7) for r in range(2 * ell_nt)]
-            assert bounds[q + (1 << (t - 1))] == max(per_shift), (t, q)
 
-
-def _four_term_at(tables, s, spec_nt, ell_nt, spec_nt1):
-    """C_n(s) shift by shift from the four-term formula, on CQ values."""
-    def look(spec, ell, u):
-        idx = u + ell - 1
-        return spec[idx] if 0 <= idx < len(spec) else as_cq(0)
-
-    ell_nt1 = ell_nt // 2
-    q, r = divmod(s, 2 * ell_nt)
-    a, b, g, d = tables.entry(q)
-    return (
-        a * look(spec_nt, ell_nt, r - ell_nt)
-        + b * look(spec_nt, ell_nt, ell_nt - r).conj()
-        + g * look(spec_nt1, ell_nt1, r - 3 * ell_nt1)
-        + d * look(spec_nt1, ell_nt1, ell_nt1 - r).conj()
+def _reference_block_peak(tables, level_nt, level_nt1):
+    """The sorted-bounds scan that the tree search replaced: the bound of
+    every block of a whole ``abgd(t)`` table, blocks visited in decreasing
+    order of bound down to the first bound below the best value found."""
+    big_l = level_nt[0].size + 1
+    square = len(level_nt) == 2
+    m_nt, m_nt1 = fastscan._peak_abs(level_nt), fastscan._peak_abs(level_nt1)
+    ab = (np.abs(tables.a) + np.abs(tables.b)).astype(object)
+    gd = np.maximum(np.abs(tables.g), np.abs(tables.d)).astype(object)
+    bounds = ab * m_nt + gd * m_nt1
+    best = 0
+    hits = []
+    for qi in np.argsort(bounds, kind="stable")[::-1]:
+        bound = int(bounds[qi]) ** (2 if square else 1)
+        if bound < best or bound == 0:
+            break
+        coeffs = (int(col[qi]) for col in (tables.a, tables.b, tables.g, tables.d))
+        vals = fastscan._block_values(*coeffs, level_nt, level_nt1, bound)
+        mags = vals[0] * vals[0] + vals[1] * vals[1] if square else np.abs(vals[0])
+        m = int(mags.max())
+        if m < best or m == 0:
+            continue
+        if m > best:
+            best = m
+            hits.clear()
+        idx = np.flatnonzero(mags == best)
+        hits.append(((int(qi) - tables.offset) * big_l + 1, idx, [v[idx] for v in vals]))
+    wits = sorted(
+        (start + int(u), *map(int, parts))
+        for start, idx, vals in hits
+        for u, *parts in zip(idx, *vals)
     )
+    return best, wits
 
 
-def test_block_peak_keeps_equal_bound_blocks():
-    # Random +/-1 and {-1, 0, 1} level arrays make many blocks reach their
-    # bound, so ties between blocks whose bound equals the peak are common.
-    # Two parts are the re and im arrays of a complex level, whose peak is
-    # taken on squared magnitudes.
-    from grs.fastscan import _block_peak
+def test_tree_search_equals_sorted_bounds_reference(
+    rs_seed, seed_pm4, seed_golay10, seed_padded3, seed_rational, seed_complex,
+    seed_complex_rational,
+):
+    seeds = [rs_seed, seed_pm4, seed_golay10, seed_padded3, seed_rational, seed_complex,
+             seed_complex_rational]
+    for seed in seeds:
+        for n in range(3, 17):
+            for t in range(1, n):
+                levels = (fastscan._int_level(seed, n - t), fastscan._int_level(seed, n - t - 1))
+                reference = _reference_block_peak(abgd(t), *levels)
+                assert fastscan._tree_peak(seed, n, t) == reference, (seed.ell0, n, t)
 
-    rng = np.random.default_rng(2021)
-    for parts, t in itertools.product((1, 2), range(1, 7)):
-        tables = abgd(t)
-        for ell_nt in (2, 4, 6, 8):
-            for values in ([-1, 1], [-1, 0, 1]):
-                level_nt = tuple(rng.choice(values, 2 * ell_nt - 1) for _ in range(parts))
-                level_nt1 = tuple(rng.choice(values, ell_nt - 1) for _ in range(parts))
-                cq_nt, cq_nt1 = (
-                    [as_cq(tuple(int(p[i]) for p in level) + (0,) * (2 - parts))
-                     for i in range(level[0].size)]
-                    for level in (level_nt, level_nt1)
-                )
-                ell = ell_nt << t
-                dense = {
-                    s: _four_term_at(tables, s, cq_nt, ell_nt, cq_nt1)
-                    for s in range(-ell + 1, ell)
-                }
-                best = max(v.abs2() for v in dense.values())
-                wits = [
-                    (s, int(v.re), int(v.im))[: 1 + parts]
-                    for s, v in dense.items()
-                    if best and v.abs2() == best
-                ]
-                if parts == 1:
-                    best = max(abs(int(v.re)) for v in dense.values())
-                assert _block_peak(tables, level_nt, level_nt1) == (best, wits)
+
+def test_tree_search_keeps_equal_bound_witnesses():
+    # (1, 1, 0)/(0, -1, 1) with ell0 = 3 peaks at two shifts from level 5
+    # on, and deep splits put them in blocks whose bound equals the peak:
+    # the search must expand those blocks too.
+    seed = validate_seed(Sequence([1, 1, 0]), Sequence([0, -1, 1]), 3)
+    for n in range(3, 11):
+        pair = grs_pair(seed, n)
+        spec = correlation.spectrum(pair.x, pair.y)
+        value, shifts = correlation.pcc(pair.x, pair.y)
+        assert len(shifts) == (1 if n in (3, 4, 6) else 2)
+        for t in range(1, n):
+            rep, _ = streaming_peaks(seed, n, t_split=t)
+            assert rep.value == value, (n, t)
+            assert rep.witnesses == tuple((s, spec.value(s)) for s in shifts), (n, t)
 
 
 def test_large_coefficients_leave_int64_exactly():
@@ -378,7 +424,7 @@ def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
     fastscan.clear_caches()
     with pytest.raises(BudgetExceeded):
         streaming_peaks(rs_seed, 12, budget=64)
-    # A cached peak report does not get round the budget.
+    # Cached peaks of lower levels do not get round the budget.
     assert streaming_peaks(rs_seed, 12)[0].value == 373
     with pytest.raises(BudgetExceeded):
         streaming_peaks(rs_seed, 12, budget=64)
@@ -388,6 +434,10 @@ def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
     assert rep.value == Fraction(28293, 4)
     with pytest.raises(BudgetExceeded):
         streaming_peaks(seed_complex, 20, t_split=5, budget=300000)
+    # The budget counts the two dense levels only: a deep split keeps them
+    # small, whatever the number of blocks at its depth.
+    assert streaming_peaks(rs_seed, 40, t_split=35)[0].value == 372089521
+    assert streaming_peaks(rs_seed, 40)[0].value == 372089521
 
 
 def test_streaming_rational_seed():
@@ -475,6 +525,8 @@ def test_derrel_bound_examples():
     assert derrel_bound(1, 0, 2, 0) == 3
     assert derrel_bound(1, 0, 3, -1) == 5
     assert derrel_bound(Fraction(2), Fraction(1), 2, -5) == 0
+    # One entry at step count 69, walked down the tree without its table.
+    assert derrel_bound(1, 0, 70, -1) == 9
     with pytest.raises(LevelTooSmall):
         derrel_bound(1, 0, 1, 0)
 
