@@ -26,9 +26,11 @@ dtype) instead.
 The blocks of all step counts form one binary tree over the shifts
 (``_children``).  The peak scan searches it best first, bounding every
 block by the exact peaks of two lower levels, and evaluates only the
-leaves that can reach the best value found (``_tree_peak``).  Those peaks
-come from dense levels up to a small floor and from the same search above
-it, so the memory of a default scan does not grow with n.
+leaves that can reach the best value found (``_tree_peak``).  Each seed
+keeps one bounded state: its dense levels up to a small floor, and the
+peak of every level, read off the dense level up to the floor and found
+once by the same search above it.  So the memory of a default scan does
+not grow with n, and no level is searched twice.
 """
 
 from __future__ import annotations
@@ -89,10 +91,6 @@ class AbgdTable:
     g: np.ndarray
     d: np.ndarray
 
-    @property
-    def offset(self) -> int:
-        return 1 << (self.t - 1)
-
     def entry(self, j: int) -> tuple[int, int, int, int]:
         """(A, B, Gamma, Delta) at index j; zero outside the support."""
         return _coeffs(self.t, j)
@@ -145,23 +143,25 @@ def _bound(node, m_nt: int, m_nt1: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cached dense crosscorrelation spectra per level.
+# Dense crosscorrelation spectra per level, and the peak of every level.
 #
 # Level k holds d^2 C_k(s) for s in (-ell_k, ell_k), d^2 = ``_scale(seed)``,
 # as a tuple of integer arrays: (re,) for a real seed, (re, im) for a
 # complex one; ``correlation._exact_value`` maps their entries back.
 # Levels 0 and 1 come from the oracle on the (small) materialized pairs,
 # higher levels from the t = 1 instance of the coefficient formula, one
-# O(ell_k) pass each.  ``_peak_bounds`` holds m_k, the least integer at
-# or above every |d^2 C_k(s)|, for k = 0, 1, ... in ascending order.
+# O(ell_k) pass each.  ``_int_levels`` keeps the levels up to the seed's
+# dense floor (``_floor``) only; a level above it is built per call
+# (``_levels``).  ``_peak_bounds`` holds, for k = 0, 1, ... in ascending
+# order, m_k, the least integer at or above every |d^2 C_k(s)|, with the
+# peak of level k as ``_tree_peak`` returns it.
 
 _int_levels: dict[tuple[SeedPair, int], tuple[np.ndarray, ...]] = {}
-_peak_bounds: dict[SeedPair, list[int]] = {}
+_peak_bounds: dict[SeedPair, list[tuple[int, int, list]]] = {}
 
 
 def clear_caches() -> None:
     _int_levels.clear()
-    _geoff_memo.clear()
     _peak_bounds.clear()
     _block.cache_clear()
 
@@ -186,27 +186,41 @@ def _oracle_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
 
 
 def _int_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
+    if k > _floor(seed):
+        return _levels(seed, k)[0]
     key = (seed, k)
     level = _int_levels.get(key)
     if level is None:
-        level = _oracle_level(seed, k) if k <= 1 else _dense_int(seed, k, 1)
+        level = _oracle_level(seed, k) if k <= 1 else _dense_int(seed, k, 1, _levels(seed, k - 1))
         for part in level:
             part.flags.writeable = False
         _int_levels[key] = level
     return level
 
 
-def _peak_abs(level: tuple[np.ndarray, ...]) -> int:
-    """The least integer at or above every |C_k(s)| of a level: the largest
-    |re| of a real level, the ceiling of the square root of the largest
-    re^2 + im^2 of a complex one."""
-    tops = [abs_max(part) for part in level]
-    if len(level) == 1:
-        return tops[0]
-    if sum(m * m for m in tops) > INT64_MAX:
-        level = tuple(part.astype(object) for part in level)
-    re, im = level
-    return _root_up(int((re * re + im * im).max(initial=0)))
+def _levels(seed: SeedPair, k: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Levels k and k-1, k >= 1.  Above the floor, one ascending pass from
+    it that keeps the last two levels: recursing down from k without the
+    cache would rebuild levels Fibonacci-many times."""
+    top = min(k, _floor(seed))
+    pair = _int_level(seed, top), _int_level(seed, top - 1)
+    for j in range(top + 1, k + 1):
+        pair = _dense_int(seed, j, 1, pair), pair[0]
+    return pair
+
+
+def _peak_of(parts: tuple[np.ndarray, ...]) -> tuple[int, np.ndarray]:
+    """The largest |v| of a real level or block, or the largest |v|^2 =
+    re^2 + im^2 of a complex one, and the indices that attain it."""
+    if len(parts) == 1:
+        best = abs_max(parts[0])
+        return best, np.flatnonzero((parts[0] == best) | (parts[0] == -best))
+    if sum(abs_max(part) ** 2 for part in parts) > INT64_MAX:
+        parts = tuple(part.astype(object) for part in parts)
+    re, im = parts
+    sq = re * re + im * im
+    best = int(sq.max())
+    return best, np.flatnonzero(sq == best)
 
 
 def _root_up(sq: int) -> int:
@@ -221,18 +235,23 @@ def _floor(seed: SeedPair) -> int:
     return max(1, ((1 << 13) // seed.ell0).bit_length() - 1)
 
 
-def _peak_bounds_to(seed: SeedPair, k: int) -> list[int]:
-    """m_0, m_1, ... of the seed, at least to m_k: read off the dense level
-    up to the floor, found by the tree search one level lower above it."""
-    ms = _peak_bounds.setdefault(seed, [])
+def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, int, list]]:
+    """Entries j = 0, 1, ... of the seed, at least to k: (m_j, best, hits),
+    where (best, hits) is the peak of level j as ``_tree_peak`` returns
+    it.  Read off the dense level up to the floor; above it, the search
+    with its leaves at the floor, which needs only entries below j."""
+    entries = _peak_bounds.setdefault(seed, [])
     floor = _floor(seed)
-    for j in range(len(ms), k + 1):
+    for j in range(len(entries), k + 1):
         if j <= floor:
-            ms.append(_peak_abs(_int_level(seed, j)))
+            level = _int_level(seed, j)
+            best, idx = _peak_of(level)
+            start = 1 - (seed.ell0 << j)
+            hits = [(start + int(u), *(int(p[u]) for p in level)) for u in idx] if best else []
         else:
-            best, _ = _tree_peak(seed, j, j - floor)
-            ms.append(best if seed.is_rational else _root_up(best))
-    return ms
+            best, hits = _tree_peak(seed, j, j - floor)
+        entries.append((best if seed.is_rational else _root_up(best), best, hits))
+    return entries
 
 
 def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, ...]:
@@ -269,18 +288,16 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
     return tuple(out)
 
 
-def _dense_int(seed: SeedPair, n: int, t: int) -> tuple[np.ndarray, ...]:
-    """Level n from the levels n-t and n-t-1:
+def _dense_int(seed: SeedPair, n: int, t: int, levels) -> tuple[np.ndarray, ...]:
+    """Level n from ``levels``, its levels n-t and n-t-1:
     every block at once, one per row, each row followed by the zero at
     r = 0 of the next block.  Python integers (object dtype) when some
     value could leave int64."""
-    lv1, lv2 = _split_levels(seed, n, t)
     table = abgd(t)
     cols = (table.a, table.b, table.g, table.d)
-    level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
-    ms = _peak_bounds_to(seed, lv1)
-    bound = _bound([c.astype(object) for c in cols], ms[lv1], ms[lv2]).max()
-    blocks = _block_values(*(c[:, None] for c in cols), level_nt, level_nt1, bound)
+    ms = _peak_bounds_to(seed, n - t)
+    bound = _bound([c.astype(object) for c in cols], ms[n - t][0], ms[n - t - 1][0]).max()
+    blocks = _block_values(*(c[:, None] for c in cols), *levels, bound)
     return tuple(np.pad(v, ((0, 0), (0, 1))).reshape(-1)[:-1] for v in blocks)
 
 
@@ -296,14 +313,13 @@ def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
     The last block is kept: single lookups tend to come in runs of nearby
     shifts."""
     lv1, lv2 = _split_levels(seed, n, t)
-    level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
     node, ms = _coeffs(t, q), _peak_bounds_to(seed, lv1)
-    return _block_values(*node, level_nt, level_nt1, _bound(node, ms[lv1], ms[lv2]))
+    return _block_values(*node, *_levels(seed, lv1), _bound(node, ms[lv1][0], ms[lv2][0]))
 
 
 def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
     """C_{x_n, y_n}(s), entry r of block q for s = q * L + r, from the
-    cached level n-t and n-t-1 spectra."""
+    level n-t and n-t-1 spectra."""
     lv1, _ = _split_levels(seed, n, t)
     q, r = divmod(s, 2 * (seed.ell0 << lv1))
     vals = _block(seed, n, t, q)
@@ -315,13 +331,8 @@ def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
     integer-valued seeds only (vectorized)."""
     if not seed.is_int:
         raise ValueError("vectorized spectra need integer-valued seeds")
-    return _dense_int(seed, n, t)[0]
-
-
-# ---------------------------------------------------------------------------
-# Single coefficients from the two-level sign-of-s rule.
-
-_geoff_memo: dict[tuple[SeedPair, int, int], object] = {}
+    lv1, _ = _split_levels(seed, n, t)
+    return _dense_int(seed, n, t, _levels(seed, lv1))[0]
 
 
 def coeff_by_geoff(seed: SeedPair, n: int, s: int):
@@ -330,41 +341,17 @@ def coeff_by_geoff(seed: SeedPair, n: int, s: int):
         s > 0:  conj(C_{n-1}(ell_{n-1} - s)) + 2 conj(C_{n-2}(ell_{n-2} - s))
         s < 0:  -C_{n-1}(ell_{n-1} + s) + 2 C_{n-2}(ell_{n-2} + s)
 
-    Shift zero is not covered by the rule; for n >= 2 the value there is
-    always zero, and callers use that (or the oracle) directly.
+    This is ``coeff_by_iteration`` at t = 1: its block q = -1, with
+    (A, B, Gamma, Delta) = (-1, 0, 2, 0), is the rule for s < 0, and its
+    block q = 0, with (0, 1, 0, 2), the rule for s > 0.  Shift zero is not
+    covered by the rule; for n >= 2 the value there is always zero, and
+    callers use that (or the oracle) directly.
     """
     if n < 2:
         raise LevelTooSmall("the two-level rule needs n >= 2")
     if s == 0:
         raise ShiftZero("shift zero is not covered; it is 0 for n >= 2")
-    return _geoff_value(seed, n, s)
-
-
-def _geoff_value(seed: SeedPair, n: int, s: int):
-    ell = seed.ell0 << n
-    if abs(s) >= ell:
-        return 0
-    if n <= 1:
-        parts = (int(p[s + ell - 1]) for p in _int_level(seed, n))
-        return correlation._exact_value(_scale(seed), *parts)
-    if s == 0:
-        return 0
-    key = (seed, n, s)
-    cached = _geoff_memo.get(key)
-    if cached is not None:
-        return cached
-    half = ell >> 1
-    quarter = ell >> 2
-    if s > 0:
-        value = value_conj(_geoff_value(seed, n - 1, half - s)) + 2 * value_conj(
-            _geoff_value(seed, n - 2, quarter - s)
-        )
-    else:
-        value = -_geoff_value(seed, n - 1, half + s) + 2 * _geoff_value(
-            seed, n - 2, quarter + s
-        )
-    _geoff_memo[key] = value
-    return value
+    return coeff_by_iteration(seed, n, 1, s)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +399,12 @@ def streaming_peaks(seed: SeedPair, n: int, t_split: int | None = None,
 
     The split t is the depth of the leaves, whose blocks are evaluated
     from the dense levels n-t and n-t-1; by default n-t is the seed's
-    dense floor, or n-1 below it.  Any split with 0 < t < n gives
-    identical output.  Levels 0..2 fall back to the oracle on the
-    materialized pair.  The peak value is |v| of the first witness v; a
-    properly complex v, whose magnitude is in general irrational, raises
-    ValueError.
+    dense floor, or n-1 below it, and the peak is the one the seed keeps
+    for level n (``_peak_bounds_to``), so a level is searched once per
+    seed.  Any split with 0 < t < n gives identical output.  Levels 0..2
+    fall back to the oracle on the materialized pair.  The peak value is
+    |v| of the first witness v; a properly complex v, whose magnitude is
+    in general irrational, raises ValueError.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -432,7 +420,8 @@ def streaming_peaks(seed: SeedPair, n: int, t_split: int | None = None,
     if need > cap:
         raise BudgetExceeded(f"scan needs about {need} cached entries, budget is {cap}")
 
-    scale, hits = _scale(seed), _tree_peak(seed, n, t)[1]
+    hits = _peak_bounds_to(seed, n)[n][2] if t_split is None else _tree_peak(seed, n, t)[1]
+    scale = _scale(seed)
     wits = tuple((s, correlation._exact_value(scale, *parts)) for s, *parts in hits)
     pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]) if wits else 0, wits)
     return pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
@@ -452,11 +441,11 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
     still expanded, so every witness is kept.  Complex levels compare
     squared magnitudes with squared bounds.
     """
-    lv1, lv2 = _split_levels(seed, n, t)
-    level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
+    lv1, _ = _split_levels(seed, n, t)
+    level_nt, level_nt1 = _levels(seed, lv1)
     power = 1 if seed.is_rational else 2
     big_l = 2 * (seed.ell0 << lv1)
-    ms = _peak_bounds_to(seed, n - 1)
+    ms = [entry[0] for entry in _peak_bounds_to(seed, n - 1)]
 
     def node(depth, q, coeffs, cap):
         own = _bound(coeffs, ms[n - depth], ms[n - depth - 1])
@@ -474,14 +463,12 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
                 heapq.heappush(heap, node(depth + 1, child_q, child, -neg))
             continue
         vals = _block_values(*coeffs, level_nt, level_nt1, own**power)
-        mags = vals[0] * vals[0] + vals[1] * vals[1] if power == 2 else np.abs(vals[0])
-        m = int(mags.max())
+        m, idx = _peak_of(vals)
         if m < best or m == 0:
             continue
         if m > best:
             best = m
             hits.clear()
-        idx = np.flatnonzero(mags == best)
         hits.append((q * big_l + 1, idx, [v[idx] for v in vals]))
     return best, sorted(
         (start + int(u), *map(int, parts))

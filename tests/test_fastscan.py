@@ -268,13 +268,49 @@ def test_clear_caches_empties_every_cache(rs_seed):
     fastscan.clear_caches()
     caches = (
         fastscan._int_levels,
-        fastscan._geoff_memo,
         fastscan._peak_bounds,
     )
     assert all(len(cache) == 0 for cache in caches)
     assert fastscan._block.cache_info().currsize == 0
     again, _ = streaming_peaks(rs_seed, 20)
     assert again == before
+
+
+def test_each_level_is_searched_once_per_seed(rs_seed, monkeypatch):
+    # Both rs suites ask for every PCC_n up to 40, and each level above the
+    # floor is searched once, for its entry of the peak list; a later scan
+    # at the default split reads that entry.
+    from grs.bounds import verify_rs_bounds, verify_rs_lower_bounds
+
+    searched = []
+    search = fastscan._tree_peak
+
+    def counted(seed, n, t):
+        searched.append(n)
+        return search(seed, n, t)
+
+    monkeypatch.setattr(fastscan, "_tree_peak", counted)
+    fastscan.clear_caches()
+    verify_rs_bounds(40) + verify_rs_lower_bounds(40)
+    floor = fastscan._floor(rs_seed)
+    assert sorted(searched) == list(range(floor + 1, 41)) and len(searched) == 27
+    assert streaming_peaks(rs_seed, 40)[0].value == 372089521
+    assert len(searched) == 27
+
+
+def test_levels_above_the_floor_are_not_kept(rs_seed):
+    # Explicit splits and single coefficients build the levels above the
+    # floor per call; only the levels up to the floor stay cached.
+    fastscan.clear_caches()
+    oracle = correlation.spectrum(*_pair_seqs(rs_seed, 17)).parts[0]
+    assert iter_spectrum(rs_seed, 17, 2).tolist() == oracle.tolist()
+    rep, _ = streaming_peaks(rs_seed, 30)
+    assert streaming_peaks(rs_seed, 30, t_split=10)[0] == rep
+    shifts = [s for s, _ in rep.witnesses] + [-(1 << 29) + 5, 3, (1 << 30) - 7]
+    for s in shifts:
+        assert coeff_by_iteration(rs_seed, 30, 10, s) == coeff_by_iteration(rs_seed, 30, 17, s)
+    assert coeff_by_iteration(rs_seed, 30, 10, shifts[0]) == rep.witnesses[0][1]
+    assert max(k for _, k in fastscan._int_levels) == fastscan._floor(rs_seed)
 
 
 def test_oracle_levels_match_per_entry_reference(
@@ -302,9 +338,14 @@ def test_oracle_levels_match_per_entry_reference(
         assert all(part.dtype == np.int64 for part in level)
 
 
-def test_peak_abs_is_the_integer_ceiling_of_the_modulus():
-    from grs.fastscan import _peak_abs
+def _peak_abs(level):
+    """The least integer at or above every |C_k(s)| of a level, from the
+    peak reducer that the dense levels and the scan leaves share."""
+    best, _ = fastscan._peak_of(level)
+    return best if len(level) == 1 else fastscan._root_up(best)
 
+
+def test_peak_abs_is_the_integer_ceiling_of_the_modulus():
     assert _peak_abs((np.array([-7, 3]),)) == 7
     assert _peak_abs((np.array([3, 0]), np.array([4, 1]))) == 5
     # |1 + i| = sqrt(2) rounds up; so does a modulus whose square leaves int64.
@@ -320,8 +361,8 @@ def test_tree_bounds_dominate_every_block(corpus, seed_golay10, seed_padded3):
         for n in range(2, 13):
             ell = seed.ell0 << n
             mags = np.abs(iter_spectrum(seed, n, 1))
-            ms = fastscan._peak_bounds_to(seed, n - 1)
-            assert ms[n - 1] == fastscan._peak_abs(fastscan._int_level(seed, n - 1))
+            ms = [entry[0] for entry in fastscan._peak_bounds_to(seed, n - 1)]
+            assert ms[n - 1] == _peak_abs(fastscan._int_level(seed, n - 1))
             nodes = [(q, node, inf) for q, node in fastscan._ROOTS.items()]
             for depth in range(1, n):
                 size = 2 * (seed.ell0 << (n - depth))
@@ -340,7 +381,7 @@ def _reference_block_peak(tables, level_nt, level_nt1):
     order of bound down to the first bound below the best value found."""
     big_l = level_nt[0].size + 1
     square = len(level_nt) == 2
-    m_nt, m_nt1 = fastscan._peak_abs(level_nt), fastscan._peak_abs(level_nt1)
+    m_nt, m_nt1 = _peak_abs(level_nt), _peak_abs(level_nt1)
     ab = (np.abs(tables.a) + np.abs(tables.b)).astype(object)
     gd = np.maximum(np.abs(tables.g), np.abs(tables.d)).astype(object)
     bounds = ab * m_nt + gd * m_nt1
@@ -360,7 +401,7 @@ def _reference_block_peak(tables, level_nt, level_nt1):
             best = m
             hits.clear()
         idx = np.flatnonzero(mags == best)
-        hits.append(((int(qi) - tables.offset) * big_l + 1, idx, [v[idx] for v in vals]))
+        hits.append(((int(qi) - (1 << (tables.t - 1))) * big_l + 1, idx, [v[idx] for v in vals]))
     wits = sorted(
         (start + int(u), *map(int, parts))
         for start, idx, vals in hits
@@ -494,7 +535,7 @@ def test_nellie_bound_dominates_unit_seed_to_14(rs_seed):
             ell_nt = 1 << (n - t)
             q = shifts >> (n - t + 1)
             r = shifts & (2 * ell_nt - 1)
-            qi = np.clip(q + table.offset, 0, table.a.size - 1)
+            qi = np.clip(q + (1 << (t - 1)), 0, table.a.size - 1)
             sum_ab = np.abs(table.a[qi]) + np.abs(table.b[qi])
             bound = sum_ab * peaks[n - t]
             bound += np.where(
