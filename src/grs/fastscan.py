@@ -27,10 +27,11 @@ The blocks of all step counts form one binary tree over the shifts
 (``_children``).  The peak scan searches it best first, bounding every
 block by the exact peaks of two lower levels, and evaluates only the
 leaves that can reach the best value found (``_tree_peak``).  Each seed
-keeps one bounded state: its dense levels up to a small floor, and the
-peak of every level, read off the dense level up to the floor and found
-once by the same search above it.  So the memory of a default scan does
-not grow with n, and no level is searched twice.
+keeps one bounded list, one entry per level: its peak, read off the dense
+level up to a small floor and found once by the same search above it, and
+up to the floor the dense level itself.  A level above the floor is built
+in one pass from the two floor levels and not kept.  So the memory of a
+default scan does not grow with n, and no level is searched twice.
 """
 
 from __future__ import annotations
@@ -148,20 +149,19 @@ def _bound(node, m_nt: int, m_nt1: int) -> int:
 # Level k holds d^2 C_k(s) for s in (-ell_k, ell_k), d^2 = ``_scale(seed)``,
 # as a tuple of integer arrays: (re,) for a real seed, (re, im) for a
 # complex one; ``correlation._exact_value`` maps their entries back.
-# Levels 0 and 1 come from the oracle on the (small) materialized pairs,
-# higher levels from the t = 1 instance of the coefficient formula, one
-# O(ell_k) pass each.  ``_int_levels`` keeps the levels up to the seed's
-# dense floor (``_floor``) only; a level above it is built per call
-# (``_levels``).  ``_peak_bounds`` holds, for k = 0, 1, ... in ascending
-# order, m_k, the least integer at or above every |d^2 C_k(s)|, with the
-# peak of level k as ``_tree_peak`` returns it.
+# ``_peak_bounds`` is the one store per seed: entry k, for k = 0, 1, ... in
+# ascending order, holds m_k, the least integer at or above every
+# |d^2 C_k(s)|, with the peak of level k as ``_tree_peak`` returns it, and,
+# up to the seed's dense floor (``_floor``), level k itself: levels 0 and 1
+# from the oracle on the (small) materialized pairs, higher ones from
+# entries k-1 and k-2 by the t = 1 instance of the coefficient formula.  A
+# level above the floor is built by one pass from the two floor levels
+# (``_int_level``) and not kept.
 
-_int_levels: dict[tuple[SeedPair, int], tuple[np.ndarray, ...]] = {}
-_peak_bounds: dict[SeedPair, list[tuple[int, int, list]]] = {}
+_peak_bounds: dict[SeedPair, list[tuple[int, int, list, tuple | None]]] = {}
 
 
 def clear_caches() -> None:
-    _int_levels.clear()
     _peak_bounds.clear()
     _block.cache_clear()
 
@@ -186,27 +186,15 @@ def _oracle_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
 
 
 def _int_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
-    if k > _floor(seed):
-        return _levels(seed, k)[0]
-    key = (seed, k)
-    level = _int_levels.get(key)
-    if level is None:
-        level = _oracle_level(seed, k) if k <= 1 else _dense_int(seed, k, 1, _levels(seed, k - 1))
-        for part in level:
-            part.flags.writeable = False
-        _int_levels[key] = level
-    return level
+    """Level k: kept in entry k up to the floor, built and not kept above."""
+    floor = _floor(seed)
+    return _dense_int(seed, k, k - floor) if k > floor else _peak_bounds_to(seed, k)[k][3]
 
 
 def _levels(seed: SeedPair, k: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Levels k and k-1, k >= 1.  Above the floor, one ascending pass from
-    it that keeps the last two levels: recursing down from k without the
-    cache would rebuild levels Fibonacci-many times."""
-    top = min(k, _floor(seed))
-    pair = _int_level(seed, top), _int_level(seed, top - 1)
-    for j in range(top + 1, k + 1):
-        pair = _dense_int(seed, j, 1, pair), pair[0]
-    return pair
+    """Levels k and k-1, k >= 1: kept entries up to the floor, each level
+    above it one pass from the two floor levels."""
+    return _int_level(seed, k), _int_level(seed, k - 1)
 
 
 def _peak_of(parts: tuple[np.ndarray, ...]) -> tuple[int, np.ndarray]:
@@ -235,22 +223,27 @@ def _floor(seed: SeedPair) -> int:
     return max(1, ((1 << 13) // seed.ell0).bit_length() - 1)
 
 
-def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, int, list]]:
-    """Entries j = 0, 1, ... of the seed, at least to k: (m_j, best, hits),
-    where (best, hits) is the peak of level j as ``_tree_peak`` returns
-    it.  Read off the dense level up to the floor; above it, the search
-    with its leaves at the floor, which needs only entries below j."""
+def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, int, list, tuple | None]]:
+    """Entries j = 0, 1, ... of the seed, at least to k: (m_j, best, hits,
+    level), where (best, hits) is the peak of level j as ``_tree_peak``
+    returns it.  Up to the floor, level j is built from entries j-1 and j-2
+    (the oracle for j <= 1), kept, and its peak read off it; above it, the
+    level is None and the peak is found by the search with its leaves at
+    the floor, which needs only entries below j."""
     entries = _peak_bounds.setdefault(seed, [])
     floor = _floor(seed)
     for j in range(len(entries), k + 1):
+        level = None
         if j <= floor:
-            level = _int_level(seed, j)
+            level = _oracle_level(seed, j) if j <= 1 else _dense_int(seed, j, 1)
+            for part in level:
+                part.flags.writeable = False
             best, idx = _peak_of(level)
             start = 1 - (seed.ell0 << j)
             hits = [(start + int(u), *(int(p[u]) for p in level)) for u in idx] if best else []
         else:
             best, hits = _tree_peak(seed, j, j - floor)
-        entries.append((best if seed.is_rational else _root_up(best), best, hits))
+        entries.append((best if seed.is_rational else _root_up(best), best, hits, level))
     return entries
 
 
@@ -288,8 +281,8 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
     return tuple(out)
 
 
-def _dense_int(seed: SeedPair, n: int, t: int, levels) -> tuple[np.ndarray, ...]:
-    """Level n from ``levels``, its levels n-t and n-t-1:
+def _dense_int(seed: SeedPair, n: int, t: int) -> tuple[np.ndarray, ...]:
+    """Level n in one pass from its levels n-t and n-t-1 (``_levels``):
     every block at once, one per row, each row followed by the zero at
     r = 0 of the next block.  Python integers (object dtype) when some
     value could leave int64."""
@@ -297,7 +290,7 @@ def _dense_int(seed: SeedPair, n: int, t: int, levels) -> tuple[np.ndarray, ...]
     cols = (table.a, table.b, table.g, table.d)
     ms = _peak_bounds_to(seed, n - t)
     bound = _bound([c.astype(object) for c in cols], ms[n - t][0], ms[n - t - 1][0]).max()
-    blocks = _block_values(*(c[:, None] for c in cols), *levels, bound)
+    blocks = _block_values(*(c[:, None] for c in cols), *_levels(seed, n - t), bound)
     return tuple(np.pad(v, ((0, 0), (0, 1))).reshape(-1)[:-1] for v in blocks)
 
 
@@ -307,11 +300,11 @@ def _split_levels(seed: SeedPair, n: int, t: int) -> tuple[int, int]:
     return n - t, n - t - 1
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
-    """Block q of level n (``_block_values``).
-    The last block is kept: single lookups tend to come in runs of nearby
-    shifts."""
+    """Block q of level n (``_block_values``).  The last two blocks are
+    kept: single lookups tend to come in runs of nearby shifts, and the two
+    signs of the two-level rule are two blocks."""
     lv1, lv2 = _split_levels(seed, n, t)
     node, ms = _coeffs(t, q), _peak_bounds_to(seed, lv1)
     return _block_values(*node, *_levels(seed, lv1), _bound(node, ms[lv1][0], ms[lv2][0]))
@@ -331,8 +324,8 @@ def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
     integer-valued seeds only (vectorized)."""
     if not seed.is_int:
         raise ValueError("vectorized spectra need integer-valued seeds")
-    lv1, _ = _split_levels(seed, n, t)
-    return _dense_int(seed, n, t, _levels(seed, lv1))[0]
+    _split_levels(seed, n, t)
+    return _dense_int(seed, n, t)[0]
 
 
 def coeff_by_geoff(seed: SeedPair, n: int, s: int):

@@ -266,11 +266,7 @@ def test_clear_caches_empties_every_cache(rs_seed):
     coeff_by_iteration(rs_seed, 10, 5, 3)
     coeff_by_geoff(rs_seed, 10, 3)
     fastscan.clear_caches()
-    caches = (
-        fastscan._int_levels,
-        fastscan._peak_bounds,
-    )
-    assert all(len(cache) == 0 for cache in caches)
+    assert len(fastscan._peak_bounds) == 0
     assert fastscan._block.cache_info().currsize == 0
     again, _ = streaming_peaks(rs_seed, 20)
     assert again == before
@@ -300,7 +296,7 @@ def test_each_level_is_searched_once_per_seed(rs_seed, monkeypatch):
 
 def test_levels_above_the_floor_are_not_kept(rs_seed):
     # Explicit splits and single coefficients build the levels above the
-    # floor per call; only the levels up to the floor stay cached.
+    # floor per call; only the entries up to the floor hold a level.
     fastscan.clear_caches()
     oracle = correlation.spectrum(*_pair_seqs(rs_seed, 17)).parts[0]
     assert iter_spectrum(rs_seed, 17, 2).tolist() == oracle.tolist()
@@ -310,7 +306,42 @@ def test_levels_above_the_floor_are_not_kept(rs_seed):
     for s in shifts:
         assert coeff_by_iteration(rs_seed, 30, 10, s) == coeff_by_iteration(rs_seed, 30, 17, s)
     assert coeff_by_iteration(rs_seed, 30, 10, shifts[0]) == rep.witnesses[0][1]
-    assert max(k for _, k in fastscan._int_levels) == fastscan._floor(rs_seed)
+    entries = fastscan._peak_bounds[rs_seed]
+    kept = [k for k, entry in enumerate(entries) if entry[3] is not None]
+    assert kept == list(range(fastscan._floor(rs_seed) + 1)) and len(entries) > len(kept)
+
+
+def test_alternating_two_level_lookups_keep_both_blocks(rs_seed, monkeypatch):
+    # Both signs of the two-level rule are two blocks, and both stay
+    # cached: level 15, above the floor, is built once per block, not once
+    # per lookup.
+    built = []
+    dense = fastscan._dense_int
+
+    def counted(seed, n, *rest):
+        built.append(n)
+        return dense(seed, n, *rest)
+
+    monkeypatch.setattr(fastscan, "_dense_int", counted)
+    fastscan.clear_caches()
+    oracle = correlation.spectrum(*_pair_seqs(rs_seed, 16))
+    shifts = [(-1) ** i * (1001 + 2 * i) for i in range(20)]
+    assert [coeff_by_geoff(rs_seed, 16, s) for s in shifts] == [oracle.value(s) for s in shifts]
+    assert fastscan._floor(rs_seed) < 15 and built.count(15) == 2
+    fastscan.clear_caches()
+
+
+def _reference_level(seed, k):
+    """d^2 C_k(s) at index s + ell_k - 1, one row per part of the seed,
+    filled entry by entry from the oracle spectrum."""
+    pair = grs_pair(seed, k)
+    ell = pair.length
+    scale = fastscan._scale(seed)
+    rows = [[0] * (2 * ell - 1) for _ in range(1 if seed.is_rational else 2)]
+    for s, v in correlation.spectrum(pair.x, pair.y).entries.items():
+        for row, part in zip(rows, (as_cq(v).re, as_cq(v).im)):
+            row[s + ell - 1] = int(part * scale)
+    return rows
 
 
 def test_oracle_levels_match_per_entry_reference(
@@ -326,16 +357,35 @@ def test_oracle_levels_match_per_entry_reference(
     seeds = corpus + [seed_golay10, seed_padded3, seed_rational, seed_complex,
                       seed_complex_rational, long_members, unequal_dens]
     for seed, k in itertools.product(seeds, (0, 1)):
-        pair = grs_pair(seed, k)
-        ell = pair.length
-        scale = fastscan._scale(seed)
-        rows = [[0] * (2 * ell - 1) for _ in range(1 if seed.is_rational else 2)]
-        for s, v in correlation.spectrum(pair.x, pair.y).entries.items():
-            for row, part in zip(rows, (as_cq(v).re, as_cq(v).im)):
-                row[s + ell - 1] = int(part * scale)
         level = fastscan._oracle_level(seed, k)
-        assert [part.tolist() for part in level] == rows
+        assert [part.tolist() for part in level] == _reference_level(seed, k)
         assert all(part.dtype == np.int64 for part in level)
+
+
+def test_levels_above_a_lowered_floor(
+    monkeypatch, rs_seed, seed_pm4, seed_golay10, seed_padded3, seed_rational, seed_complex,
+    seed_complex_rational,
+):
+    # With the dense floor at level 3, levels 4..9 are each built in one
+    # pass from levels 3 and 2, on every kind of seed, and the peaks of the
+    # default split equal those of every explicit split.  The 10^20 seed's
+    # values leave int64, so its levels are Python integers.
+    big = validate_seed(Sequence([10**20, 10**20]), Sequence([10**20, -(10**20)]), 2)
+    seeds = [rs_seed, seed_pm4, seed_golay10, seed_padded3, seed_rational, seed_complex,
+             seed_complex_rational, big]
+    monkeypatch.setattr(fastscan, "_floor", lambda seed: 3)
+    fastscan.clear_caches()
+    try:
+        for seed in seeds:
+            for k in range(4, 10):
+                level = fastscan._int_level(seed, k)
+                assert [part.tolist() for part in level] == _reference_level(seed, k), k
+                assert all(part.dtype == (object if seed is big else np.int64) for part in level)
+            for n in range(4, 10):
+                default = streaming_peaks(seed, n)
+                assert all(streaming_peaks(seed, n, t_split=t) == default for t in range(1, n))
+    finally:
+        fastscan.clear_caches()
 
 
 def _peak_abs(level):
