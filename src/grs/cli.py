@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 from . import bounds, correlation, tables
 from .fastscan import streaming_peaks
@@ -143,6 +144,11 @@ def _load_seed(config: RunConfig) -> SeedPair:
     raise SystemExit(2)
 
 
+def _input_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _emit(config: RunConfig, text: str) -> None:
     if config.output and config.output != "-":
         with open(config.output, "w") as fp:
@@ -240,7 +246,7 @@ def run(config: RunConfig) -> int:
         )
         return 0
 
-    raise SystemExit(f"unknown command {config.command!r}")
+    _input_error(f"unknown command {config.command!r}")
 
 
 def _run_suite(config: RunConfig):
@@ -262,7 +268,7 @@ def _run_suite(config: RunConfig):
         return bounds.inequality_suite()
     if config.suite == "identities":
         return bounds.identity_suite()
-    raise SystemExit(f"unknown suite {config.suite!r}")
+    _input_error(f"unknown suite {config.suite!r}")
 
 
 def main(argv=None) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
-import numpy as np
+from . import np
 
 __all__ = ["convolve_int", "schoolbook_convolve"]
 

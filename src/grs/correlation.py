@@ -21,8 +21,7 @@ from functools import cached_property, partial
 from operator import mul
 from types import MappingProxyType
 
-import numpy as np
-
+from . import np
 from .convolve import INT64_MAX, abs_max, convolve_int, int_array
 from .qcomplex import CQ, as_cq, exact_magnitude, value_abs2
 from .sequences import BudgetExceeded, Sequence, _negated, coefficient_budget, int_text

@@ -41,9 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isqrt, lcm
 
-import numpy as np
-
-from . import correlation
+from . import correlation, np
 from .convolve import INT64_MAX, abs_max
 from .qcomplex import exact_magnitude, value_conj
 from .sequences import (

@@ -23,8 +23,7 @@ from itertools import repeat
 from math import lcm
 from typing import Iterable, TextIO
 
-import numpy as np
-
+from . import np
 from .convolve import INT64_MAX, abs_max, int_array
 from .qcomplex import CQ, as_cq
 

@@ -212,6 +212,21 @@ def test_approx_zero_denominator_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        (RunConfig(command="nope"), "unknown command 'nope'"),
+        (RunConfig(command="verify", suite="nope"), "unknown suite 'nope'"),
+    ],
+)
+def test_unknown_command_or_suite_exit_code(capsys, config, message):
+    # An input error, not a failed verdict: exit 2, not 1.
+    with pytest.raises(SystemExit) as exc:
+        run(config)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["tables", "--which", "3", "--t-split", "2"],
