@@ -24,9 +24,18 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import correlation, fastscan
-from .field import KElem, QAlphaElem, alpha_pow, compare, k_div
+from .field import (
+    KElem,
+    QAlphaElem,
+    _as_kelem,
+    alpha_pow,
+    compare,
+    decimal_approx,
+    k_div,
+    reduce_poly,
+)
 from .qcomplex import as_cq
-from .sequences import SeedPair, grs_pair
+from .sequences import SeedPair, grs_pair, rudin_shapiro_seed
 
 __all__ = [
     "ShiftSeq",
@@ -290,7 +299,7 @@ def _verdict(claim_id: str, lhs, rhs, relation: str, witness=None) -> BoundVerdi
 
 def _eq_verdict(claim_id: str, lhs, rhs, witness=None) -> BoundVerdict:
     """Equality claim for values that may be complex (compared exactly)."""
-    holds = as_cq(lhs) == as_cq(rhs) if not isinstance(lhs, (QAlphaElem, KElem)) else lhs == rhs
+    holds = lhs == rhs
     obs = "=" if holds else "!="
     return BoundVerdict(claim_id, lhs, rhs, "=", obs, holds, witness)
 
@@ -362,8 +371,26 @@ def generic_prefactor(pcc0, psl0) -> QAlphaElem:
     return 9 * alpha_pow(-4) * Fraction(pcc0) + 18 * alpha_pow(-5) * Fraction(psl0)
 
 
-def _pcc_value(seed: SeedPair, n: int):
-    return fastscan.streaming_peaks(seed, n)[0].value
+def _peaks(seed: SeedPair, n_max: int) -> list:
+    """PCC_n of the seed for n = 0..n_max; [0] + the list holds PSL_n,
+    the level n-1 peak at level n."""
+    return [fastscan.streaming_peaks(seed, n)[0].value for n in range(n_max + 1)]
+
+
+def _power_claims(
+    name: str, values, ns, coeff, shift: int, relation: str, **witness
+) -> list[BoundVerdict]:
+    """The claims values[n] `relation` coeff * alpha0^(n - shift), n in ns."""
+    return [
+        _verdict(
+            f"{name}_n{n}",
+            QAlphaElem.rational(values[n]),
+            coeff * alpha_pow(n - shift),
+            relation,
+            witness={"n": n, **witness},
+        )
+        for n in ns
+    ]
 
 
 def verify_rs_bounds(n_max: int) -> list[BoundVerdict]:
@@ -372,45 +399,23 @@ def verify_rs_bounds(n_max: int) -> list[BoundVerdict]:
         PCC_n <= 5 alpha0^(n-3)   (equality exactly at n = 3)
         PSL_n <= 5 alpha0^(n-4)   (equality exactly at n = 4)
     """
-    from .sequences import rudin_shapiro_seed
+    pcc = _peaks(rudin_shapiro_seed(), n_max)
+    ns = range(n_max + 1)
+    return [
+        *_power_claims("rs_pcc_upper", pcc, ns, 5, 3, "<="),
+        *_power_claims("rs_psl_upper", [0] + pcc, ns, 5, 4, "<="),
+    ]
 
-    seed = rudin_shapiro_seed()
-    out = []
-    pcc_vals = {n: _pcc_value(seed, n) for n in range(n_max + 1)}
-    for n in range(n_max + 1):
-        out.append(
-            _verdict(
-                f"rs_pcc_upper_n{n}",
-                QAlphaElem.rational(pcc_vals[n]),
-                5 * alpha_pow(n - 3),
-                "<=",
-                witness={"n": n},
-            )
-        )
-    for n in range(n_max + 1):
-        psl_n = 0 if n == 0 else pcc_vals[n - 1]
-        out.append(
-            _verdict(
-                f"rs_psl_upper_n{n}",
-                QAlphaElem.rational(psl_n),
-                5 * alpha_pow(n - 4),
-                "<=",
-                witness={"n": n},
-            )
-        )
-    return out
+
+def _qa(a: int, b: int, c: int, den: int) -> QAlphaElem:
+    """(a + b alpha0 + c alpha0^2) / den."""
+    return QAlphaElem(Fraction(a, den), Fraction(b, den), Fraction(c, den))
 
 
 # Constants of the lower-bound envelope, all in Q(alpha0):
-#   A = (9 a^2 + 4 a + 6)/59          (limit of PCC_n / alpha0^n along t_n)
-#   B = 4 (-4 a^2 + 2 a + 14)/59      (squared oscillation amplitude)
-#   C = (a^2 - 1)/2                   (squared ratio |alpha1/alpha0|)
-def _envelope_constants() -> tuple[QAlphaElem, QAlphaElem, QAlphaElem]:
-    a = QAlphaElem(Fraction(6, 59), Fraction(4, 59), Fraction(9, 59))
-    b = QAlphaElem(Fraction(56, 59), Fraction(8, 59), Fraction(-16, 59))
-    c = QAlphaElem(Fraction(-1, 2), 0, Fraction(1, 2))
-    return a, b, c
-
+_A = _qa(6, 4, 9, 59)  # limit of PCC_n / alpha0^n along t_n
+_B = _qa(56, 8, -16, 59)  # squared oscillation amplitude
+_C = _qa(-1, 0, 1, 2)  # (alpha0^2 - 1)/2, the squared ratio |alpha1/alpha0|
 
 _RS_LOWER_COEFF = 133991557  # observed PCC at level 38; anchors the lower bound
 
@@ -423,86 +428,36 @@ def verify_rs_lower_bounds(n_max: int) -> list[BoundVerdict]:
     * the envelope in squared, radical-free form for n >= 1:
       whenever W = A - PCC_n/alpha0^n is positive, W^2 <= B * C^n.
     """
-    from .sequences import rudin_shapiro_seed
-
-    seed = rudin_shapiro_seed()
-    out = []
-    pcc_vals = {n: _pcc_value(seed, n) for n in range(n_max + 1)}
-    for n in range(min(n_max, 41) + 1):
-        out.append(
-            _verdict(
-                f"rs_pcc_lower_n{n}",
-                QAlphaElem.rational(pcc_vals[n]),
-                _RS_LOWER_COEFF * alpha_pow(n - 38),
-                ">=",
-                witness={"n": n},
-            )
-        )
-    for n in range(1, min(n_max, 42) + 1):
-        out.append(
-            _verdict(
-                f"rs_psl_lower_n{n}",
-                QAlphaElem.rational(pcc_vals[n - 1]),
-                _RS_LOWER_COEFF * alpha_pow(n - 39),
-                ">=",
-                witness={"n": n},
-            )
-        )
-    a_const, b_const, c_const = _envelope_constants()
+    pcc = _peaks(rudin_shapiro_seed(), n_max)
+    out = [
+        *_power_claims("rs_pcc_lower", pcc, range(min(n_max, 41) + 1),
+                       _RS_LOWER_COEFF, 38, ">="),
+        *_power_claims("rs_psl_lower", [0] + pcc, range(1, min(n_max, 42) + 1),
+                       _RS_LOWER_COEFF, 39, ">="),
+    ]
     for n in range(1, n_max + 1):
-        w = a_const - pcc_vals[n] * alpha_pow(-n)
+        w = _A - pcc[n] * alpha_pow(-n)
         if compare(w, 0) <= 0:
             # Peak already above the limiting ratio: the claim is vacuous.
-            out.append(
-                _verdict(
-                    f"rs_pcc_envelope_n{n}",
-                    w,
-                    QAlphaElem.rational(0),
-                    "<=",
-                    witness={"n": n, "form": "gap nonpositive"},
-                )
-            )
+            lhs, rhs, form = w, QAlphaElem.rational(0), "gap nonpositive"
         else:
-            out.append(
-                _verdict(
-                    f"rs_pcc_envelope_n{n}",
-                    w * w,
-                    b_const * (c_const**n),
-                    "<=",
-                    witness={"n": n, "form": "squared"},
-                )
-            )
+            lhs, rhs, form = w * w, _B * (_C**n), "squared"
+        out.append(
+            _verdict(f"rs_pcc_envelope_n{n}", lhs, rhs, "<=", {"n": n, "form": form})
+        )
     return out
 
 
 def verify_generic_bound(seed: SeedPair, n_max: int) -> list[BoundVerdict]:
     """PCC_n <= K alpha0^n (n <= n_max) and PSL_n <= K alpha0^(n-1)
     (1 <= n <= n_max) with the seed-statistics prefactor K."""
-    pcc0, psl0 = seed_peak_stats(seed)
-    k_pref = generic_prefactor(pcc0, psl0)
-    out = []
-    pcc_vals = {n: _pcc_value(seed, n) for n in range(n_max + 1)}
-    for n in range(n_max + 1):
-        out.append(
-            _verdict(
-                f"generic_pcc_upper_n{n}",
-                QAlphaElem.rational(Fraction(pcc_vals[n])),
-                k_pref * alpha_pow(n),
-                "<=",
-                witness={"n": n, "ell0": seed.ell0},
-            )
-        )
-    for n in range(1, n_max + 1):
-        out.append(
-            _verdict(
-                f"generic_psl_upper_n{n}",
-                QAlphaElem.rational(Fraction(pcc_vals[n - 1])),
-                k_pref * alpha_pow(n - 1),
-                "<=",
-                witness={"n": n, "ell0": seed.ell0},
-            )
-        )
-    return out
+    k_pref = generic_prefactor(*seed_peak_stats(seed))
+    pcc = _peaks(seed, n_max)
+    ns = range(n_max + 1)
+    return [
+        *_power_claims("generic_pcc_upper", pcc, ns, k_pref, 0, "<=", ell0=seed.ell0),
+        *_power_claims("generic_psl_upper", [0] + pcc, ns[1:], k_pref, 1, "<=", ell0=seed.ell0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +544,11 @@ def inequality_suite() -> list[BoundVerdict]:
     """Every alpha0 inequality used by the bound derivations, verified by
     signifier comparison.  A failed claim is reported false, not raised.
     """
-    out = []
-    for t, a, b in _STEP_INEQUALITIES:
-        out.append(
-            _verdict(
-                f"step_t{t}_{a}a+{b}",
-                a * alpha_pow(1) + b,
-                alpha_pow(t + 1),
-                "<=",
-            )
-        )
+    zero, one = QAlphaElem.rational(0), QAlphaElem.rational(1)
+    out = [
+        _verdict(f"step_t{t}_{a}a+{b}", a * alpha_pow(1) + b, alpha_pow(t + 1), "<=")
+        for t, a, b in _STEP_INEQUALITIES
+    ]
     for n, value in _UNIT_CASES:
         out.append(
             _verdict(f"unit_case_n{n}", QAlphaElem.rational(value), 5 * alpha_pow(n - 3), "<=")
@@ -614,138 +564,56 @@ def inequality_suite() -> list[BoundVerdict]:
         )
     # Window constants: 0 < G_{0,u} < 1, the conjugate product
     # 4 G_{1,u} G_{2,u} is a positive real, and the damping ratio to the
-    # 18th power stays below (1 - G_{0,u})^2 / (4 G_{1,u} G_{2,u}).
+    # 18th power, C^9, stays below (1 - G_{0,u})^2 / (4 G_{1,u} G_{2,u}).
     g = g_constants()
-    rho18 = ((alpha_pow(2) + alpha_pow(1) - 2) / alpha_pow(2)) ** 9
     for u in (0, 1):
         g0 = g[(0, u)].to_qalpha()
-        out.append(_verdict(f"window_g0_positive_u{u}", g0, QAlphaElem.rational(0), ">"))
-        out.append(_verdict(f"window_g0_below_one_u{u}", g0, QAlphaElem.rational(1), "<"))
         prod = (4 * g[(1, u)] * g[(2, u)]).to_qalpha()
-        out.append(
-            _verdict(f"window_conj_product_positive_u{u}", prod, QAlphaElem.rational(0), ">")
-        )
-        one_minus = QAlphaElem.rational(1) - g0
-        out.append(
-            _verdict(
-                f"window_damping_u{u}",
-                rho18,
-                (one_minus * one_minus) / prod,
-                "<=",
-            )
-        )
-    # Crossover of the two lower bounds: with A, B, C as in the envelope
-    # and D = 133991557 alpha0^-38, the anchored bound is stronger up to
-    # level 41 and weaker from 42 on.
-    a_const, b_const, c_const = _envelope_constants()
-    d_const = _RS_LOWER_COEFF * alpha_pow(-38)
-    gap = a_const - d_const
-    out.append(_verdict("crossover_gap_positive", gap, QAlphaElem.rational(0), ">"))
-    out.append(
-        _verdict("crossover_until_41", gap * gap, b_const * (c_const**41), "<")
-    )
-    out.append(
-        _verdict("crossover_from_42", gap * gap, b_const * (c_const**42), ">")
-    )
-    return out
+        out += [
+            _verdict(f"window_g0_positive_u{u}", g0, zero, ">"),
+            _verdict(f"window_g0_below_one_u{u}", g0, one, "<"),
+            _verdict(f"window_conj_product_positive_u{u}", prod, zero, ">"),
+            _verdict(f"window_damping_u{u}", _C**9, (one - g0) ** 2 / prod, "<="),
+        ]
+    # Crossover of the two lower bounds: with D = 133991557 alpha0^-38,
+    # the anchored bound is stronger up to level 41 and weaker from 42 on.
+    gap = _A - _RS_LOWER_COEFF * alpha_pow(-38)
+    return out + [
+        _verdict("crossover_gap_positive", gap, zero, ">"),
+        _verdict("crossover_until_41", gap * gap, _B * (_C**41), "<"),
+        _verdict("crossover_from_42", gap * gap, _B * (_C**42), ">"),
+    ]
 
 
 def identity_suite() -> list[BoundVerdict]:
     """Exact algebraic identities for the closed-form constants."""
-    from .field import decimal_approx, reduce_poly
-
     e = e_constants()
     sums = e_sums()
-    alpha1 = KElem.root(1)
-    alpha2 = KElem.root(2)
-    out = [
-        _eq_verdict(
-            "e00_value",
-            e[(0, 0)],
-            KElem.from_qalpha(QAlphaElem(Fraction(40, 118), Fraction(7, 118), Fraction(1, 118))),
-        ),
-        _eq_verdict(
-            "e01_value",
-            e[(0, 1)],
-            KElem.from_qalpha(
-                QAlphaElem(Fraction(-28, 118), Fraction(1, 118), Fraction(17, 118))
-            ),
-        ),
-        _eq_verdict(
-            "e0_sum",
-            sums[0],
-            KElem.from_qalpha(QAlphaElem(Fraction(6, 59), Fraction(4, 59), Fraction(9, 59))),
-        ),
-        _eq_verdict(
-            "e1_e2_product_v0",
-            4 * e[(1, 0)] * e[(2, 0)],
-            KElem.from_qalpha(QAlphaElem(Fraction(24, 59), Fraction(-4, 59), 0)),
-        ),
-        _eq_verdict(
-            "e1_e2_product_v1",
-            4 * e[(1, 1)] * e[(2, 1)],
-            KElem.from_qalpha(
-                QAlphaElem(Fraction(12, 59), Fraction(10, 59), Fraction(-2, 59))
-            ),
-        ),
-        _eq_verdict(
-            "e_pair_product",
-            sums[1] * sums[2],
-            KElem.from_qalpha(
-                QAlphaElem(Fraction(14, 59), Fraction(2, 59), Fraction(-4, 59))
-            ),
-        ),
-        _eq_verdict(
-            "sidelobe_limit_ratio",
-            k_div(sums[0], KElem.root(0)),
-            KElem.from_qalpha(
-                QAlphaElem(Fraction(2, 118), Fraction(21, 118), Fraction(3, 118))
-            ),
-        ),
-        _eq_verdict(
-            "sidelobe_radicand",
-            k_div(4 * sums[1] * sums[2], alpha1 * alpha2),
-            KElem.from_qalpha(
-                QAlphaElem(Fraction(-16, 59), Fraction(6, 59), Fraction(6, 59))
-            ),
-        ),
-        _eq_verdict(
-            "damping_ratio_sq",
-            k_div(alpha1 * alpha2, KElem.root(0) ** 2),
-            KElem.from_qalpha(QAlphaElem(Fraction(-1, 2), 0, Fraction(1, 2))),
-        ),
-        _eq_verdict(
-            "root_product",
-            reduce_poly({(1, 1, 1): 1}),
-            KElem.rational(4),
-        ),
-        _eq_verdict(
-            "conjugate_pair_swap_v0",
-            e[(1, 0)].conj_swapped(),
-            e[(2, 0)],
-        ),
-        _eq_verdict(
-            "conjugate_pair_swap_v1",
-            e[(1, 1)].conj_swapped(),
-            e[(2, 1)],
-        ),
-    ]
+    alpha0, alpha1, alpha2 = (KElem.root(j) for j in range(3))
+    identities = (
+        ("e00_value", e[(0, 0)], _qa(40, 7, 1, 118)),
+        ("e01_value", e[(0, 1)], _qa(-28, 1, 17, 118)),
+        ("e0_sum", sums[0], _A),
+        ("e1_e2_product_v0", 4 * e[(1, 0)] * e[(2, 0)], _qa(24, -4, 0, 59)),
+        ("e1_e2_product_v1", 4 * e[(1, 1)] * e[(2, 1)], _qa(12, 10, -2, 59)),
+        ("e_pair_product", sums[1] * sums[2], _qa(14, 2, -4, 59)),
+        ("sidelobe_limit_ratio", k_div(sums[0], alpha0), _qa(2, 21, 3, 118)),
+        ("sidelobe_radicand", k_div(4 * sums[1] * sums[2], alpha1 * alpha2),
+         _qa(-16, 6, 6, 59)),
+        ("damping_ratio_sq", k_div(alpha1 * alpha2, alpha0**2), _C),
+        ("root_product", reduce_poly({(1, 1, 1): 1}), 4),
+        ("conjugate_pair_swap_v0", e[(1, 0)].conj_swapped(), e[(2, 0)]),
+        ("conjugate_pair_swap_v1", e[(1, 1)].conj_swapped(), e[(2, 1)]),
+    )
+    out = [_eq_verdict(name, lhs, _as_kelem(rhs)) for name, lhs, rhs in identities]
     # Bracket checks on the damping ratio and the base decimal expansion.
-    ratio = (alpha_pow(2) - 1) / 2
     lo = Fraction(935994, 10**6) ** 2
     hi = Fraction(935995, 10**6) ** 2
-    out.append(_verdict("damping_bracket_lo", QAlphaElem.rational(lo), ratio, "<"))
-    out.append(_verdict("damping_bracket_hi", ratio, QAlphaElem.rational(hi), "<"))
     alpha_bracket = decimal_approx(alpha_pow(1), 12)
-    out.append(
-        BoundVerdict(
-            "alpha_decimal_12",
-            alpha_bracket.lo,
-            "1.658967081916",
-            "=",
-            "=" if alpha_bracket.lo == "1.658967081916" else "!=",
-            alpha_bracket.lo == "1.658967081916",
-            witness={"hi": alpha_bracket.hi},
-        )
-    )
-    return out
+    return out + [
+        _verdict("damping_bracket_lo", QAlphaElem.rational(lo), _C, "<"),
+        _verdict("damping_bracket_hi", _C, QAlphaElem.rational(hi), "<"),
+        _eq_verdict(
+            "alpha_decimal_12", alpha_bracket.lo, "1.658967081916", {"hi": alpha_bracket.hi}
+        ),
+    ]

@@ -140,8 +140,7 @@ def _load_seed(config: RunConfig) -> SeedPair:
             return read_seed_pair(fp)
     if config.rs:
         return rudin_shapiro_seed()
-    print("a seed is required: pass --rs or --seed FILE", file=sys.stderr)
-    raise SystemExit(2)
+    _input_error("a seed is required: pass --rs or --seed FILE")
 
 
 def _input_error(message: str) -> NoReturn:

@@ -14,7 +14,6 @@ which doubles the length and preserves Golay complementarity.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_COEFF_BUDGET = 2**31
-BUDGET_ENV_VAR = "GRS_BUDGET_BYTES"
 
 
 class BudgetExceeded(RuntimeError):
@@ -84,14 +82,9 @@ class ZeroSequence(SeedInvalid):
 
 
 def coefficient_budget(budget: int | None = None) -> int:
-    """Resolve the coefficient cap: explicit argument, else the
-    GRS_BUDGET_BYTES environment variable, else the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_COEFF_BUDGET
+    """Resolve the coefficient cap: the explicit argument, else the
+    default."""
+    return DEFAULT_COEFF_BUDGET if budget is None else budget
 
 
 def _canonical(values) -> tuple[tuple, int]:

@@ -1,3 +1,4 @@
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -5,6 +6,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Child interpreters (``python -m grs.cli``) import grs from src as well, so
+# the suite runs from a checkout without an installed package.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parent.parent / "src"),
+     *filter(None, [os.environ.get("PYTHONPATH")])]
+)
 
 from grs.qcomplex import CQ
 from grs.sequences import Sequence, rudin_shapiro_seed, validate_seed

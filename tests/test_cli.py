@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -241,6 +242,41 @@ def test_options_without_effect_are_rejected(args):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["peaks", "gen"])
+def test_missing_seed_is_an_input_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: a seed is required: pass --rs or --seed FILE\n"
+
+
+# sha256 of the stdout of ``grs verify``: every claim id, its order, witness,
+# relation and exact sides are in these bytes.
+SUITE_DIGESTS = [
+    pytest.param(["--suite", "rs", "--max", "42"],
+                 "dbdfb96a79b3bef9775189ba4d2673cda1460f69c078db05969918333be73878", id="rs-42"),
+    pytest.param(["--suite", "generic"],
+                 "6f6a0527aa791702dd688ffab8d82613d2b4188c8ec69d06c5a2604e04e5f1c7", id="generic"),
+    pytest.param(["--suite", "generic", "--rs", "--max", "14"],
+                 "e72a0c38e625b1073a34388137ef3af056bc281f049b2c77bd29d3be33cc0564",
+                 id="generic-rs-14"),
+    pytest.param(["--suite", "inequalities"],
+                 "7508e076bedd512e5deb08b51b2139e41c3537717824fc317f2b53ef40ed91ec",
+                 id="inequalities"),
+    pytest.param(["--suite", "identities"],
+                 "5ebcbf2c643db21b0278c9981980400399065f4caa9e22eef62e75c4bb740553",
+                 id="identities"),
+]
+
+
+@pytest.mark.parametrize("args, digest", SUITE_DIGESTS)
+def test_verify_suite_bytes_are_pinned(capsys, args, digest):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *args])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_entry_point_runs():

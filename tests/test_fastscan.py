@@ -531,6 +531,13 @@ def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
     assert streaming_peaks(rs_seed, 40)[0].value == 372089521
 
 
+def test_budget_is_not_read_from_the_environment(monkeypatch, rs_seed):
+    # The cap comes from ``budget=`` (``--budget N``) or the default only.
+    monkeypatch.setenv("GRS_BUDGET_BYTES", "1")
+    fastscan.clear_caches()
+    assert streaming_peaks(rs_seed, 3)[0].value == 5
+
+
 def test_streaming_rational_seed():
     half = Fraction(1, 2)
     seed = validate_seed(Sequence([half]), Sequence([half]), 1)

@@ -3,16 +3,12 @@ public names import on first access, and ``python -O`` changes no output."""
 
 import importlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import grs
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Today's public names, by home module.
 HOMES = {
@@ -64,10 +60,7 @@ PEAKS_20 = (
 
 
 def _python(*args, **kwargs):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
-                          check=True, **kwargs)
+    return subprocess.run([sys.executable, *args], capture_output=True, check=True, **kwargs)
 
 
 def test_array_free_paths_load_no_numpy():
