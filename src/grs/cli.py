@@ -8,7 +8,7 @@ identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 at least one verification verdict failed,
 2 usage or input error (bad arguments, unreadable or invalid files,
-budget caps).
+a negative --max, budget caps).
 """
 
 from __future__ import annotations
@@ -17,53 +17,31 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NoReturn
 
 from . import bounds, correlation, tables
 from .fastscan import streaming_peaks
 from .field import QAlphaElem, decimal_approx
+from .qcomplex import int_text, value_re_im
 from .sequences import (
     SeedPair,
+    Sequence,
     grs_pair,
-    int_text,
     read_seed_pair,
     read_sequence,
     rudin_shapiro_seed,
+    validate_seed,
     write_sequence,
 )
 
-__all__ = ["RunConfig", "run", "main", "build_parser"]
+__all__ = ["run", "main", "build_parser"]
 
 _CORPUS_SPECS = (
     ("unit", "+", "+", 1),
     ("pm2", "++", "+-", 2),
     ("pm4", "+++-", "++-+", 4),
 )
-
-
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    n: int | None = None
-    n_max: int | None = None
-    seed_path: str | None = None
-    rs: bool = False
-    member: str = "x"
-    t_split: int | None = None
-    output: str | None = None
-    format: str = "json"
-    budget: int | None = None
-    which: int | None = None
-    suite: str | None = None
-    digits: int = 6
-    expr: str | None = None
-    shift: int | None = None
-    with_psl: bool = False
-    f_path: str | None = None
-    g_path: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,11 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_seed(config: RunConfig) -> SeedPair:
-    if config.seed_path:
-        with open(config.seed_path) as fp:
+def _load_seed(args: argparse.Namespace) -> SeedPair:
+    if args.seed_path:
+        with open(args.seed_path) as fp:
             return read_seed_pair(fp)
-    if config.rs:
+    if args.rs:
         return rudin_shapiro_seed()
     _input_error("a seed is required: pass --rs or --seed FILE")
 
@@ -148,114 +126,109 @@ def _input_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output and config.output != "-":
-        with open(config.output, "w") as fp:
+def _n_max(args: argparse.Namespace, default: int | None) -> int | None:
+    """``--max``, or ``default`` when it is not given."""
+    if args.n_max is None:
+        return default
+    if args.n_max < 0:
+        _input_error("--max must be nonnegative")
+    return args.n_max
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output and args.output != "-":
+        with open(args.output, "w") as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _corpus_seeds() -> list[tuple[str, SeedPair]]:
-    from .sequences import Sequence, validate_seed
+def _emit_json(args: argparse.Namespace, payload) -> None:
+    _emit(args, json.dumps(payload, sort_keys=True) + "\n")
 
+
+def _corpus_seeds() -> list[tuple[str, SeedPair]]:
     return [
         (name, validate_seed(Sequence.binary(x), Sequence.binary(y), ell0))
         for name, x, y, ell0 in _CORPUS_SPECS
     ]
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configuration; returns the process exit code."""
-    if config.command == "gen":
-        seed = _load_seed(config)
-        pair = grs_pair(seed, config.n, budget=config.budget)
-        seq = pair.x if config.member == "x" else pair.y
+def _read_pair(args: argparse.Namespace) -> tuple[Sequence, Sequence]:
+    """The sequences in the ``--f`` and ``--g`` files."""
+    with open(args.f_path) as fp:
+        f = read_sequence(fp)
+    with open(args.g_path) as fp:
+        return f, read_sequence(fp)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
+    if args.command == "gen":
+        seed = _load_seed(args)
+        pair = grs_pair(seed, args.n, budget=args.budget)
+        seq = pair.x if args.member == "x" else pair.y
         buf = io.StringIO()
         write_sequence(seq, buf)
-        _emit(config, buf.getvalue())
+        _emit(args, buf.getvalue())
         return 0
 
-    if config.command == "corr":
-        with open(config.f_path) as fp:
-            f = read_sequence(fp)
-        with open(config.g_path) as fp:
-            g = read_sequence(fp)
-        value = correlation.crosscorr(f, g, config.shift)
-        from .qcomplex import value_re_im
-
-        re, im = value_re_im(value)
-        _emit(
-            config,
-            json.dumps(
-                {
-                    "shift": str(config.shift),
-                    "re_num": int_text(re.numerator),
-                    "re_den": int_text(re.denominator),
-                    "im_num": int_text(im.numerator),
-                    "im_den": int_text(im.denominator),
-                },
-                sort_keys=True,
-            )
-            + "\n",
-        )
+    if args.command == "corr":
+        f, g = _read_pair(args)
+        re, im = value_re_im(correlation.crosscorr(f, g, args.shift))
+        _emit_json(args, {
+            "shift": str(args.shift),
+            "re_num": int_text(re.numerator),
+            "re_den": int_text(re.denominator),
+            "im_num": int_text(im.numerator),
+            "im_den": int_text(im.denominator),
+        })
         return 0
 
-    if config.command == "spectrum":
-        with open(config.f_path) as fp:
-            f = read_sequence(fp)
-        with open(config.g_path) as fp:
-            g = read_sequence(fp)
-        spec = correlation.spectrum(f, g, budget=config.budget)
-        text = spec.to_csv() if config.format == "csv" else spec.to_json() + "\n"
-        _emit(config, text)
+    if args.command == "spectrum":
+        f, g = _read_pair(args)
+        spec = correlation.spectrum(f, g, budget=args.budget)
+        text = spec.to_csv() if args.format == "csv" else spec.to_json() + "\n"
+        _emit(args, text)
         return 0
 
-    if config.command == "peaks":
-        seed = _load_seed(config)
+    if args.command == "peaks":
+        seed = _load_seed(args)
         pcc_rep, psl_rep = streaming_peaks(
-            seed, config.n, t_split=config.t_split, budget=config.budget
+            seed, args.n, t_split=args.t_split, budget=args.budget
         )
         payload = pcc_rep.as_json_dict("pcc")
-        if config.with_psl:
+        if args.with_psl:
             payload["psl_next"] = psl_rep.as_json_dict("psl")
-        _emit(config, json.dumps(payload, sort_keys=True) + "\n")
+        _emit_json(args, payload)
         return 0
 
-    if config.command == "tables":
-        _emit(config, tables.table_csv(config.which, config.n_max))
+    if args.command == "tables":
+        _emit(args, tables.table_csv(args.which, _n_max(args, None)))
         return 0
 
-    if config.command == "verify":
-        verdicts = _run_suite(config)
-        payload = [v.as_json_dict() for v in verdicts]
-        _emit(config, json.dumps(payload, sort_keys=True) + "\n")
+    if args.command == "verify":
+        verdicts = _run_suite(args)
+        _emit_json(args, [v.as_json_dict() for v in verdicts])
         return 0 if all(v.holds for v in verdicts) else 1
 
-    if config.command == "approx":
-        interval = decimal_approx(QAlphaElem.from_text(config.expr), config.digits)
-        _emit(
-            config,
-            json.dumps(
-                {"digits": config.digits, "expr": config.expr,
-                 "hi": interval.hi, "lo": interval.lo},
-                sort_keys=True,
-            )
-            + "\n",
-        )
+    if args.command == "approx":
+        interval = decimal_approx(QAlphaElem.from_text(args.expr), args.digits)
+        _emit_json(args, {"digits": args.digits, "expr": args.expr,
+                          "hi": interval.hi, "lo": interval.lo})
         return 0
 
-    _input_error(f"unknown command {config.command!r}")
+    _input_error(f"unknown command {args.command!r}")
 
 
-def _run_suite(config: RunConfig):
-    if config.suite == "rs":
-        n_max = 26 if config.n_max is None else config.n_max
+def _run_suite(args: argparse.Namespace):
+    if args.suite == "rs":
+        n_max = _n_max(args, 26)
         return bounds.verify_rs_bounds(n_max) + bounds.verify_rs_lower_bounds(n_max)
-    if config.suite == "generic":
-        n_max = 12 if config.n_max is None else config.n_max
-        if config.seed_path or config.rs:
-            seeds = [("seed", _load_seed(config))]
+    if args.suite == "generic":
+        n_max = _n_max(args, 12)
+        if args.seed_path or args.rs:
+            seeds = [("seed", _load_seed(args))]
         else:
             seeds = _corpus_seeds()
         return [
@@ -263,19 +236,17 @@ def _run_suite(config: RunConfig):
             for name, seed in seeds
             for v in bounds.verify_generic_bound(seed, n_max)
         ]
-    if config.suite == "inequalities":
+    if args.suite == "inequalities":
         return bounds.inequality_suite()
-    if config.suite == "identities":
+    if args.suite == "identities":
         return bounds.identity_suite()
-    _input_error(f"unknown suite {config.suite!r}")
+    _input_error(f"unknown suite {args.suite!r}")
 
 
 def main(argv=None) -> None:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(**vars(args))
+    args = build_parser().parse_args(argv)
     try:
-        sys.exit(run(config))
+        sys.exit(run(args))
     except (ValueError, RuntimeError, OSError) as err:
         # Predictable failures (budget caps, bad seed files, bad shifts)
         # get a one-line message instead of a traceback, and the usage

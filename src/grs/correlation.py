@@ -23,8 +23,8 @@ from types import MappingProxyType
 
 from . import np
 from .convolve import INT64_MAX, abs_max, convolve_int, int_array
-from .qcomplex import CQ, as_cq, exact_magnitude, value_abs2
-from .sequences import BudgetExceeded, Sequence, _negated, coefficient_budget, int_text
+from .qcomplex import CQ, as_cq, exact_magnitude, int_text, value_abs2
+from .sequences import BudgetExceeded, Sequence, _negated, coefficient_budget
 
 __all__ = [
     "Spectrum",

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
-from .qcomplex import _frac
+from .qcomplex import _frac, int_text
 
 __all__ = [
     "QAlphaElem",
@@ -503,10 +503,9 @@ class DecimalInterval(NamedTuple):
 
 
 def _format_scaled(k: int, digits: int, trim: bool = False) -> str:
-    scale = 10**digits
     sign = "-" if k < 0 else ""
-    a = abs(k)
-    text = f"{sign}{a // scale}.{a % scale:0{digits}d}"
+    whole, frac = divmod(abs(k), 10**digits)
+    text = f"{sign}{int_text(whole)}.{int_text(frac).zfill(digits)}"
     if trim:
         text = text.rstrip("0").rstrip(".")
         if text in ("", "-"):

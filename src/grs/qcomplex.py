@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = ["CQ", "as_cq", "value_abs2", "value_conj", "value_re_im", "exact_magnitude"]
+
+
+def int_text(v: int) -> str:
+    """str(v), for an int of any size."""
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
 
 
 def _frac(x) -> Fraction:

@@ -24,7 +24,7 @@ from typing import Iterable, TextIO
 
 from . import np
 from .convolve import INT64_MAX, abs_max, int_array
-from .qcomplex import CQ, as_cq
+from .qcomplex import CQ, as_cq, int_text
 
 __all__ = [
     "Sequence",
@@ -385,14 +385,6 @@ def validate_seed(x0: Sequence, y0: Sequence, ell0: int) -> SeedPair:
 _FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # Rational rows as write_sequence writes them: "num/den num/den" lines.
 _PLAIN_ROWS = re.compile(r"(?:[+-]?[0-9]+/[0-9]+ [+-]?[0-9]+/[0-9]+\n)*")
-
-
-def int_text(v: int) -> str:
-    """str(v), for an int of any size."""
-    try:
-        return str(v)
-    except ValueError:
-        return str(Decimal(v))
 
 
 def _fraction_text(num: int, den: int) -> str:

@@ -16,8 +16,9 @@ Four CSV tables summarize the library's computations for the unit seed
 
 from __future__ import annotations
 
+from . import correlation
 from .fastscan import abgd, coeff_by_geoff, psl_report, streaming_peaks
-from .sequences import SeedPair, rudin_shapiro_seed
+from .sequences import grs_pair, rudin_shapiro_seed
 
 __all__ = [
     "SELECTED_CROSSCORR_SHIFTS",
@@ -62,10 +63,10 @@ SELECTED_TABLE_INDICES: dict[int, tuple[int, ...]] = {
 }
 
 
-def table1_rows(n_max: int = 10, seed: SeedPair | None = None):
+def table1_rows(n_max: int = 10):
     """(n, s, C) rows for the curated shifts, values from the two-level
     rule (levels 0 and 1 come from the oracle base)."""
-    seed = seed or rudin_shapiro_seed()
+    seed = rudin_shapiro_seed()
     rows = []
     for n in sorted(SELECTED_CROSSCORR_SHIFTS):
         if n > n_max:
@@ -74,9 +75,6 @@ def table1_rows(n_max: int = 10, seed: SeedPair | None = None):
             if n >= 2:
                 value = 0 if s == 0 else coeff_by_geoff(seed, n, s)
             else:
-                from . import correlation
-                from .sequences import grs_pair
-
                 pair = grs_pair(seed, n)
                 value = correlation.spectrum(pair.x, pair.y).value(s)
             rows.append((n, s, value))
@@ -95,50 +93,44 @@ def table2_rows(t_max: int = 10):
     return rows
 
 
-def table3_rows(n_max: int = 26, seed: SeedPair | None = None, t_split: int | None = None):
+def table3_rows(n_max: int = 26):
     """(n, s, C) peak-crosscorrelation rows: one row per witness shift."""
-    seed = seed or rudin_shapiro_seed()
+    seed = rudin_shapiro_seed()
     rows = []
     for n in range(n_max + 1):
-        report = streaming_peaks(seed, n, t_split=t_split)[0]
+        report = streaming_peaks(seed, n)[0]
         for s, v in report.witnesses:
             rows.append((n, s, v))
     return rows
 
 
-def table4_rows(n_max: int = 27, seed: SeedPair | None = None, t_split: int | None = None):
+def table4_rows(n_max: int = 27):
     """(n, s, D) peak-sidelobe rows at positive shifts; levels with zero
     sidelobes contribute no rows."""
-    seed = seed or rudin_shapiro_seed()
+    seed = rudin_shapiro_seed()
     rows = []
     for n in range(n_max + 1):
-        report = psl_report(seed, n, t_split=t_split)
+        report = psl_report(seed, n)
         for s, v in report.witnesses:
             rows.append((n, s, v))
     return rows
 
 
-_HEADERS = {
-    1: "n,s,C",
-    2: "t,j,A,B,Gamma,Delta",
-    3: "n,s,C",
-    4: "n,s,D",
-}
-
-_GENERATORS = {
-    1: table1_rows,
-    2: table2_rows,
-    3: table3_rows,
-    4: table4_rows,
+# The CSV header and the row generator of each table.
+_TABLES = {
+    1: ("n,s,C", table1_rows),
+    2: ("t,j,A,B,Gamma,Delta", table2_rows),
+    3: ("n,s,C", table3_rows),
+    4: ("n,s,D", table4_rows),
 }
 
 
 def table_csv(which: int, n_max: int | None = None) -> str:
     """CSV text for one of the four tables (comma separated, no quoting)."""
-    if which not in _GENERATORS:
+    if which not in _TABLES:
         raise ValueError("table selector must be 1, 2, 3, or 4")
+    header, rows_of = _TABLES[which]
     limit = DEFAULT_TABLE_MAX[which] if n_max is None else n_max
-    rows = _GENERATORS[which](limit)
-    lines = [_HEADERS[which]]
-    lines.extend(",".join(str(x) for x in row) for row in rows)
+    lines = [header]
+    lines.extend(",".join(str(x) for x in row) for row in rows_of(limit))
     return "\n".join(lines) + "\n"

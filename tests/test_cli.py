@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from grs.cli import RunConfig, build_parser, main, run
+from grs.cli import build_parser, main, run
 from grs.correlation import crosscorr
 from grs.sequences import Sequence, read_sequence, validate_seed, write_seed_pair
 
@@ -15,7 +16,7 @@ def run_cli(args, tmp_path, name="out.txt"):
     out = tmp_path / name
     parser = build_parser()
     ns = parser.parse_args(args + ["--output", str(out)])
-    code = run(RunConfig(**vars(ns)))
+    code = run(ns)
     return code, out.read_text()
 
 
@@ -215,8 +216,8 @@ def test_approx_zero_denominator_exit_code(capsys):
 @pytest.mark.parametrize(
     "config, message",
     [
-        (RunConfig(command="nope"), "unknown command 'nope'"),
-        (RunConfig(command="verify", suite="nope"), "unknown suite 'nope'"),
+        (argparse.Namespace(command="nope"), "unknown command 'nope'"),
+        (argparse.Namespace(command="verify", suite="nope"), "unknown suite 'nope'"),
     ],
 )
 def test_unknown_command_or_suite_exit_code(capsys, config, message):
@@ -277,6 +278,122 @@ def test_verify_suite_bytes_are_pinned(capsys, args, digest):
         main(["verify", *args])
     assert exc.value.code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+S = argparse.SUPPRESS
+# Every subcommand, its help, and each of its actions as (option strings,
+# dest, default, required, choices, nargs, type name).
+PARSER_TABLE = {
+    "gen": ("write one sequence of a generated pair", [
+        (("-h", "--help"), "help", S, False, None, 0, None),
+        (("--rs",), "rs", False, False, None, 0, None),
+        (("--seed",), "seed_path", None, False, None, None, None),
+        (("--n",), "n", None, True, None, None, "int"),
+        (("--member",), "member", "x", False, ("x", "y"), None, None),
+        (("--output", "-o"), "output", None, False, None, None, None),
+        (("--budget",), "budget", None, False, None, None, "int"),
+    ]),
+    "corr": ("one exact crosscorrelation value", [
+        (("-h", "--help"), "help", S, False, None, 0, None),
+        (("--f",), "f_path", None, True, None, None, None),
+        (("--g",), "g_path", None, True, None, None, None),
+        (("--shift",), "shift", None, True, None, None, "int"),
+        (("--output", "-o"), "output", None, False, None, None, None),
+    ]),
+    "spectrum": ("full exact crosscorrelation spectrum", [
+        (("-h", "--help"), "help", S, False, None, 0, None),
+        (("--f",), "f_path", None, True, None, None, None),
+        (("--g",), "g_path", None, True, None, None, None),
+        (("--format",), "format", "json", False, ("json", "csv"), None, None),
+        (("--output", "-o"), "output", None, False, None, None, None),
+        (("--budget",), "budget", None, False, None, None, "int"),
+    ]),
+    "peaks": ("streaming peak crosscorrelation scan", [
+        (("-h", "--help"), "help", S, False, None, 0, None),
+        (("--rs",), "rs", False, False, None, 0, None),
+        (("--seed",), "seed_path", None, False, None, None, None),
+        (("--n",), "n", None, True, None, None, "int"),
+        (("--t-split",), "t_split", None, False, None, None, "int"),
+        (("--psl",), "with_psl", False, False, None, 0, None),
+        (("--output", "-o"), "output", None, False, None, None, None),
+        (("--budget",), "budget", None, False, None, None, "int"),
+    ]),
+    "tables": ("regenerate a reference table as CSV", [
+        (("-h", "--help"), "help", S, False, None, 0, None),
+        (("--which",), "which", None, True, (1, 2, 3, 4), None, "int"),
+        (("--max",), "n_max", None, False, None, None, "int"),
+        (("--output", "-o"), "output", None, False, None, None, None),
+    ]),
+    "verify": ("run an exact verification suite", [
+        (("-h", "--help"), "help", S, False, None, 0, None),
+        (("--suite",), "suite", None, True,
+         ("rs", "generic", "inequalities", "identities"), None, None),
+        (("--max",), "n_max", None, False, None, None, "int"),
+        (("--rs",), "rs", False, False, None, 0, None),
+        (("--seed",), "seed_path", None, False, None, None, None),
+        (("--output", "-o"), "output", None, False, None, None, None),
+    ]),
+    "approx": ("decimal bracket of p + q*a + r*a^2", [
+        (("-h", "--help"), "help", S, False, None, 0, None),
+        (("--expr",), "expr", None, True, None, None, None),
+        (("--digits",), "digits", 6, False, None, None, "int"),
+        (("--output", "-o"), "output", None, False, None, None, None),
+    ]),
+}
+
+
+def test_parser_is_pinned():
+    # The parser as data, not as --help text, which argparse wraps by
+    # terminal width and words differently across Python versions.
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    table = {
+        name: (helps[name], [
+            (tuple(a.option_strings), a.dest, a.default, a.required, a.choices,
+             a.nargs, getattr(a.type, "__name__", None))
+            for a in p._actions
+        ])
+        for name, p in sub.choices.items()
+    }
+    assert list(table) == list(PARSER_TABLE)
+    assert table == PARSER_TABLE
+
+
+# sha256 of the stdout of ``grs tables --which N`` at its default size.
+TABLE_DIGESTS = {
+    1: "ed8ce6cc6a47f40465906e09320c42159f37891f3dd78c99b9cfe77fa9cd8318",
+    2: "149c523f3ff5d6c55cb4982b2f8284247c384c9b4f1036428a91bb1e499797ae",
+    3: "81445dc43bd7eb54a98b367d3868840c82e5b7c38dc9154ee95a7b49bbfc5a79",
+    4: "e69283acf4bef82ff89f3f45c557fa12b327134a4a456acd0be487c90f7262e3",
+}
+
+
+def test_table_bytes_are_pinned(capsys):
+    digests = {}
+    for which in TABLE_DIGESTS:
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--which", str(which)])
+        assert exc.value.code == 0
+        digests[which] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == TABLE_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "rs", "--max", "-1"],
+        ["verify", "--suite", "generic", "--max", "-3"],
+        ["tables", "--which", "3", "--max", "-1"],
+        ["tables", "--which", "1", "--max", "-5"],
+    ],
+)
+def test_negative_max_is_an_input_error(capsys, args):
+    # A verification over no levels would otherwise print [] and pass.
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: --max must be nonnegative\n")
 
 
 def test_entry_point_runs():

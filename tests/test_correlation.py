@@ -22,8 +22,8 @@ from grs.correlation import (
     psl,
     spectrum,
 )
-from grs.qcomplex import CQ, as_cq, value_re_im
-from grs.sequences import Sequence, grs_pair, int_text, rudin_shapiro
+from grs.qcomplex import CQ, as_cq, int_text, value_re_im
+from grs.sequences import Sequence, grs_pair, rudin_shapiro
 
 
 def test_crosscorr_basics(rs_seed):

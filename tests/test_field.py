@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from grs.field import (
     KElem,
     QAlphaElem,
     RationalInputError,
+    _format_scaled,
     alpha_pow,
     compare,
     decimal_approx,
@@ -112,6 +114,17 @@ def test_decimal_approx_examples():
     assert tuple(decimal_approx(QAlphaElem(-3), 2)) == ("-3", "-3")
     assert tuple(decimal_approx(-A, 4)) == ("-1.6590", "-1.6589")
     assert str(decimal_approx(A, 6)) == "[1.658967, 1.658968]"
+
+
+@pytest.mark.parametrize("trim", [False, True])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_format_scaled_past_int_text_limit(sign, trim):
+    # 4400 digits, 4350 after the point: more than str(int) converts by
+    # default, as `grs approx --digits 4350` needs them.
+    whole, frac = "7" * 50, "0123456789" * 434 + "1000000000"
+    k = int(Decimal(sign + whole + frac))
+    expected = frac.rstrip("0") if trim else frac
+    assert _format_scaled(k, len(frac), trim=trim) == f"{sign}{whole}.{expected}"
 
 
 def test_qalpha_text_roundtrip():
