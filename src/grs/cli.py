@@ -8,7 +8,8 @@ identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 at least one verification verdict failed,
 2 usage or input error (bad arguments, unreadable or invalid files,
-a negative --max, budget caps).
+a negative --max, an option the chosen verify suite ignores, budget
+caps).
 """
 
 from __future__ import annotations
@@ -135,6 +136,16 @@ def _n_max(args: argparse.Namespace, default: int | None) -> int | None:
     return args.n_max
 
 
+def _refuse(args: argparse.Namespace, *options: str) -> None:
+    """An input error if one of ``options``, which the suite ignores, is
+    given."""
+    given = {"--max": args.n_max is not None, "--seed": args.seed_path is not None,
+             "--rs": args.rs}
+    for option in options:
+        if given[option]:
+            _input_error(f"--suite {args.suite} takes no {option}")
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output and args.output != "-":
         with open(args.output, "w") as fp:
@@ -223,6 +234,7 @@ def run(args: argparse.Namespace) -> int:
 
 def _run_suite(args: argparse.Namespace):
     if args.suite == "rs":
+        _refuse(args, "--seed", "--rs")
         n_max = _n_max(args, 26)
         return bounds.verify_rs_bounds(n_max) + bounds.verify_rs_lower_bounds(n_max)
     if args.suite == "generic":
@@ -237,8 +249,10 @@ def _run_suite(args: argparse.Namespace):
             for v in bounds.verify_generic_bound(seed, n_max)
         ]
     if args.suite == "inequalities":
+        _refuse(args, "--max", "--seed", "--rs")
         return bounds.inequality_suite()
     if args.suite == "identities":
+        _refuse(args, "--max", "--seed", "--rs")
         return bounds.identity_suite()
     _input_error(f"unknown suite {args.suite!r}")
 

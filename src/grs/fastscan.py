@@ -189,12 +189,6 @@ def _int_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
     return _dense_int(seed, k, k - floor) if k > floor else _peak_bounds_to(seed, k)[k][3]
 
 
-def _levels(seed: SeedPair, k: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Levels k and k-1, k >= 1: kept entries up to the floor, each level
-    above it one pass from the two floor levels."""
-    return _int_level(seed, k), _int_level(seed, k - 1)
-
-
 def _peak_of(parts: tuple[np.ndarray, ...]) -> tuple[int, np.ndarray]:
     """The largest |v| of a real level or block, or the largest |v|^2 =
     re^2 + im^2 of a complex one, and the indices that attain it."""
@@ -280,7 +274,7 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
 
 
 def _dense_int(seed: SeedPair, n: int, t: int) -> tuple[np.ndarray, ...]:
-    """Level n in one pass from its levels n-t and n-t-1 (``_levels``):
+    """Level n in one pass from its levels n-t and n-t-1 (``_int_level``):
     every block at once, one per row, each row followed by the zero at
     r = 0 of the next block.  Python integers (object dtype) when some
     value could leave int64."""
@@ -288,7 +282,8 @@ def _dense_int(seed: SeedPair, n: int, t: int) -> tuple[np.ndarray, ...]:
     cols = (table.a, table.b, table.g, table.d)
     ms = _peak_bounds_to(seed, n - t)
     bound = _bound([c.astype(object) for c in cols], ms[n - t][0], ms[n - t - 1][0]).max()
-    blocks = _block_values(*(c[:, None] for c in cols), *_levels(seed, n - t), bound)
+    levels = _int_level(seed, n - t), _int_level(seed, n - t - 1)
+    blocks = _block_values(*(c[:, None] for c in cols), *levels, bound)
     return tuple(np.pad(v, ((0, 0), (0, 1))).reshape(-1)[:-1] for v in blocks)
 
 
@@ -305,7 +300,8 @@ def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
     signs of the two-level rule are two blocks."""
     lv1, lv2 = _split_levels(seed, n, t)
     node, ms = _coeffs(t, q), _peak_bounds_to(seed, lv1)
-    return _block_values(*node, *_levels(seed, lv1), _bound(node, ms[lv1][0], ms[lv2][0]))
+    return _block_values(*node, _int_level(seed, lv1), _int_level(seed, lv2),
+                         _bound(node, ms[lv1][0], ms[lv2][0]))
 
 
 def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
@@ -368,12 +364,6 @@ class PeakReport:
         }
 
 
-def _report(level: int, spec: correlation.Spectrum, first: int | None = None) -> PeakReport:
-    """The oracle's peak of ``spec`` over the shifts from ``first`` on."""
-    value, shifts = correlation._peak(spec, first)
-    return PeakReport(level, value, tuple((s, spec.value(s)) for s in shifts))
-
-
 def _psl_from_pcc(pcc_rep: PeakReport, ell_n: int) -> PeakReport:
     """Map a level-n crosscorrelation peak to the level-(n+1) sidelobe
     peak: the autocorrelation at positive shift s equals
@@ -388,30 +378,27 @@ def streaming_peaks(seed: SeedPair, n: int, t_split: int | None = None,
     the shift tree (see ``_tree_peak``), plus the derived peak sidelobe
     report for level n+1.
 
-    The split t is the depth of the leaves, whose blocks are evaluated
-    from the dense levels n-t and n-t-1; by default n-t is the seed's
-    dense floor, or n-1 below it, and the peak is the one the seed keeps
-    for level n (``_peak_bounds_to``), so a level is searched once per
-    seed.  Any split with 0 < t < n gives identical output.  Levels 0..2
-    fall back to the oracle on the materialized pair.  The peak value is
-    |v| of the first witness v; a properly complex v, whose magnitude is
-    in general irrational, raises ValueError.
+    The split t, 0 < t < n, is the depth of the leaves, whose blocks are
+    evaluated from the dense levels n-t and n-t-1.  By default the peak
+    is the one the seed keeps for level n (``_peak_bounds_to``): read off
+    the dense level up to the seed's dense floor, found with n-t at the
+    floor above it, so a level is searched once per seed.  Every split
+    gives identical output.  The peak value is |v| of the first witness
+    v; a properly complex v, whose magnitude is in general irrational,
+    raises ValueError.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if n <= 2:
-        pair = grs_pair(seed, n, budget=budget)
-        rep = _report(n, correlation.spectrum(pair.x, pair.y))
-        return rep, _psl_from_pcc(rep, seed.ell0 << n)
-
-    t = t_split if t_split is not None else n - min(_floor(seed), n - 1)
-    lv1, _ = _split_levels(seed, n, t)
+    if t_split is None:
+        lv1 = min(_floor(seed), max(n - 1, 0))
+    else:
+        lv1, _ = _split_levels(seed, n, t_split)
     cap = coefficient_budget(budget)
     need = 4 * (seed.ell0 << lv1) * (1 if seed.is_rational else 2)
     if need > cap:
         raise BudgetExceeded(f"scan needs about {need} cached entries, budget is {cap}")
 
-    hits = _peak_bounds_to(seed, n)[n][2] if t_split is None else _tree_peak(seed, n, t)[1]
+    hits = _peak_bounds_to(seed, n)[n][2] if t_split is None else _tree_peak(seed, n, t_split)[1]
     scale = _scale(seed)
     wits = tuple((s, correlation._exact_value(scale, *parts)) for s, *parts in hits)
     pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]) if wits else 0, wits)
@@ -432,8 +419,8 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
     still expanded, so every witness is kept.  Complex levels compare
     squared magnitudes with squared bounds.
     """
-    lv1, _ = _split_levels(seed, n, t)
-    level_nt, level_nt1 = _levels(seed, lv1)
+    lv1, lv2 = _split_levels(seed, n, t)
+    level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
     power = 1 if seed.is_rational else 2
     big_l = 2 * (seed.ell0 << lv1)
     ms = [entry[0] for entry in _peak_bounds_to(seed, n - 1)]
@@ -453,7 +440,7 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
             for child_q, child in zip((2 * q, 2 * q + 1), _children(coeffs)):
                 heapq.heappush(heap, node(depth + 1, child_q, child, -neg))
             continue
-        vals = _block_values(*coeffs, level_nt, level_nt1, own**power)
+        vals = _block_values(*coeffs, level_nt, level_nt1, own)
         m, idx = _peak_of(vals)
         if m < best or m == 0:
             continue
@@ -475,8 +462,9 @@ def psl_report(seed: SeedPair, n: int, t_split: int | None = None) -> PeakReport
     through the shift map; level 0 is read from the oracle directly.
     """
     if n == 0:
-        pair = grs_pair(seed, 0)
-        return _report(0, correlation.spectrum(pair.x, pair.x), 1)
+        spec = correlation.spectrum(seed.x0, seed.x0)
+        value, shifts = correlation._peak(spec, 1)
+        return PeakReport(0, value, tuple((s, spec.value(s)) for s in shifts))
     return streaming_peaks(seed, n - 1, t_split=t_split)[1]
 
 

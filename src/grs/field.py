@@ -513,32 +513,45 @@ def _format_scaled(k: int, digits: int, trim: bool = False) -> str:
     return text
 
 
+def _alpha0_times(g: int) -> int:
+    """An integer at alpha0 * g or about one unit above it, g >= 1: integer
+    Newton steps on f(X) = X^3 + g X^2 - 2 g^2 X - 4 g^3, whose one real
+    root is alpha0 * g, from 2g.  f is increasing and convex above the
+    root, so each step, rounded down in size, stays at or above it."""
+    x = 2 * g
+    while True:
+        f = x**3 + g * x * x - 2 * g * g * x - 4 * g**3
+        step = f // (3 * x * x + 2 * g * x - 2 * g * g)
+        if not step:
+            return x
+        x -= step
+
+
 def decimal_approx(v: QAlphaElem, digits: int) -> DecimalInterval:
     """Bracket v in an interval [lo, hi] of width at most 10^-digits.
 
-    The bracket is found by comparing v against rationals with
-    ``compare`` (a bisection over integer numerators), so the result is
-    exact and deterministic.  If v is itself representable with the
-    requested precision, lo == hi.
+    floor(v * 10^digits) is estimated from an integer approximation of
+    alpha0 with guard bits, then settled by comparing v against rationals
+    with ``compare``, so the result is exact and deterministic.  If v is
+    itself representable with the requested precision, lo == hi.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
-    v = _as_qalpha(v)
+    a, b, c, d = _as_qalpha(v)._ints
     scale = 10**digits
-    # 0 < alpha0 < 3, so |v| <= |p| + 3|q| + 9|r| < bound.
-    bound = 1 + abs(v.p) + 3 * abs(v.q) + 9 * abs(v.r)
-    hi_int = int(bound * scale) + 1
-    lo_int = -hi_int
+    # alpha_g and alpha_g^2 // g are within a few units of alpha0 g and
+    # alpha0^2 g, so the guard bits keep the estimate within a unit or two
+    # of the floor; the comparisons below settle it either way.
+    guard = (abs(b) + 5 * abs(c) + 2).bit_length() + 1
+    g = scale << guard
+    alpha_g = _alpha0_times(g)
+    k = (a * g + b * alpha_g + c * (alpha_g * alpha_g // g)) // d >> guard
     # Largest k with k/scale <= v.
-    while hi_int - lo_int > 1:
-        mid = (lo_int + hi_int) // 2
-        if compare(v, Fraction(mid, scale)) >= 0:
-            lo_int = mid
-        else:
-            hi_int = mid
-    if compare(v, Fraction(lo_int, scale)) == 0:
-        text = _format_scaled(lo_int, digits, trim=True)
+    while compare(v, Fraction(k, scale)) < 0:
+        k -= 1
+    while compare(v, Fraction(k + 1, scale)) >= 0:
+        k += 1
+    if compare(v, Fraction(k, scale)) == 0:
+        text = _format_scaled(k, digits, trim=True)
         return DecimalInterval(text, text)
-    return DecimalInterval(
-        _format_scaled(lo_int, digits), _format_scaled(lo_int + 1, digits)
-    )
+    return DecimalInterval(_format_scaled(k, digits), _format_scaled(k + 1, digits))

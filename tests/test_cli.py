@@ -236,13 +236,24 @@ def test_unknown_command_or_suite_exit_code(capsys, config, message):
         ["corr", "--f", "f.seq", "--g", "g.seq", "--shift", "0", "--budget", "1"],
         ["verify", "--suite", "identities", "--budget", "1"],
         ["approx", "--expr", "0 1 0", "--budget", "1"],
+        ["verify", "--suite", "rs", "--max", "5", "--seed", "missing.seed"],
+        ["verify", "--suite", "rs", "--rs"],
+        ["verify", "--suite", "inequalities", "--rs"],
+        ["verify", "--suite", "inequalities", "--seed", "missing.seed"],
+        ["verify", "--suite", "inequalities", "--max", "3"],
+        ["verify", "--suite", "identities", "--max", "-7"],
+        ["verify", "--suite", "identities", "--seed", "missing.seed"],
+        ["verify", "--suite", "identities", "--rs"],
     ],
 )
-def test_options_without_effect_are_rejected(args):
-    # --budget is taken only where a budget applies: gen, spectrum, peaks.
+def test_options_without_effect_are_rejected(capsys, args):
+    # --budget is taken only where a budget applies: gen, spectrum, peaks;
+    # --seed and --rs by the generic suite only, --max by rs and generic.
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: ") == 1
 
 
 @pytest.mark.parametrize("command", ["peaks", "gen"])
@@ -394,6 +405,15 @@ def test_negative_max_is_an_input_error(capsys, args):
         main(args)
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", "error: --max must be nonnegative\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_invalid_split_is_an_input_error_at_low_levels(capsys, n):
+    for t in (-1, 0, n, 9):
+        with pytest.raises(SystemExit) as exc:
+            main(["peaks", "--rs", "--n", str(n), "--t-split", str(t)])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: need 0 < t < n, got t={t}, n={n}\n")
 
 
 def test_entry_point_runs():

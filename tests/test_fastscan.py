@@ -236,6 +236,51 @@ def test_complex_seed_scan_matches_oracle(seed_complex, seed_complex_rational):
         assert psl_rep.witnesses == tuple((s, auto.value(s)) for s in psl_shifts), n
 
 
+def test_low_levels_match_the_oracle(
+    corpus, seed_golay10, seed_padded3, seed_rational, seed_complex, seed_complex_rational
+):
+    # Levels 0..2 are answered from the per-seed store like every other
+    # level, so the oracle checks them independently.
+    fastscan.clear_caches()
+    for seed in corpus + [seed_golay10, seed_padded3, seed_rational, seed_complex,
+                          seed_complex_rational]:
+        for n in range(3):
+            pair = grs_pair(seed, n)
+            spec = correlation.spectrum(pair.x, pair.y)
+            value, shifts = correlation.pcc(pair.x, pair.y)
+            rep, _ = streaming_peaks(seed, n)
+            assert (rep.level, rep.value) == (n, value), (seed.ell0, n)
+            assert rep.witnesses == tuple((s, spec.value(s)) for s in shifts), (seed.ell0, n)
+        for n in range(4):
+            x = grs_pair(seed, n).x
+            auto = correlation.spectrum(x, x)
+            value, shifts = correlation.psl(x)
+            rep = psl_report(seed, n)
+            assert (rep.level, rep.value) == (n, value), (seed.ell0, n)
+            assert rep.witnesses == tuple((s, auto.value(s)) for s in shifts), (seed.ell0, n)
+
+
+def test_complex_leaves_stay_in_int64(seed_complex, monkeypatch):
+    # The bound of a block caps every re and im partial sum, so the leaves
+    # of the (1, i)/(1, -i) scan stay in int64 at n = 60, where the square
+    # of that bound leaves it.
+    dtypes = set()
+
+    def block_values(*args):
+        vals = evaluate(*args)
+        dtypes.update(v.dtype for v in vals)
+        return vals
+
+    evaluate = fastscan._block_values
+    monkeypatch.setattr(fastscan, "_block_values", block_values)
+    fastscan.clear_caches()
+    rep, _ = streaming_peaks(seed_complex, 60)
+    fastscan.clear_caches()
+    assert dtypes == {np.dtype(np.int64)}
+    monkeypatch.undo()
+    assert streaming_peaks(seed_complex, 60, t_split=52)[0] == rep
+
+
 def test_properly_complex_peak_still_raises(tmp_path, capsys):
     # (1, 1+i) and (1, -1-i) is a Golay seed whose peaks have irrational
     # magnitudes: the scan refuses them rather than report a rounded value.
@@ -529,6 +574,11 @@ def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
     # small, whatever the number of blocks at its depth.
     assert streaming_peaks(rs_seed, 40, t_split=35)[0].value == 372089521
     assert streaming_peaks(rs_seed, 40)[0].value == 372089521
+    # Levels 0..2 take the same check, with dense level max(n - 1, 0).
+    for n, need in ((0, 4), (1, 4), (2, 8)):
+        with pytest.raises(BudgetExceeded, match=f"needs about {need} "):
+            streaming_peaks(rs_seed, n, budget=need - 1)
+        assert streaming_peaks(rs_seed, n, budget=need)[0].level == n
 
 
 def test_budget_is_not_read_from_the_environment(monkeypatch, rs_seed):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grs import field
 from grs.field import (
+    DecimalInterval,
     KElem,
     QAlphaElem,
     RationalInputError,
@@ -114,6 +116,69 @@ def test_decimal_approx_examples():
     assert tuple(decimal_approx(QAlphaElem(-3), 2)) == ("-3", "-3")
     assert tuple(decimal_approx(-A, 4)) == ("-1.6590", "-1.6589")
     assert str(decimal_approx(A, 6)) == "[1.658967, 1.658968]"
+
+
+def _bisected_bracket(v, digits):
+    """Reference bracket: bisection over the integer numerators k of
+    k / 10^digits with ``compare``, from a bracket of width about
+    2 * bound * 10^digits (about 3.3 * digits comparisons)."""
+    scale = 10**digits
+    # 0 < alpha0 < 3, so |v| <= |p| + 3|q| + 9|r| < bound.
+    bound = 1 + abs(v.p) + 3 * abs(v.q) + 9 * abs(v.r)
+    hi_int = int(bound * scale) + 1
+    lo_int = -hi_int
+    while hi_int - lo_int > 1:
+        mid = (lo_int + hi_int) // 2
+        if compare(v, Fraction(mid, scale)) >= 0:
+            lo_int = mid
+        else:
+            hi_int = mid
+    if compare(v, Fraction(lo_int, scale)) == 0:
+        text = _format_scaled(lo_int, digits, trim=True)
+        return DecimalInterval(text, text)
+    return DecimalInterval(_format_scaled(lo_int, digits), _format_scaled(lo_int + 1, digits))
+
+
+BRACKET_VALUES = {
+    "alpha0": A,
+    "3/7 alpha0^-7 + 5": Fraction(3, 7) * alpha_pow(-7) + 5,
+    "1/3": QAlphaElem(Fraction(1, 3)),
+    "(-22/7, 3, -1/9)": QAlphaElem(Fraction(-22, 7), 3, Fraction(-1, 9)),
+    "alpha0^-40": alpha_pow(-40),
+    "-alpha0": -A,
+    "-3/8": QAlphaElem(Fraction(-3, 8)),
+    "0": QAlphaElem(0),
+    "-7": QAlphaElem(-7),
+}
+
+
+@pytest.mark.parametrize("name", BRACKET_VALUES)
+def test_decimal_approx_equals_bisection(name):
+    v = BRACKET_VALUES[name]
+    # The bisection at 1000 digits takes about 0.1-1.5 s per value, so it
+    # runs on three: irrational, recurring and exact negative.
+    wide = [1000] if name in ("alpha0", "1/3", "-3/8") else []
+    for digits in [*range(1, 41), 200, *wide]:
+        assert decimal_approx(v, digits) == _bisected_bracket(v, digits), digits
+
+
+def test_decimal_approx_exact_values_have_equal_ends():
+    for name in ("-3/8", "0", "-7"):
+        lo, hi = decimal_approx(BRACKET_VALUES[name], 3)
+        assert lo == hi
+    lo, hi = decimal_approx(BRACKET_VALUES["-3/8"], 2)
+    assert (lo, hi) == ("-0.38", "-0.37")
+
+
+def test_decimal_approx_past_int_text_limit_takes_few_comparisons(monkeypatch):
+    # The bracket comes from an estimate settled by a few comparisons, not
+    # from a bisection of about 3.3 comparisons per digit.
+    calls = []
+    monkeypatch.setattr(field, "compare", lambda v, w: calls.append(w) or compare(v, w))
+    lo, hi = decimal_approx(A, 4301)
+    assert len(calls) <= 4
+    assert lo.startswith("1.65896708191") and len(lo) == len(hi) == 4303
+    assert compare(A, Fraction(Decimal(lo))) > 0 > compare(A, Fraction(Decimal(hi)))
 
 
 @pytest.mark.parametrize("trim", [False, True])
