@@ -34,7 +34,7 @@ from .field import (
     k_div,
     reduce_poly,
 )
-from .qcomplex import as_cq
+from .qcomplex import as_cq, fraction_text, int_text
 from .sequences import SeedPair, grs_pair, rudin_shapiro_seed
 
 __all__ = [
@@ -228,6 +228,8 @@ def lily_predict_printed(seed: SeedPair, s0: int, n: int) -> Fraction:
         raise SeedNotRational("closed-form prediction needs a rational seed")
     if abs(s0) >= seed.ell0:
         raise ShiftNotEntered(f"|s0| must be below ell0={seed.ell0}")
+    if n < 0:
+        raise ValueError("level must be nonnegative")
     f = {0: _rational_corr(seed, s0), 1: _rational_corr(seed, -s0)}
     e = e_constants()
     total = KElem.zero()
@@ -276,8 +278,8 @@ def _fmt_exact(v) -> str:
     if isinstance(v, (QAlphaElem, KElem)):
         return v.to_text()
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
+        return fraction_text(*v.as_integer_ratio())
+    return int_text(v)
 
 
 _OBS = {-1: "<", 0: "=", 1: ">"}

@@ -24,7 +24,7 @@ from typing import NoReturn
 from . import bounds, correlation, tables
 from .fastscan import streaming_peaks
 from .field import QAlphaElem, decimal_approx
-from .qcomplex import int_text, value_re_im
+from .qcomplex import as_cq, int_text
 from .sequences import (
     SeedPair,
     Sequence,
@@ -186,13 +186,13 @@ def run(args: argparse.Namespace) -> int:
 
     if args.command == "corr":
         f, g = _read_pair(args)
-        re, im = value_re_im(correlation.crosscorr(f, g, args.shift))
+        v = as_cq(correlation.crosscorr(f, g, args.shift))
         _emit_json(args, {
             "shift": str(args.shift),
-            "re_num": int_text(re.numerator),
-            "re_den": int_text(re.denominator),
-            "im_num": int_text(im.numerator),
-            "im_den": int_text(im.denominator),
+            "re_num": int_text(v.re.numerator),
+            "re_den": int_text(v.re.denominator),
+            "im_num": int_text(v.im.numerator),
+            "im_den": int_text(v.im.denominator),
         })
         return 0
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
 from . import np
+from .qcomplex import int_text, text_int
 
 __all__ = ["convolve_int", "schoolbook_convolve"]
 
@@ -80,9 +81,7 @@ def _pack(vals: np.ndarray, k: int) -> Decimal:
             rest, digit = np.divmod(rest, 10)
             digits[::-1, col] = digit + 48
         return Decimal(digits.tobytes().decode("ascii"))
-    # Python ints go through Decimal, which, unlike str(int), has no digit
-    # limit (sys.get_int_max_str_digits).
-    return Decimal("".join(f"{Decimal(v):0{k}f}" for v in reversed(vals.tolist())))
+    return Decimal("".join(int_text(v).zfill(k) for v in reversed(vals.tolist())))
 
 
 def _unpack(num: Decimal, k: int, count: int, dtype) -> np.ndarray:
@@ -99,7 +98,7 @@ def _unpack(num: Decimal, k: int, count: int, dtype) -> np.ndarray:
         return out
     text = str(num).rjust(count * k, "0")
     return np.array(
-        [int(Decimal(text[i * k : (i + 1) * k])) for i in range(count - 1, -1, -1)],
+        [text_int(text[i * k : (i + 1) * k]) for i in range(count - 1, -1, -1)],
         dtype=object,
     )
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from . import np
 from .convolve import INT64_MAX, abs_max, convolve_int, int_array
-from .qcomplex import CQ, as_cq, exact_magnitude, int_text, value_abs2
+from .qcomplex import CQ, exact_magnitude, int_text
 from .sequences import BudgetExceeded, Sequence, _negated, coefficient_budget
 
 __all__ = [
@@ -243,25 +243,18 @@ def periodic_corr(f: Sequence, g: Sequence, k: int, s: int):
         raise ShiftOutOfRange(f"shift {s} not in [0, {k})")
     if f.length > k or g.length > k:
         raise ValueError("period must be at least the sequence lengths")
-    a = crosscorr(f, g, s)
-    b = crosscorr(f, g, s - k)
-    return as_cq(a) + as_cq(b) if isinstance(a, CQ) or isinstance(b, CQ) else a + b
+    return crosscorr(f, g, s) + crosscorr(f, g, s - k)
 
 
-def _sum_abs2(spec: Spectrum) -> Fraction:
-    """Sum of |C(s)|^2 over every shift, in integers: in int64 when no
-    partial sum can leave it."""
+def _sum_abs2(values: Spectrum | Sequence) -> Fraction:
+    """Sum of |v|^2 over the values of a spectrum or a sequence (its
+    energy), in integers: in int64 when no partial sum can leave it."""
     total = 0
-    for part in spec.parts:
+    for part in values.parts:
         if part.size * abs_max(part) ** 2 > INT64_MAX:
             part = part.astype(object)
         total += int(np.dot(part, part))
-    return Fraction(total, spec.den**2)
-
-
-def _energy(f: Sequence) -> Fraction:
-    e = as_cq(crosscorr(f, f, 0))
-    return e.re
+    return Fraction(total, values.den**2)
 
 
 def demerit_auto(f: Sequence) -> Fraction:
@@ -269,10 +262,8 @@ def demerit_auto(f: Sequence) -> Fraction:
     by the squared zero-shift value."""
     if f.is_zero:
         raise ZeroLength("demerit factor of the zero sequence is undefined")
-    spec = spectrum(f, f)
-    num = _sum_abs2(spec) - value_abs2(spec.value(0))
-    e = _energy(f)
-    return num / (e * e)
+    e2 = _sum_abs2(f) ** 2  # |C(0)|^2: C(0) is the energy of f
+    return (_sum_abs2(spectrum(f, f)) - e2) / e2
 
 
 def demerit_cross(f: Sequence, g: Sequence) -> Fraction:
@@ -281,4 +272,4 @@ def demerit_cross(f: Sequence, g: Sequence) -> Fraction:
     if f.is_zero or g.is_zero:
         raise ZeroLength("demerit factor needs nonzero sequences")
     num = _sum_abs2(spectrum(f, g))
-    return num / (_energy(f) * _energy(g))
+    return num / (_sum_abs2(f) * _sum_abs2(g))

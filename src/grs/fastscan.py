@@ -43,7 +43,7 @@ from math import inf, isqrt, lcm
 
 from . import correlation, np
 from .convolve import INT64_MAX, abs_max
-from .qcomplex import exact_magnitude, value_conj
+from .qcomplex import as_cq, exact_magnitude, value_conj
 from .sequences import (
     BudgetExceeded,
     SeedPair,
@@ -357,9 +357,9 @@ class PeakReport:
     def as_json_dict(self, value_key: str) -> dict:
         return {
             "n": self.level,
-            value_key: str(self.value),
+            value_key: str(as_cq(self.value)),
             "witnesses": [
-                {"shift": str(s), "value": str(v)} for s, v in self.witnesses
+                {"shift": str(s), "value": str(as_cq(v))} for s, v in self.witnesses
             ],
         }
 
@@ -455,7 +455,7 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
     )
 
 
-def psl_report(seed: SeedPair, n: int, t_split: int | None = None) -> PeakReport:
+def psl_report(seed: SeedPair, n: int) -> PeakReport:
     """Peak sidelobe report for the level-n sequence.
 
     For n >= 1 this is the crosscorrelation peak of level n-1 pushed
@@ -465,7 +465,7 @@ def psl_report(seed: SeedPair, n: int, t_split: int | None = None) -> PeakReport
         spec = correlation.spectrum(seed.x0, seed.x0)
         value, shifts = correlation._peak(spec, 1)
         return PeakReport(0, value, tuple((s, spec.value(s)) for s in shifts))
-    return streaming_peaks(seed, n - 1, t_split=t_split)[1]
+    return streaming_peaks(seed, n - 1)[1]
 
 
 # ---------------------------------------------------------------------------

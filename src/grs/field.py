@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
-from .qcomplex import _frac, int_text
+from .qcomplex import CQ, _frac, fraction_text, int_text, parse_fraction
 
 __all__ = [
     "QAlphaElem",
@@ -194,22 +194,17 @@ class QAlphaElem:
     # -- text form: "p_num/p_den q_num/q_den r_num/r_den" ----------------
 
     def to_text(self) -> str:
-        return " ".join(
-            f"{c.numerator}/{c.denominator}" for c in (self.p, self.q, self.r)
-        )
+        return " ".join(fraction_text(*c.as_integer_ratio()) for c in (self.p, self.q, self.r))
 
     @classmethod
     def from_text(cls, text: str) -> "QAlphaElem":
         parts = text.split()
         if len(parts) != 3:
             raise ValueError("expected three rationals 'p q r'")
-        try:
-            return cls(*(Fraction(part) for part in parts))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+        return cls(*map(parse_fraction, parts))
 
     def __str__(self):
-        return f"({self.p}) + ({self.q})*a + ({self.r})*a^2"
+        return f"({CQ(self.p)}) + ({CQ(self.q)})*a + ({CQ(self.r)})*a^2"
 
 
 def _reduced(a: int, b: int, c: int, d: int) -> QAlphaElem:
@@ -430,7 +425,7 @@ class KElem:
         return result
 
     def to_text(self) -> str:
-        return " ".join(f"{x.numerator}/{x.denominator}" for x in self.c)
+        return " ".join(fraction_text(*x.as_integer_ratio()) for x in self.c)
 
     def __str__(self):
         return self.to_text()

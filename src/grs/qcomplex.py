@@ -1,12 +1,23 @@
-"""Complex numbers with exact rational real and imaginary parts."""
+"""Complex numbers with exact rational real and imaginary parts, and the
+text codec of every exact value the package writes or reads.
+
+str(int), int(str) and Fraction(str) refuse integers past
+sys.get_int_max_str_digits() digits; Decimal converts exactly at any size,
+so the codec falls back to it when they raise.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-__all__ = ["CQ", "as_cq", "value_abs2", "value_conj", "value_re_im", "exact_magnitude"]
+__all__ = ["CQ", "as_cq", "value_conj", "exact_magnitude",
+           "int_text", "text_int", "fraction_text", "parse_fraction"]
+
+_INT_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
+_FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def int_text(v: int) -> str:
@@ -15,6 +26,37 @@ def int_text(v: int) -> str:
         return str(v)
     except ValueError:
         return str(Decimal(v))
+
+
+def text_int(text: str) -> int:
+    """int(text), for a decimal integer text of any size."""
+    try:
+        return int(text)
+    except ValueError:
+        if _INT_TEXT.fullmatch(text) is None:
+            raise
+        return int(Decimal(text))
+
+
+def fraction_text(num: int, den: int) -> str:
+    """"num/den", for ints of any size."""
+    return f"{int_text(num)}/{int_text(den)}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), for numerators and denominators of any size; a zero
+    denominator is a ValueError, like any other malformed value."""
+    try:
+        try:
+            return Fraction(text)
+        except ValueError:
+            match = _FRACTION_TEXT.fullmatch(text)
+            if match is None:
+                raise
+            num, den = match.groups()
+            return Fraction(text_int(num), text_int(den or "1"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _frac(x) -> Fraction:
@@ -90,9 +132,12 @@ class CQ:
         return hash((self.re, self.im))
 
     def __str__(self):
+        # str(Fraction) form: "n/d", and "n" for an integer.
+        re, im = (fraction_text(*x.as_integer_ratio()).removesuffix("/1")
+                  for x in (self.re, self.im))
         if self.im == 0:
-            return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+            return re
+        return f"{re}{'+' if self.im >= 0 else ''}{im}i"
 
     def __repr__(self):
         return f"CQ({self.re!r}, {self.im!r})"
@@ -110,25 +155,11 @@ def as_cq(x) -> CQ:
     raise TypeError(f"cannot interpret {type(x).__name__} as a complex rational")
 
 
-def value_abs2(v) -> Fraction:
-    """|v|^2 as an exact rational, for int, Fraction, or CQ values."""
-    if isinstance(v, CQ):
-        return v.abs2()
-    f = Fraction(v)
-    return f * f
-
-
 def value_conj(v):
     """Complex conjugate; identity on int and Fraction."""
     if isinstance(v, CQ):
         return v.conj()
     return v
-
-
-def value_re_im(v) -> tuple[Fraction, Fraction]:
-    if isinstance(v, CQ):
-        return (v.re, v.im)
-    return (Fraction(v), Fraction(0))
 
 
 def exact_magnitude(v):
@@ -137,9 +168,7 @@ def exact_magnitude(v):
     Magnitudes of properly complex rationals are generally irrational;
     callers that need those should compare squared magnitudes instead.
     """
-    if isinstance(v, int):
-        return abs(v)
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return abs(v)
     if isinstance(v, CQ):
         if v.im == 0:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -24,7 +23,7 @@ from typing import Iterable, TextIO
 
 from . import np
 from .convolve import INT64_MAX, abs_max, int_array
-from .qcomplex import CQ, as_cq, int_text
+from .qcomplex import CQ, as_cq, fraction_text, parse_fraction, text_int
 
 __all__ = [
     "Sequence",
@@ -378,33 +377,8 @@ def validate_seed(x0: Sequence, y0: Sequence, ell0: int) -> SeedPair:
 # ---------------------------------------------------------------------------
 # Sequence files: one header line "len=<l> kind=binary|rational", then either
 # a single +/- line or one "re_num/re_den im_num/im_den" line per coefficient.
-# str(int), int(str) and Fraction(str) refuse ints past
-# sys.get_int_max_str_digits() digits; Decimal converts exactly at any size,
-# so it takes over when they raise.
-
-_FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # Rational rows as write_sequence writes them: "num/den num/den" lines.
 _PLAIN_ROWS = re.compile(r"(?:[+-]?[0-9]+/[0-9]+ [+-]?[0-9]+/[0-9]+\n)*")
-
-
-def _fraction_text(num: int, den: int) -> str:
-    return f"{int_text(num)}/{int_text(den)}"
-
-
-def _parse_fraction(text: str) -> Fraction:
-    """Fraction(text), for numerators and denominators of any size; a zero
-    denominator is a ValueError, like any other malformed value."""
-    try:
-        try:
-            return Fraction(text)
-        except ValueError:
-            match = _FRACTION_TEXT.fullmatch(text)
-            if match is None:
-                raise
-            num, den = match.groups()
-            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def write_sequence(seq: Sequence, fp: TextIO) -> None:
@@ -419,7 +393,7 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
         if den > INT64_MAX:
             part = part.astype(object)
         g = np.gcd(part, den)  # each value in lowest terms, as Fraction writes it
-        columns.append(map(_fraction_text, (part // g).tolist(), (den // g).tolist()))
+        columns.append(map(fraction_text, (part // g).tolist(), (den // g).tolist()))
     if len(columns) == 1:
         columns.append(repeat("0/1"))
     fp.writelines(f"{re} {im}\n" for re, im in zip(*columns))
@@ -442,20 +416,17 @@ def read_sequence(fp: TextIO) -> Sequence:
     return _rational_sequence([fp.readline() for _ in range(length)])
 
 
-def _int_texts(texts: list[str]) -> np.ndarray:
-    """Integer texts as an int64 array, or an object array past int64."""
-    try:
-        return int_array(list(map(int, texts)))
-    except ValueError:  # past the interpreter's int-from-text digit limit
-        return int_array([int(Decimal(t)) for t in texts])
-
-
 def _rational_columns(lines: list[str]) -> np.ndarray:
     """The numerators and denominators of the re and im fields of
     ``lines``, as the four rows of an integer array."""
     body = "".join(lines)
     if _PLAIN_ROWS.fullmatch(body):
-        table = _int_texts(body.replace("/", " ").split()).reshape(-1, 4).T
+        texts = body.replace("/", " ").split()
+        try:
+            values = list(map(int, texts))
+        except ValueError:  # past the interpreter's int-from-text digit limit
+            values = list(map(text_int, texts))
+        table = int_array(values).reshape(-1, 4).T
         if table.shape[1] == len(lines) and table[1].all() and table[3].all():
             return table
     # Any other spacing or form that Fraction reads (2, 1.5, 3e2), and the
@@ -463,7 +434,7 @@ def _rational_columns(lines: list[str]) -> np.ndarray:
     fracs = []
     for line in lines:
         re_txt, im_txt = line.split()
-        fracs += [_parse_fraction(re_txt), _parse_fraction(im_txt)]
+        fracs += [parse_fraction(re_txt), parse_fraction(im_txt)]
     return int_array([v for f in fracs for v in (f.numerator, f.denominator)]).reshape(-1, 4).T
 
 

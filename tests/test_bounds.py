@@ -155,6 +155,32 @@ def test_lily_printed_form_on_nonnegative_starts(corpus):
                 assert lily_predict_printed(seed, s0, n) == lily_predict(seed, s0, n)
 
 
+def test_lily_forms_refuse_negative_levels(rs_seed):
+    from grs.bounds import lily_predict_printed
+
+    for predict in (lily_predict, lily_predict_printed):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            predict(rs_seed, 0, -1)
+
+
+def test_orbit_values_follow_the_integer_recurrence(
+    seed_pm2, seed_pm4, seed_golay10, seed_padded3, seed_rational
+):
+    # Along an entered orbit, v_n = C_n(s_n) obeys
+    # v_{k+3} = v_{k+2} + 2 v_{k+1} - 4 v_k, seeded from the oracle at
+    # levels 0..2; the closed form must give the same v_n far out.
+    levels = [*range(31), 100, 300]
+    for seed in (seed_pm2, seed_pm4, seed_golay10, seed_padded3, seed_rational):
+        pairs = [grs_pair(seed, k) for k in range(3)]
+        for s0 in range(-seed.ell0 + 1, seed.ell0):
+            orbit = ShiftSeq(s0, seed.ell0)
+            v = [correlation.crosscorr(p.x, p.y, orbit.term(k)) for k, p in enumerate(pairs)]
+            while len(v) <= levels[-1]:
+                v.append(v[-1] + 2 * v[-2] - 4 * v[-3])
+            for n in levels:
+                assert lily_predict(seed, s0, n) == v[n], (seed.ell0, s0, n)
+
+
 def test_lily_predict_zero_seed_correlation():
     # A seed shift with no crosscorrelation gives zero at every level.
     seed = validate_seed(Sequence.binary("+++-"), Sequence.binary("++-+"), 4)

@@ -4,11 +4,14 @@ import json
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from grs.cli import build_parser, main, run
 from grs.correlation import crosscorr
+from grs.field import QAlphaElem, decimal_approx
+from grs.qcomplex import int_text
 from grs.sequences import Sequence, read_sequence, validate_seed, write_seed_pair
 
 
@@ -159,6 +162,33 @@ def test_gen_and_spectrum_past_int_text_limit(tmp_path):
     } == expected
     code, text = run_cli(["corr", *files, "--shift", "-1"], tmp_path)
     assert code == 0 and int(Decimal(json.loads(text)["re_num"])) == expected[-1]
+
+
+def test_peaks_and_verify_past_int_text_limit(tmp_path):
+    # Peaks and verdict sides with more digits than str(int) writes by
+    # default: the level-2 peak of this seed is 5 a^2, with 4401 digits.
+    a = 10**2200
+    seed = validate_seed(Sequence([a, a]), Sequence([a, -a]), 2)
+    path = str(tmp_path / "big.seed")
+    with open(path, "w") as fp:
+        write_seed_pair(seed, fp)
+    code, text = run_cli(["peaks", "--seed", path, "--n", "2", "--psl"], tmp_path)
+    payload = json.loads(text)
+    assert code == 0 and payload["pcc"] == int_text(5 * a**2)
+    assert payload["psl_next"]["psl"] == payload["pcc"]
+    code, text = run_cli(["verify", "--suite", "generic", "--seed", path, "--max", "2"],
+                         tmp_path)
+    verdicts = json.loads(text)
+    assert code == 0 and verdicts and all(v["holds"] for v in verdicts)
+
+
+def test_approx_past_int_text_limit(tmp_path):
+    num = 3 * 10**4399 + 1  # 4400 digits
+    expr = f"{int_text(num)}/7 -1/2 0/1"
+    code, text = run_cli(["approx", "--expr", expr, "--digits", "8"], tmp_path)
+    interval = decimal_approx(QAlphaElem(Fraction(num, 7), Fraction(-1, 2)), 8)
+    assert code == 0 and json.loads(text) == {
+        "digits": 8, "expr": expr, "hi": interval.hi, "lo": interval.lo}
 
 
 def test_usage_error_exit_code():

@@ -22,7 +22,7 @@ from grs.correlation import (
     psl,
     spectrum,
 )
-from grs.qcomplex import CQ, as_cq, int_text, value_re_im
+from grs.qcomplex import CQ, as_cq, int_text
 from grs.sequences import Sequence, grs_pair, rudin_shapiro
 
 
@@ -318,7 +318,7 @@ def _reference_rows(values: dict) -> list[tuple]:
     sorted shifts, each part as a Fraction in lowest terms."""
     rows = []
     for s, v in sorted(values.items()):
-        re, im = value_re_im(v)
+        re, im = as_cq(v).re, as_cq(v).im
         rows.append((str(s), *map(int_text, (re.numerator, re.denominator,
                                              im.numerator, im.denominator))))
     return rows

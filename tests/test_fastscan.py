@@ -145,6 +145,13 @@ def test_streaming_psl_reports(rs_seed):
         assert rep.witnesses == TABLE4[n]
 
 
+def test_psl_report_takes_no_split(rs_seed):
+    # Every level of psl_report is answered at the default split.
+    for n in (0, 1, 5):
+        with pytest.raises(TypeError):
+            psl_report(rs_seed, n, t_split=2)
+
+
 def test_streaming_golden_large_levels(rs_seed):
     # Far past any materializable level; two leaf depths agree on each.
     for n, value in ((50, 59901979961), (100, 6109881259849012232609),

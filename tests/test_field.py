@@ -197,6 +197,19 @@ def test_qalpha_text_roundtrip():
     assert QAlphaElem.from_text(v.to_text()) == v
 
 
+def test_field_text_past_int_text_limit():
+    # Coordinates with 5000 digits, past what str(int) and int(str) take.
+    from grs.qcomplex import parse_fraction
+
+    big = 10**4999 + 7
+    v = QAlphaElem(Fraction(-big, 3), Fraction(1, big), big)
+    text = v.to_text()
+    assert len(text) > 15000 and QAlphaElem.from_text(text) == v
+    k = KElem([Fraction(big, 11), 0, -big, Fraction(2, big), 1, Fraction(-1, 3)])
+    assert KElem(map(parse_fraction, k.to_text().split())) == k
+    assert str(k) == k.to_text()
+
+
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=7
 )

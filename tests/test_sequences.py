@@ -347,6 +347,31 @@ def test_roundtrip_past_int_text_limit():
         assert buf2.getvalue() == text
 
 
+def test_exact_text_codec_past_int_text_limit():
+    from grs.qcomplex import fraction_text, int_text, parse_fraction, text_int
+
+    digits = "1" + "0" * 5000
+    assert int_text(_HUGE) == digits and int_text(-_HUGE) == "-" + digits
+    assert text_int(digits) == _HUGE and text_int(f" -{digits}\n") == -_HUGE
+    assert fraction_text(-_HUGE, 3) == f"-{digits}/3"
+    assert parse_fraction(f"-{digits}/3") == Fraction(-_HUGE, 3)
+    assert parse_fraction(digits) == _HUGE
+    for text in (digits + ".5", digits + "x", digits + "e2"):
+        with pytest.raises(ValueError):
+            text_int(text)
+
+
+def test_cq_text_past_int_text_limit():
+    # The str(Fraction) form of each part: "n" for integers, else "n/d".
+    digits = "1" + "0" * 5000
+    assert str(CQ(_HUGE)) == digits
+    assert str(CQ(Fraction(-_HUGE, 3))) == f"-{digits}/3"
+    assert str(CQ(1, -_HUGE)) == f"1-{digits}i"
+    assert str(CQ(Fraction(_HUGE, 7), Fraction(1, _HUGE))) == f"{digits}/7+1/{digits}i"
+    small = [CQ(0), CQ(-3), CQ(Fraction(3, 2)), CQ(1, 1), CQ(0, Fraction(-5, 11)), CQ(-1, 21)]
+    assert [str(c) for c in small] == ["0", "-3", "3/2", "1+1i", "0-5/11i", "-1+21i"]
+
+
 @pytest.mark.parametrize("row", ["{}x/1 0/1", "{}.5/1 0/1", "1/1 {}/1x", "1/-{} 0/1"])
 def test_malformed_rows_past_int_text_limit_raise(row):
     text = f"len=2 kind=rational\n1/1 0/1\n{row.format('7' * 5000)}\n"
