@@ -27,15 +27,15 @@ from . import correlation, fastscan
 from .field import (
     KElem,
     QAlphaElem,
-    _as_kelem,
     alpha_pow,
+    as_kelem,
     compare,
     decimal_approx,
     k_div,
     reduce_poly,
 )
 from .qcomplex import as_cq, fraction_text, int_text
-from .sequences import SeedPair, grs_pair, rudin_shapiro_seed
+from .sequences import SeedPair, Sequence, grs_pair, rudin_shapiro_seed
 
 __all__ = [
     "ShiftSeq",
@@ -172,11 +172,21 @@ def g_constants() -> dict[tuple[int, int], KElem]:
     }
 
 
-def _rational_corr(seed: SeedPair, s: int) -> Fraction:
-    v = as_cq(correlation.crosscorr(seed.x0, seed.y0, s))
+def _rational_corr(f: Sequence, g: Sequence, s: int) -> Fraction:
+    v = as_cq(correlation.crosscorr(f, g, s))
     if not v.is_real:
         raise SeedNotRational("seed correlations must be rational")
     return v.re
+
+
+def _check_orbit(seed: SeedPair, s0: int, n: int) -> None:
+    """The conditions of the closed-form prediction at level n."""
+    if not seed.is_rational:
+        raise SeedNotRational("closed-form prediction needs a rational seed")
+    if abs(s0) >= seed.ell0:
+        raise ShiftNotEntered(f"|s0| must be below ell0={seed.ell0}")
+    if n < 0:
+        raise ValueError("level must be nonnegative")
 
 
 def lily_predict(seed: SeedPair, s0: int, n: int) -> Fraction:
@@ -195,20 +205,10 @@ def lily_predict(seed: SeedPair, s0: int, n: int) -> Fraction:
     Restricted to rational seeds, for which the result is rational and
     equals C_{x_n, y_n}(s_n) exactly.
     """
-    if not seed.is_rational:
-        raise SeedNotRational("closed-form prediction needs a rational seed")
-    if abs(s0) >= seed.ell0:
-        raise ShiftNotEntered(f"|s0| must be below ell0={seed.ell0}")
-    if n < 0:
-        raise ValueError("level must be nonnegative")
+    _check_orbit(seed, s0, n)
     orbit = ShiftSeq(s0, seed.ell0)
-    triple = []
-    for k in range(3):
-        pair = grs_pair(seed, k)
-        v = as_cq(correlation.crosscorr(pair.x, pair.y, orbit.term(k)))
-        if not v.is_real:
-            raise SeedNotRational("seed correlations must be rational")
-        triple.append(v.re)
+    pairs = [grs_pair(seed, k) for k in range(3)]
+    triple = [_rational_corr(p.x, p.y, orbit.term(k)) for k, p in enumerate(pairs)]
     total = KElem.zero()
     roots = [KElem.root(j) for j in range(3)]
     for j in range(3):
@@ -224,13 +224,8 @@ def lily_predict_printed(seed: SeedPair, s0: int, n: int) -> Fraction:
     sum over j, v of E_{j,v} * f_v * (-alpha_j)^n with f_0, f_1 the seed
     crosscorrelations at s0 and -s0.  Agrees with ``lily_predict`` (and
     the oracle) whenever s0 >= 0."""
-    if not seed.is_rational:
-        raise SeedNotRational("closed-form prediction needs a rational seed")
-    if abs(s0) >= seed.ell0:
-        raise ShiftNotEntered(f"|s0| must be below ell0={seed.ell0}")
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    f = {0: _rational_corr(seed, s0), 1: _rational_corr(seed, -s0)}
+    _check_orbit(seed, s0, n)
+    f = {0: _rational_corr(seed.x0, seed.y0, s0), 1: _rational_corr(seed.x0, seed.y0, -s0)}
     e = e_constants()
     total = KElem.zero()
     for j in range(3):
@@ -607,7 +602,7 @@ def identity_suite() -> list[BoundVerdict]:
         ("conjugate_pair_swap_v0", e[(1, 0)].conj_swapped(), e[(2, 0)]),
         ("conjugate_pair_swap_v1", e[(1, 1)].conj_swapped(), e[(2, 1)]),
     )
-    out = [_eq_verdict(name, lhs, _as_kelem(rhs)) for name, lhs, rhs in identities]
+    out = [_eq_verdict(name, lhs, as_kelem(rhs)) for name, lhs, rhs in identities]
     # Bracket checks on the damping ratio and the base decimal expansion.
     lo = Fraction(935994, 10**6) ** 2
     hi = Fraction(935995, 10**6) ** 2

@@ -17,6 +17,10 @@ integer arithmetic, so results are exact at any size: the digit
 conversion and the window sums run on int64 arrays when an exact bound
 shows that no value can leave int64, and on object arrays of Python ints
 otherwise.
+
+That rule has its one home here for every integer array of the package:
+``int_array``, ``fitted``, ``scaled``, ``negated``, ``exact_sum``,
+``abs2`` and ``lowest_terms`` work in int64 when no value can leave it.
 """
 
 from __future__ import annotations
@@ -63,6 +67,55 @@ def abs_max(arr: np.ndarray) -> int:
     """The largest |v| of an integer array as a Python int, exact at
     -2**63 where np.abs wraps; 0 when empty."""
     return max(-int(arr.min()), int(arr.max())) if arr.size else 0
+
+
+def fitted(arr: np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` entries of ``arr``, zero-padded."""
+    pad = np.zeros(max(0, length - arr.size), dtype=arr.dtype)
+    return np.concatenate((arr[:length], pad))
+
+
+def scaled(arr: np.ndarray, k: int) -> np.ndarray:
+    """arr * k, exactly: as Python ints when k or a product leaves int64."""
+    if k == 1:
+        return arr
+    if arr.dtype == np.int64 and max(k, abs_max(arr) * k) > INT64_MAX:
+        arr = arr.astype(object)
+    return arr * k
+
+
+def negated(arr: np.ndarray) -> np.ndarray:
+    """-arr, exactly: -(-2**63) leaves int64, so such an array is negated
+    as Python ints."""
+    if arr.dtype == np.int64 and arr.size and arr.min() == -INT64_MAX - 1:
+        arr = arr.astype(object)
+    return -arr
+
+
+def exact_sum(a, b):
+    """a + b for two integer arrays, or two ints: in int64 when no sum can
+    leave it, else in Python ints."""
+    if isinstance(a, np.ndarray) and a.dtype == b.dtype == np.int64:
+        if abs_max(a) + abs_max(b) <= INT64_MAX:
+            return a + b
+    return np.add(a, b, dtype=object)
+
+
+def abs2(parts) -> np.ndarray:
+    """re**2, or re**2 + im**2, of the integer arrays ``parts``, (re,) or
+    (re, im): in int64 when no sum of squares can leave it."""
+    if sum(abs_max(part) ** 2 for part in parts) > INT64_MAX:
+        parts = [part.astype(object) for part in parts]
+    return sum(part * part for part in parts)
+
+
+def lowest_terms(num: np.ndarray, den):
+    """Each num/den in lowest terms, (num // g, den // g) for g = gcd(num,
+    den); ``den`` is an int (past int64: Python ints) or an array."""
+    if isinstance(den, int) and den > INT64_MAX:
+        num = num.astype(object)
+    g = np.gcd(num, den)
+    return num // g, den // g
 
 
 # Exact at any size: a product that needed rounding would raise.

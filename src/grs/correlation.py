@@ -22,9 +22,9 @@ from operator import mul
 from types import MappingProxyType
 
 from . import np
-from .convolve import INT64_MAX, abs_max, convolve_int, int_array
-from .qcomplex import CQ, exact_magnitude, int_text
-from .sequences import BudgetExceeded, Sequence, _negated, coefficient_budget
+from .convolve import abs2, convolve_int, exact_sum, int_array, lowest_terms, negated
+from .qcomplex import exact_magnitude, exact_value, int_text
+from .sequences import BudgetExceeded, Sequence, coefficient_budget
 
 __all__ = [
     "Spectrum",
@@ -79,7 +79,7 @@ class Spectrum:
         k = s - self.offset
         if not 0 <= k < self.parts[0].size:
             return 0
-        return _exact_value(self.den, *(int(part[k]) for part in self.parts))
+        return exact_value(self.den, *(int(part[k]) for part in self.parts))
 
     def _nonzero(self) -> np.ndarray:
         """Indices of the nonzero values, increasing."""
@@ -98,7 +98,7 @@ class Spectrum:
         rows = self._nonzero()
         columns = [part[rows].tolist() for part in self.parts]
         values = columns[0] if self.den == 1 and len(columns) == 1 else map(
-            partial(_exact_value, self.den), *columns
+            partial(exact_value, self.den), *columns
         )
         return MappingProxyType(dict(zip((rows + self.offset).tolist(), values)))
 
@@ -114,14 +114,11 @@ class Spectrum:
         ``sep``.  Blocks past int64 go through ``int_text``, which has no
         digit limit."""
         rows = self._nonzero()
-        den = self.den
         for start in range(0, rows.size, _CHUNK):
             idx = rows[start : start + _CHUNK]
             columns = [idx + self.offset]
             for part in self.parts:
-                num = part[idx].astype(object) if den > INT64_MAX else part[idx]
-                g = np.gcd(num, den)
-                columns += [num // g, den // g]
+                columns += lowest_terms(part[idx], self.den)
             if len(self.parts) == 1:
                 columns += [np.zeros(idx.size, dtype=np.int64), np.ones(idx.size, dtype=np.int64)]
             table = np.stack([columns[i] for i in order], axis=1)
@@ -148,16 +145,7 @@ def crosscorr(f: Sequence, g: Sequence, s: int):
     re, im = _numerators(
         lambda a, b: sum(map(mul, a[lo + s : hi + s].tolist(), b[lo:hi].tolist())), f, g
     )
-    return _exact_value(f.den * g.den, re, im)
-
-
-def _exact_sum(a, b):
-    """a + b for two integer arrays, or two ints: in int64 when no sum can
-    leave it, else in Python ints."""
-    if isinstance(a, np.ndarray) and a.dtype == b.dtype == np.int64:
-        if abs_max(a) + abs_max(b) <= INT64_MAX:
-            return a + b
-    return np.add(a, b, dtype=object)
+    return exact_value(f.den * g.den, re, im)
 
 
 def _numerators(prod, f: Sequence, g: Sequence) -> tuple:
@@ -169,23 +157,12 @@ def _numerators(prod, f: Sequence, g: Sequence) -> tuple:
     (fre, *fim), (gre, *gim) = f.parts, g.parts
     re = prod(fre, gre)
     if fim and gim:
-        re = _exact_sum(re, prod(fim[0], gim[0]))
+        re = exact_sum(re, prod(fim[0], gim[0]))
     im = prod(fim[0], gre) if fim else None
     if gim:
-        ri = prod(fre, _negated(gim[0]))
-        im = ri if im is None else _exact_sum(im, ri)
+        ri = prod(fre, negated(gim[0]))
+        im = ri if im is None else exact_sum(im, ri)
     return re, im
-
-
-def _exact_value(den: int, re: int, im: int | None = None):
-    """(re + i im) / den: an int when integral, a Fraction when real, else
-    a CQ."""
-    if im:
-        return CQ(Fraction(re, den), Fraction(im, den))
-    if den == 1:
-        return re
-    v = Fraction(re, den)
-    return int(v) if v.denominator == 1 else v
 
 
 def spectrum(f: Sequence, g: Sequence, budget: int | None = None) -> Spectrum:
@@ -209,10 +186,7 @@ def _peak(spec: Spectrum, first: int | None = None) -> tuple[object, list[int]]:
     None), compared by exact squared modulus, and the sorted list of shifts
     attaining it."""
     start = 0 if first is None else max(0, first - spec.offset)
-    parts = [part[start:] for part in spec.parts]
-    if sum(abs_max(part) ** 2 for part in parts) > INT64_MAX:
-        parts = [part.astype(object) for part in parts]
-    sq = sum(part * part for part in parts)
+    sq = abs2([part[start:] for part in spec.parts])
     best = sq.max(initial=0)
     if not best:
         return 0, []
@@ -248,13 +222,8 @@ def periodic_corr(f: Sequence, g: Sequence, k: int, s: int):
 
 def _sum_abs2(values: Spectrum | Sequence) -> Fraction:
     """Sum of |v|^2 over the values of a spectrum or a sequence (its
-    energy), in integers: in int64 when no partial sum can leave it."""
-    total = 0
-    for part in values.parts:
-        if part.size * abs_max(part) ** 2 > INT64_MAX:
-            part = part.astype(object)
-        total += int(np.dot(part, part))
-    return Fraction(total, values.den**2)
+    energy), exactly."""
+    return Fraction(sum(abs2(values.parts).tolist()), values.den**2)
 
 
 def demerit_auto(f: Sequence) -> Fraction:

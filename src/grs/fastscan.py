@@ -42,17 +42,9 @@ from functools import lru_cache
 from math import inf, isqrt, lcm
 
 from . import correlation, np
-from .convolve import INT64_MAX, abs_max
-from .qcomplex import as_cq, exact_magnitude, value_conj
-from .sequences import (
-    BudgetExceeded,
-    SeedPair,
-    Sequence,
-    _fitted,
-    _scaled,
-    coefficient_budget,
-    grs_pair,
-)
+from .convolve import INT64_MAX, abs2, abs_max, scaled
+from .qcomplex import as_cq, exact_magnitude, exact_value, value_conj
+from .sequences import BudgetExceeded, SeedPair, Sequence, coefficient_budget, grs_pair
 
 __all__ = [
     "AbgdTable",
@@ -146,7 +138,7 @@ def _bound(node, m_nt: int, m_nt1: int) -> int:
 #
 # Level k holds d^2 C_k(s) for s in (-ell_k, ell_k), d^2 = ``_scale(seed)``,
 # as a tuple of integer arrays: (re,) for a real seed, (re, im) for a
-# complex one; ``correlation._exact_value`` maps their entries back.
+# complex one; ``exact_value`` maps their entries back.
 # ``_peak_bounds`` is the one store per seed: entry k, for k = 0, 1, ... in
 # ascending order, holds m_k, the least integer at or above every
 # |d^2 C_k(s)|, with the peak of level k as ``_tree_peak`` returns it, and,
@@ -172,13 +164,12 @@ def _scale(seed: SeedPair) -> int:
 
 def _oracle_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
     pair = grs_pair(seed, k)
-    # Both members fitted to length ell_k (a seed member may be declared
-    # shorter or longer), so the spectrum's arrays hold -ell_k < s < ell_k;
-    # spec.den = x.den * y.den divides d^2.
-    x, y = (Sequence._of(tuple(_fitted(p, pair.length) for p in s.parts), s.den)
-            for s in (pair.x, pair.y))
+    # Both members cut or padded to length ell_k (a seed member may be
+    # declared shorter or longer), so the spectrum's arrays hold
+    # -ell_k < s < ell_k; spec.den = x.den * y.den divides d^2.
+    x, y = (Sequence(s.coeffs[: pair.length], pair.length) for s in (pair.x, pair.y))
     spec = correlation.spectrum(x, y)
-    parts = [_scaled(part, _scale(seed) // spec.den) for part in spec.parts]
+    parts = [scaled(part, _scale(seed) // spec.den) for part in spec.parts]
     count = 1 if seed.is_rational else 2
     return (*parts, *[np.zeros(parts[0].size, dtype=np.int64)] * (count - len(parts)))
 
@@ -195,10 +186,7 @@ def _peak_of(parts: tuple[np.ndarray, ...]) -> tuple[int, np.ndarray]:
     if len(parts) == 1:
         best = abs_max(parts[0])
         return best, np.flatnonzero((parts[0] == best) | (parts[0] == -best))
-    if sum(abs_max(part) ** 2 for part in parts) > INT64_MAX:
-        parts = tuple(part.astype(object) for part in parts)
-    re, im = parts
-    sq = re * re + im * im
+    sq = abs2(parts)
     best = int(sq.max())
     return best, np.flatnonzero(sq == best)
 
@@ -310,7 +298,7 @@ def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
     lv1, _ = _split_levels(seed, n, t)
     q, r = divmod(s, 2 * (seed.ell0 << lv1))
     vals = _block(seed, n, t, q)
-    return correlation._exact_value(_scale(seed), *(int(v[r - 1]) if r else 0 for v in vals))
+    return exact_value(_scale(seed), *(int(v[r - 1]) if r else 0 for v in vals))
 
 
 def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
@@ -400,7 +388,7 @@ def streaming_peaks(seed: SeedPair, n: int, t_split: int | None = None,
 
     hits = _peak_bounds_to(seed, n)[n][2] if t_split is None else _tree_peak(seed, n, t_split)[1]
     scale = _scale(seed)
-    wits = tuple((s, correlation._exact_value(scale, *parts)) for s, *parts in hits)
+    wits = tuple((s, exact_value(scale, *parts)) for s, *parts in hits)
     pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]) if wits else 0, wits)
     return pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
 
@@ -462,9 +450,9 @@ def psl_report(seed: SeedPair, n: int) -> PeakReport:
     through the shift map; level 0 is read from the oracle directly.
     """
     if n == 0:
-        spec = correlation.spectrum(seed.x0, seed.x0)
-        value, shifts = correlation._peak(spec, 1)
-        return PeakReport(0, value, tuple((s, spec.value(s)) for s in shifts))
+        value, shifts = correlation.psl(seed.x0)
+        return PeakReport(0, value, tuple((s, correlation.crosscorr(seed.x0, seed.x0, s))
+                                          for s in shifts))
     return streaming_peaks(seed, n - 1)[1]
 
 

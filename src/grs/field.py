@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
-from .qcomplex import CQ, _frac, fraction_text, int_text, parse_fraction
+from .qcomplex import CQ, exact_fraction, fraction_repr, fraction_text, int_text, parse_fraction
 
 __all__ = [
     "QAlphaElem",
@@ -41,6 +41,7 @@ __all__ = [
     "DecimalInterval",
     "RationalInputError",
     "alpha_pow",
+    "as_kelem",
     "compare",
     "decimal_approx",
     "k_div",
@@ -70,7 +71,7 @@ class QAlphaElem:
     _ints: tuple[int, int, int, int]
 
     def __init__(self, p=0, q=0, r=0):
-        p, q, r = _frac(p), _frac(q), _frac(r)
+        p, q, r = exact_fraction(p), exact_fraction(q), exact_fraction(r)
         # Reduced fractions over the lcm of their denominators are already
         # in lowest terms.
         d = lcm(p.denominator, q.denominator, r.denominator)
@@ -94,11 +95,12 @@ class QAlphaElem:
         return Fraction(self._ints[2], self._ints[3])
 
     def __repr__(self):
-        return f"QAlphaElem(p={self.p!r}, q={self.q!r}, r={self.r!r})"
+        p, q, r = map(fraction_repr, (self.p, self.q, self.r))
+        return f"QAlphaElem(p={p}, q={q}, r={r})"
 
     @classmethod
     def rational(cls, x) -> "QAlphaElem":
-        return cls(_frac(x))
+        return cls(exact_fraction(x))
 
     @property
     def is_rational(self) -> bool:
@@ -166,16 +168,7 @@ class QAlphaElem:
         return _as_qalpha(other) * self.inverse()
 
     def __pow__(self, n: int) -> "QAlphaElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QAlphaElem(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self.inverse() if n < 0 else self, abs(n), QAlphaElem(1))
 
     # -- order (total, as a subfield of the reals) -----------------------
 
@@ -205,6 +198,17 @@ class QAlphaElem:
 
     def __str__(self):
         return f"({CQ(self.p)}) + ({CQ(self.q)})*a + ({CQ(self.r)})*a^2"
+
+
+def _power(base, n: int, one):
+    """base**n, n >= 0, by square-and-multiply from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def _reduced(a: int, b: int, c: int, d: int) -> QAlphaElem:
@@ -389,23 +393,23 @@ class KElem:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        o = _as_kelem(other)
+        o = as_kelem(other)
         return _kelem(self.u + o.u, self.v + o.v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_kelem(other)
+        o = as_kelem(other)
         return _kelem(self.u - o.u, self.v - o.v)
 
     def __rsub__(self, other):
-        return _as_kelem(other) - self
+        return as_kelem(other) - self
 
     def __neg__(self):
         return _kelem(-self.u, -self.v)
 
     def __mul__(self, other):
-        o = _as_kelem(other)
+        o = as_kelem(other)
         # alpha1^2 = -_Y1*alpha1 - _Y0
         vv = self.v * o.v
         return _kelem(self.u * o.u - vv * _Y0, self.u * o.v + self.v * o.u - vv * _Y1)
@@ -413,16 +417,7 @@ class KElem:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "KElem":
-        if n < 0:
-            return k_div(KElem.one(), self) ** (-n)
-        result = KElem.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(k_div(KElem.one(), self) if n < 0 else self, abs(n), KElem.one())
 
     def to_text(self) -> str:
         return " ".join(fraction_text(*x.as_integer_ratio()) for x in self.c)
@@ -438,14 +433,9 @@ def _kelem(u: QAlphaElem, v: QAlphaElem) -> KElem:
     return k
 
 
-def _as_kelem(x) -> KElem:
-    if isinstance(x, KElem):
-        return x
-    if isinstance(x, QAlphaElem):
-        return KElem.from_qalpha(x)
-    if isinstance(x, (int, Fraction)):
-        return KElem.rational(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a field element")
+def as_kelem(x) -> KElem:
+    """x as a KElem: a KElem, or an element of Q(alpha0), int or Fraction."""
+    return x if isinstance(x, KElem) else _kelem(_as_qalpha(x), _ZERO)
 
 
 def reduce_poly(terms: Mapping[tuple[int, int, int], object]) -> KElem:
@@ -458,7 +448,7 @@ def reduce_poly(terms: Mapping[tuple[int, int, int], object]) -> KElem:
     x, y, z = (KElem.root(j) for j in range(3))
     total = KElem.zero()
     for (i, j, k), coeff in terms.items():
-        coeff = _frac(coeff)
+        coeff = exact_fraction(coeff)
         if coeff == 0:
             continue
         if i + j + k > MAX_REDUCE_DEGREE:
@@ -476,8 +466,8 @@ def k_div(num: KElem, den: KElem) -> KElem:
     the divisor into a (real) element of Q(alpha0), which is inverted
     there through its minimal polynomial.
     """
-    num = _as_kelem(num)
-    den = _as_kelem(den)
+    num = as_kelem(num)
+    den = as_kelem(den)
     if den == KElem.zero():
         raise ZeroDivisionError("division by zero in K")
     den_sw = den.conj_swapped()

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-__all__ = ["CQ", "as_cq", "value_conj", "exact_magnitude",
-           "int_text", "text_int", "fraction_text", "parse_fraction"]
+__all__ = ["CQ", "as_cq", "value_conj", "exact_magnitude", "exact_fraction", "exact_value",
+           "int_text", "text_int", "fraction_text", "fraction_repr", "parse_fraction"]
 
 _INT_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
 _FRACTION_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -43,6 +43,11 @@ def fraction_text(num: int, den: int) -> str:
     return f"{int_text(num)}/{int_text(den)}"
 
 
+def fraction_repr(x: Fraction) -> str:
+    """repr(x), for a Fraction of any size."""
+    return f"Fraction({int_text(x.numerator)}, {int_text(x.denominator)})"
+
+
 def parse_fraction(text: str) -> Fraction:
     """Fraction(text), for numerators and denominators of any size; a zero
     denominator is a ValueError, like any other malformed value."""
@@ -59,7 +64,8 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _frac(x) -> Fraction:
+def exact_fraction(x) -> Fraction:
+    """Fraction(x) for an exact rational x; floats are refused."""
     if isinstance(x, float):
         raise TypeError("floating point values are not accepted here")
     return Fraction(x)
@@ -75,9 +81,9 @@ class CQ:
     def __post_init__(self):
         # Fractions are immutable, so a part that is one is kept as it is.
         if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", _frac(self.re))
+            object.__setattr__(self, "re", exact_fraction(self.re))
         if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", _frac(self.im))
+            object.__setattr__(self, "im", exact_fraction(self.im))
 
     def conj(self) -> "CQ":
         return CQ(self.re, -self.im)
@@ -140,7 +146,7 @@ class CQ:
         return f"{re}{'+' if self.im >= 0 else ''}{im}i"
 
     def __repr__(self):
-        return f"CQ({self.re!r}, {self.im!r})"
+        return f"CQ({fraction_repr(self.re)}, {fraction_repr(self.im)})"
 
 
 def as_cq(x) -> CQ:
@@ -153,6 +159,17 @@ def as_cq(x) -> CQ:
     if isinstance(x, complex):
         raise TypeError("binary floating complex is not exact; pass rationals")
     raise TypeError(f"cannot interpret {type(x).__name__} as a complex rational")
+
+
+def exact_value(den: int, re: int, im: int | None = None):
+    """(re + i im) / den: an int when integral, a Fraction when real, else
+    a CQ."""
+    if im:
+        return CQ(Fraction(re, den), Fraction(im, den))
+    if den == 1:
+        return re
+    v = Fraction(re, den)
+    return int(v) if v.denominator == 1 else v
 
 
 def value_conj(v):

@@ -17,12 +17,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import lcm
 from typing import Iterable, TextIO
 
 from . import np
-from .convolve import INT64_MAX, abs_max, int_array
+from .convolve import fitted, int_array, lowest_terms, negated, scaled
 from .qcomplex import CQ, as_cq, fraction_text, parse_fraction, text_int
 
 __all__ = [
@@ -139,7 +139,7 @@ class Sequence:
         if length < size:
             raise ValueError("declared length smaller than the coefficient list")
         if length > size:
-            parts = [np.concatenate((p, np.zeros(length - size, dtype=p.dtype))) for p in parts]
+            parts = [fitted(p, length) for p in parts]
         for part in parts:
             part.flags.writeable = False
         degree = max((int(nz[-1]) for nz in nonzero if nz.size), default=-1)
@@ -275,34 +275,11 @@ def rudin_shapiro_seed() -> SeedPair:
     return SeedPair(one, one, 1)
 
 
-def _fitted(arr: np.ndarray, length: int) -> np.ndarray:
-    """The first ``length`` entries of ``arr``, zero-padded."""
-    pad = np.zeros(max(0, length - arr.size), dtype=arr.dtype)
-    return np.concatenate((arr[:length], pad))
-
-
-def _scaled(arr: np.ndarray, k: int) -> np.ndarray:
-    """arr * k, exactly: as Python ints when k or a product leaves int64."""
-    if k == 1:
-        return arr
-    if arr.dtype == np.int64 and max(k, abs_max(arr) * k) > INT64_MAX:
-        arr = arr.astype(object)
-    return arr * k
-
-
 def _member_parts(seq: Sequence, ell: int, den: int, count: int) -> list[np.ndarray]:
     """The first ``ell`` coefficients of ``seq`` as ``count`` numerator
     arrays over ``den``, a multiple of seq.den; a missing im part is zeros."""
-    parts = [_scaled(_fitted(part, ell), den // seq.den) for part in seq.parts]
+    parts = [scaled(fitted(part, ell), den // seq.den) for part in seq.parts]
     return parts + [np.zeros(ell, dtype=np.int64)] * (count - len(parts))
-
-
-def _negated(arr: np.ndarray) -> np.ndarray:
-    """-arr, exactly: -(-2**63) leaves int64, so such an array is negated
-    as Python ints."""
-    if arr.dtype == np.int64 and arr.size and arr.min() == -INT64_MAX - 1:
-        arr = arr.astype(object)
-    return -arr
 
 
 def grs_step(pair: GolayPair) -> GolayPair:
@@ -313,7 +290,7 @@ def grs_step(pair: GolayPair) -> GolayPair:
     count = max(len(pair.x.parts), len(pair.y.parts))
     xs, ys = (_member_parts(s, ell, den, count) for s in (pair.x, pair.y))
     new_x = Sequence._of(tuple(map(np.concatenate, zip(xs, ys))), den)
-    new_y = Sequence._of(tuple(np.concatenate((a, _negated(b))) for a, b in zip(xs, ys)), den)
+    new_y = Sequence._of(tuple(np.concatenate((a, negated(b))) for a, b in zip(xs, ys)), den)
     return GolayPair(new_x, new_y, pair.level + 1, pair.ell0)
 
 
@@ -387,13 +364,10 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
         fp.write(seq.sign_string() + "\n")
         return
     fp.write(f"len={seq.length} kind=rational\n")
-    den = seq.den
     columns = []
     for part in seq.parts:
-        if den > INT64_MAX:
-            part = part.astype(object)
-        g = np.gcd(part, den)  # each value in lowest terms, as Fraction writes it
-        columns.append(map(fraction_text, (part // g).tolist(), (den // g).tolist()))
+        num, den = lowest_terms(part, seq.den)  # as Fraction writes each value
+        columns.append(map(fraction_text, num.tolist(), den.tolist()))
     if len(columns) == 1:
         columns.append(repeat("0/1"))
     fp.writelines(f"{re} {im}\n" for re, im in zip(*columns))
@@ -405,6 +379,8 @@ def read_sequence(fp: TextIO) -> Sequence:
     if "len" not in fields or "kind" not in fields:
         raise ValueError("sequence header needs len= and kind= fields")
     length = int(fields["len"])
+    if length < 0:
+        raise ValueError(f"declared length len={length} is negative")
     kind = fields["kind"]
     if kind == "binary":
         seq = Sequence.binary(fp.readline().strip())
@@ -413,7 +389,10 @@ def read_sequence(fp: TextIO) -> Sequence:
         return seq
     if kind != "rational":
         raise ValueError(f"unknown sequence kind {kind!r}")
-    return _rational_sequence([fp.readline() for _ in range(length)])
+    lines = list(islice(iter(fp.readline, ""), length))
+    if len(lines) < length:
+        raise ValueError(f"rational sequence of len={length}: row {len(lines) + 1} is missing")
+    return _rational_sequence(lines)
 
 
 def _rational_columns(lines: list[str]) -> np.ndarray:
@@ -441,13 +420,10 @@ def _rational_columns(lines: list[str]) -> np.ndarray:
 def _rational_sequence(lines: list[str]) -> Sequence:
     """The sequence of the rational rows ``lines``: each field reduced to
     lowest terms, then scaled to the lcm of the reduced denominators."""
-    nums, dens = [], []
-    for num, den in _rational_columns(lines).reshape(2, 2, -1):
-        g = np.gcd(num, den)
-        nums.append(num // g)
-        dens.append(den // g)
+    nums, dens = zip(*(lowest_terms(num, den)
+                       for num, den in _rational_columns(lines).reshape(2, 2, -1)))
     common = lcm(*np.unique(np.concatenate(dens)).tolist())
-    return Sequence._of(tuple(_scaled(num, common) // den for num, den in zip(nums, dens)), common)
+    return Sequence._of(tuple(scaled(num, common) // den for num, den in zip(nums, dens)), common)
 
 
 def write_seed_pair(seed: SeedPair, fp: TextIO) -> None:

@@ -220,6 +220,23 @@ def test_bad_seed_file_exit_code(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("len=-1 kind=rational\n", "error: declared length len=-1 is negative\n"),
+        ("len=3 kind=rational\n1/1 0/1\n", "error: rational sequence of len=3: row 2 is missing\n"),
+    ],
+    ids=["negative", "missing-row"],
+)
+def test_bad_declared_length_exit_code(tmp_path, capsys, text, message):
+    seq_file = tmp_path / "f.txt"
+    seq_file.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["corr", "--f", str(seq_file), "--g", str(seq_file), "--shift", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("row", ["1/0 0/1", "1/2 -1/00"])
 def test_zero_denominator_exit_code(tmp_path, capsys, row):
     # Fraction("1/0") raises ZeroDivisionError, which is not an input error

@@ -222,6 +222,29 @@ def test_convolve_exact_past_int64():
         assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
 
 
+def test_abs2_promotes_past_int64():
+    from grs.convolve import abs2
+
+    a = 3 * 10**9  # a**2 fits int64, 2 * a**2 does not
+    sq = abs2((np.array([a, 1]), np.array([a, -2])))
+    assert sq.dtype == object and sq.tolist() == [2 * a * a, 5]
+    sq = abs2((np.array([-(2**63), 3]),))
+    assert sq.dtype == object and sq.tolist() == [2**126, 9]
+    sq = abs2((np.array([a, -4]), np.array([0, 3])))
+    assert sq.dtype == np.int64 and sq.tolist() == [a * a, 25]
+
+
+def test_lowest_terms_past_int64():
+    from grs.convolve import lowest_terms
+
+    den = 6 * 2**64
+    num, dens = lowest_terms(np.array([3, -2**62, 0, 7]), den)
+    assert num.tolist() == [1, -1, 0, 7]
+    assert dens.tolist() == [2 * 2**64, 24, 1, den]
+    num, dens = lowest_terms(np.array([4, -6, 0]), np.array([6, 4, 5]))
+    assert (num.tolist(), dens.tolist()) == ([2, -3, 0], [3, 2, 1])
+
+
 def test_convolve_array_and_negative_inputs():
     rng = np.random.default_rng(5)
     a = rng.integers(-(2**31), 2**31, 250)

@@ -21,6 +21,7 @@ from grs.field import (
     reduce_poly,
     signifier,
 )
+from grs.qcomplex import CQ
 
 A = alpha_pow(1)
 # Float image of the real root, used ONLY as a test oracle for ordering.
@@ -524,3 +525,18 @@ def test_kelem_surface():
         mixed.to_qalpha()
     v = QAlphaElem(Fraction(-3, 7), 22, Fraction(5, 9))
     assert KElem.from_qalpha(v).is_real and KElem.from_qalpha(v).to_qalpha() == v
+
+
+def test_repr_past_int_text_limit():
+    # Fraction.__repr__ refuses parts past the int-to-text digit limit; the
+    # reprs write them through the exact codec, in the same form.
+    huge = 10**5000
+    digits = "1" + "0" * 5000
+    assert repr(CQ(huge)) == f"CQ(Fraction({digits}, 1), Fraction(0, 1))"
+    assert repr(QAlphaElem(huge)) == (
+        f"QAlphaElem(p=Fraction({digits}, 1), q=Fraction(0, 1), r=Fraction(0, 1))"
+    )
+    assert repr(KElem.rational(huge)) == f"KElem(u={QAlphaElem(huge)!r}, v={QAlphaElem()!r})"
+    small = QAlphaElem(Fraction(-1, 3), 2)
+    assert repr(small) == f"QAlphaElem(p={small.p!r}, q={small.q!r}, r={small.r!r})"
+    assert repr(CQ(1, Fraction(-5, 11))) == "CQ(Fraction(1, 1), Fraction(-5, 11))"

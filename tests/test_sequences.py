@@ -379,6 +379,19 @@ def test_malformed_rows_past_int_text_limit_raise(row):
         read_sequence(io.StringIO(text))
 
 
+def test_negative_declared_length_raises():
+    for kind in ("rational", "binary"):
+        with pytest.raises(ValueError, match="len=-1 is negative"):
+            read_sequence(io.StringIO(f"len=-1 kind={kind}\n\n"))
+
+
+def test_missing_rational_row_is_named():
+    with pytest.raises(ValueError, match="len=3: row 2 is missing"):
+        read_sequence(io.StringIO("len=3 kind=rational\n1/1 0/1\n"))
+    with pytest.raises(ValueError, match="len=1: row 1 is missing"):
+        read_sequence(io.StringIO("len=1 kind=rational\n"))
+
+
 def test_seed_pair_roundtrip(seed_pm4):
     buf = io.StringIO()
     write_seed_pair(seed_pm4, buf)
