@@ -209,11 +209,11 @@ def lily_predict(seed: SeedPair, s0: int, n: int) -> Fraction:
     orbit = ShiftSeq(s0, seed.ell0)
     pairs = [grs_pair(seed, k) for k in range(3)]
     triple = [_rational_corr(p.x, p.y, orbit.term(k)) for k, p in enumerate(pairs)]
-    total = KElem.zero()
+    total = KElem(0)
     roots = [KElem.root(j) for j in range(3)]
     for j in range(3):
         a, b, c = roots[j], roots[(j + 1) % 3], roots[(j + 2) % 3]
-        num = b * c * triple[0] + (b + c) * triple[1] + KElem.rational(triple[2])
+        num = b * c * triple[0] + (b + c) * triple[1] + triple[2]
         coeff = k_div(num, (a - b) * (a - c))
         total = total + coeff * ((-a) ** n)
     return total.to_qalpha().as_fraction()
@@ -227,7 +227,7 @@ def lily_predict_printed(seed: SeedPair, s0: int, n: int) -> Fraction:
     _check_orbit(seed, s0, n)
     f = {0: _rational_corr(seed.x0, seed.y0, s0), 1: _rational_corr(seed.x0, seed.y0, -s0)}
     e = e_constants()
-    total = KElem.zero()
+    total = KElem(0)
     for j in range(3):
         power = (-KElem.root(j)) ** n
         for v in (0, 1):
@@ -381,7 +381,7 @@ def _power_claims(
     return [
         _verdict(
             f"{name}_n{n}",
-            QAlphaElem.rational(values[n]),
+            QAlphaElem(values[n]),
             coeff * alpha_pow(n - shift),
             relation,
             witness={"n": n, **witness},
@@ -436,7 +436,7 @@ def verify_rs_lower_bounds(n_max: int) -> list[BoundVerdict]:
         w = _A - pcc[n] * alpha_pow(-n)
         if compare(w, 0) <= 0:
             # Peak already above the limiting ratio: the claim is vacuous.
-            lhs, rhs, form = w, QAlphaElem.rational(0), "gap nonpositive"
+            lhs, rhs, form = w, QAlphaElem(0), "gap nonpositive"
         else:
             lhs, rhs, form = w * w, _B * (_C**n), "squared"
         out.append(
@@ -541,20 +541,20 @@ def inequality_suite() -> list[BoundVerdict]:
     """Every alpha0 inequality used by the bound derivations, verified by
     signifier comparison.  A failed claim is reported false, not raised.
     """
-    zero, one = QAlphaElem.rational(0), QAlphaElem.rational(1)
+    zero, one = QAlphaElem(0), QAlphaElem(1)
     out = [
         _verdict(f"step_t{t}_{a}a+{b}", a * alpha_pow(1) + b, alpha_pow(t + 1), "<=")
         for t, a, b in _STEP_INEQUALITIES
     ]
     for n, value in _UNIT_CASES:
         out.append(
-            _verdict(f"unit_case_n{n}", QAlphaElem.rational(value), 5 * alpha_pow(n - 3), "<=")
+            _verdict(f"unit_case_n{n}", QAlphaElem(value), 5 * alpha_pow(n - 3), "<=")
         )
     for n, value, coeff, power in _GENERIC_CASES:
         out.append(
             _verdict(
                 f"generic_case_n{n}_{value}",
-                QAlphaElem.rational(value),
+                QAlphaElem(value),
                 coeff * alpha_pow(power),
                 "<=",
             )
@@ -608,8 +608,8 @@ def identity_suite() -> list[BoundVerdict]:
     hi = Fraction(935995, 10**6) ** 2
     alpha_bracket = decimal_approx(alpha_pow(1), 12)
     return out + [
-        _verdict("damping_bracket_lo", QAlphaElem.rational(lo), _C, "<"),
-        _verdict("damping_bracket_hi", _C, QAlphaElem.rational(hi), "<"),
+        _verdict("damping_bracket_lo", QAlphaElem(lo), _C, "<"),
+        _verdict("damping_bracket_hi", _C, QAlphaElem(hi), "<"),
         _eq_verdict(
             "alpha_decimal_12", alpha_bracket.lo, "1.658967081916", {"hi": alpha_bracket.hi}
         ),

@@ -8,8 +8,8 @@ identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 at least one verification verdict failed,
 2 usage or input error (bad arguments, unreadable or invalid files,
-a negative --max, an option the chosen verify suite ignores, budget
-caps).
+a negative --max, an option the chosen verify suite ignores, --rs
+with --seed, budget caps).
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_seed(args: argparse.Namespace) -> SeedPair:
+    if args.rs and args.seed_path:
+        _input_error("pass --rs or --seed FILE, not both")
     if args.seed_path:
         with open(args.seed_path) as fp:
             return read_seed_pair(fp)

@@ -98,10 +98,6 @@ class QAlphaElem:
         p, q, r = map(fraction_repr, (self.p, self.q, self.r))
         return f"QAlphaElem(p={p}, q={q}, r={r})"
 
-    @classmethod
-    def rational(cls, x) -> "QAlphaElem":
-        return cls(exact_fraction(x))
-
     @property
     def is_rational(self) -> bool:
         return self._ints[1] == 0 and self._ints[2] == 0
@@ -321,24 +317,24 @@ _Y0 = QAlphaElem(-2, 1, 1)  # alpha0^2 + alpha0 - 2 = alpha1 * alpha2
 _ZERO = QAlphaElem()
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class KElem:
     """Element u + v*alpha1 of K = Q(alpha0, alpha1, alpha2), u and v in
-    Q(alpha0); equality and hash come from (u, v).
+    Q(alpha0) (ints and Fractions are taken as rationals); equality and
+    hash come from (u, v).
 
-    Built from six rational coordinates in row-major (i, j) order over the
-    basis alpha0^i * alpha1^j, that is (u.p, v.p, u.q, v.q, u.r, v.r).
+    ``c`` is the six rational coordinates in row-major (i, j) order over
+    the basis alpha0^i * alpha1^j, that is (u.p, v.p, u.q, v.q, u.r, v.r).
     """
 
     u: QAlphaElem
-    v: QAlphaElem
+    v: QAlphaElem = _ZERO
 
-    def __init__(self, c):
-        c = tuple(c)
-        if len(c) != 6:
-            raise ValueError("KElem needs six coordinates")
-        object.__setattr__(self, "u", QAlphaElem(c[0], c[2], c[4]))
-        object.__setattr__(self, "v", QAlphaElem(c[1], c[3], c[5]))
+    def __post_init__(self):
+        if type(self.u) is not QAlphaElem:
+            object.__setattr__(self, "u", _as_qalpha(self.u))
+        if type(self.v) is not QAlphaElem:
+            object.__setattr__(self, "v", _as_qalpha(self.v))
 
     @property
     def c(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
@@ -346,30 +342,14 @@ class KElem:
         return (u.p, v.p, u.q, v.q, u.r, v.r)
 
     @classmethod
-    def zero(cls) -> "KElem":
-        return _kelem(_ZERO, _ZERO)
-
-    @classmethod
-    def one(cls) -> "KElem":
-        return _kelem(QAlphaElem(1), _ZERO)
-
-    @classmethod
-    def rational(cls, x) -> "KElem":
-        return _kelem(QAlphaElem(x), _ZERO)
-
-    @classmethod
-    def from_qalpha(cls, v: QAlphaElem) -> "KElem":
-        return _kelem(v, _ZERO)
-
-    @classmethod
     def root(cls, j: int) -> "KElem":
         """alpha_j as a KElem, j in {0, 1, 2}."""
         if j == 0:
-            return _kelem(QAlphaElem(0, 1), _ZERO)
+            return KElem(QAlphaElem(0, 1))
         if j == 1:
-            return _kelem(_ZERO, QAlphaElem(1))
+            return KElem(0, 1)
         if j == 2:  # alpha2 = -1 - alpha0 - alpha1
-            return _kelem(-_Y1, QAlphaElem(-1))
+            return KElem(-_Y1, -1)
         raise ValueError("root index must be 0, 1, or 2")
 
     @property
@@ -388,36 +368,36 @@ class KElem:
         On real-coefficient expressions this is complex conjugation.
         """
         # u + v*alpha2 = u + v*(-_Y1 - alpha1)
-        return _kelem(self.u - self.v * _Y1, -self.v)
+        return KElem(self.u - self.v * _Y1, -self.v)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         o = as_kelem(other)
-        return _kelem(self.u + o.u, self.v + o.v)
+        return KElem(self.u + o.u, self.v + o.v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = as_kelem(other)
-        return _kelem(self.u - o.u, self.v - o.v)
+        return KElem(self.u - o.u, self.v - o.v)
 
     def __rsub__(self, other):
         return as_kelem(other) - self
 
     def __neg__(self):
-        return _kelem(-self.u, -self.v)
+        return KElem(-self.u, -self.v)
 
     def __mul__(self, other):
         o = as_kelem(other)
         # alpha1^2 = -_Y1*alpha1 - _Y0
         vv = self.v * o.v
-        return _kelem(self.u * o.u - vv * _Y0, self.u * o.v + self.v * o.u - vv * _Y1)
+        return KElem(self.u * o.u - vv * _Y0, self.u * o.v + self.v * o.u - vv * _Y1)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "KElem":
-        return _power(k_div(KElem.one(), self) if n < 0 else self, abs(n), KElem.one())
+        return _power(k_div(KElem(1), self) if n < 0 else self, abs(n), KElem(1))
 
     def to_text(self) -> str:
         return " ".join(fraction_text(*x.as_integer_ratio()) for x in self.c)
@@ -426,16 +406,9 @@ class KElem:
         return self.to_text()
 
 
-def _kelem(u: QAlphaElem, v: QAlphaElem) -> KElem:
-    k = object.__new__(KElem)
-    object.__setattr__(k, "u", u)
-    object.__setattr__(k, "v", v)
-    return k
-
-
 def as_kelem(x) -> KElem:
     """x as a KElem: a KElem, or an element of Q(alpha0), int or Fraction."""
-    return x if isinstance(x, KElem) else _kelem(_as_qalpha(x), _ZERO)
+    return x if isinstance(x, KElem) else KElem(x)
 
 
 def reduce_poly(terms: Mapping[tuple[int, int, int], object]) -> KElem:
@@ -446,7 +419,7 @@ def reduce_poly(terms: Mapping[tuple[int, int, int], object]) -> KElem:
     monomial is a product of KElem powers of the three roots.
     """
     x, y, z = (KElem.root(j) for j in range(3))
-    total = KElem.zero()
+    total = KElem(0)
     for (i, j, k), coeff in terms.items():
         coeff = exact_fraction(coeff)
         if coeff == 0:
@@ -468,11 +441,11 @@ def k_div(num: KElem, den: KElem) -> KElem:
     """
     num = as_kelem(num)
     den = as_kelem(den)
-    if den == KElem.zero():
+    if den == KElem(0):
         raise ZeroDivisionError("division by zero in K")
     den_sw = den.conj_swapped()
     e = (den * den_sw).to_qalpha()
-    return num * den_sw * KElem.from_qalpha(e.inverse())
+    return num * den_sw * e.inverse()
 
 
 # ---------------------------------------------------------------------------

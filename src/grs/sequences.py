@@ -375,6 +375,8 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
 
 def read_sequence(fp: TextIO) -> Sequence:
     header = fp.readline().split()
+    if bad := [part for part in header if "=" not in part]:
+        raise ValueError(f"sequence header field {bad[0]!r} is not key=value")
     fields = dict(part.split("=", 1) for part in header)
     if "len" not in fields or "kind" not in fields:
         raise ValueError("sequence header needs len= and kind= fields")

@@ -27,7 +27,7 @@ from grs.bounds import (
 )
 from grs.fastscan import streaming_peaks
 from grs.field import KElem, QAlphaElem, alpha_pow, compare
-from grs.qcomplex import CQ
+from grs.qcomplex import CQ, as_cq
 from grs.sequences import Sequence, grs_pair, rudin_shapiro_seed, validate_seed
 
 
@@ -77,10 +77,10 @@ def test_entry_index_randomized_window_pattern():
 
 def test_e_constants_published_values():
     e = e_constants()
-    assert e[(0, 0)] == KElem.from_qalpha(
+    assert e[(0, 0)] == KElem(
         QAlphaElem(Fraction(40, 118), Fraction(7, 118), Fraction(1, 118))
     )
-    assert e[(0, 1)] == KElem.from_qalpha(
+    assert e[(0, 1)] == KElem(
         QAlphaElem(Fraction(-28, 118), Fraction(1, 118), Fraction(17, 118))
     )
     assert e_sums()[0].to_qalpha() == QAlphaElem(
@@ -98,7 +98,7 @@ def test_e_constants_published_values():
 
 def test_e_constants_are_read_only():
     with pytest.raises(TypeError):
-        e_constants()[(0, 0)] = KElem.zero()
+        e_constants()[(0, 0)] = KElem(0)
     assert all(v.holds for v in identity_suite())
 
 
@@ -107,8 +107,8 @@ def test_e_constants_interpolation_identities():
     e = e_constants()
     total0 = e[(0, 0)] + e[(1, 0)] + e[(2, 0)]
     total1 = e[(0, 1)] + e[(1, 1)] + e[(2, 1)]
-    assert total0 == KElem.one()
-    assert total1 == KElem.zero()
+    assert total0 == KElem(1)
+    assert total1 == KElem(0)
 
 
 def test_g_constants_real_window():
@@ -179,6 +179,37 @@ def test_orbit_values_follow_the_integer_recurrence(
                 v.append(v[-1] + 2 * v[-2] - 4 * v[-3])
             for n in levels:
                 assert lily_predict(seed, s0, n) == v[n], (seed.ell0, s0, n)
+
+
+# (seed, N0, offsets): from level N0 + 1 on, the witnesses s of PCC_n have
+# exactly these offsets (s - t_n)(-1)^n, the s0 of the orbits they sit on;
+# at N0 they differ.
+ORBIT_WITNESSES = [
+    ("rs_seed", 38, {0}),
+    ("seed_pm2", 37, {-1}),
+    ("seed_pm4", 36, {-1}),
+    ("seed_golay10", 24, {-4}),
+    ("seed_padded3", 39, {-4, -2}),
+    ("seed_rational", 37, {-1}),
+]
+
+
+@pytest.mark.parametrize("name, n0, offsets", ORBIT_WITNESSES)
+def test_peak_witnesses_settle_on_their_orbits(request, name, n0, offsets):
+    seed = request.getfixturevalue(name)
+    for n in range(n0, 161):
+        sign = -1 if n & 1 else 1
+        found = {
+            (s - standard_shift(n, seed.ell0)) * sign: value
+            for s, value in streaming_peaks(seed, n)[0].witnesses
+        }
+        if n == n0:
+            assert set(found) != offsets
+            continue
+        assert set(found) == offsets, n
+        for s0 in offsets:
+            if abs(s0) < seed.ell0:
+                assert as_cq(found[s0]) == as_cq(lily_predict(seed, s0, n)), (n, s0)
 
 
 def test_lily_predict_zero_seed_correlation():

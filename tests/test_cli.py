@@ -311,6 +311,20 @@ def test_missing_seed_is_an_input_error(capsys, command):
     assert capsys.readouterr().err == "error: a seed is required: pass --rs or --seed FILE\n"
 
 
+@pytest.mark.parametrize(
+    "args", [["peaks", "--n", "3"], ["gen", "--n", "3"], ["verify", "--suite", "generic"]]
+)
+def test_rs_with_seed_is_an_input_error(tmp_path, capsys, seed_pm4, args):
+    # Each command reads one seed; it refuses two rather than drop one.
+    seed_file = tmp_path / "pm4.seed"
+    with open(seed_file, "w") as fp:
+        write_seed_pair(seed_pm4, fp)
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--rs", "--seed", str(seed_file)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: pass --rs or --seed FILE, not both\n")
+
+
 # sha256 of the stdout of ``grs verify``: every claim id, its order, witness,
 # relation and exact sides are in these bytes.
 SUITE_DIGESTS = [

@@ -392,6 +392,11 @@ def test_missing_rational_row_is_named():
         read_sequence(io.StringIO("len=1 kind=rational\n"))
 
 
+def test_header_field_without_value_is_named():
+    with pytest.raises(ValueError, match="header field 'foo' is not key=value"):
+        read_sequence(io.StringIO("len=2 kind=binary foo\n++\n"))
+
+
 def test_seed_pair_roundtrip(seed_pm4):
     buf = io.StringIO()
     write_seed_pair(seed_pm4, buf)
