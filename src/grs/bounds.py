@@ -35,7 +35,7 @@ from .field import (
     reduce_poly,
 )
 from .qcomplex import as_cq, fraction_text, int_text
-from .sequences import SeedPair, Sequence, grs_pair, rudin_shapiro_seed
+from .sequences import SeedPair, grs_pair, rudin_shapiro_seed
 
 __all__ = [
     "ShiftSeq",
@@ -106,6 +106,8 @@ def entry_index(s0: int, ell0: int) -> int:
     closed-form characterization (least even/odd m with
     2^(m+2) * ell0 > +/-(3 s0 + ell0)) is evaluated as a cross-check.
     """
+    if ell0 < 1:
+        raise ValueError("seed length must be positive")
     m = 0
     s = s0
     while abs(s) >= (ell0 << m):
@@ -124,10 +126,7 @@ def _entry_index_closed(s0: int, ell0: int) -> int:
     if abs(s0) < ell0:
         return 0
     target = 3 * s0 + ell0
-    if s0 >= ell0:
-        m, target = 0, target
-    else:
-        m, target = 1, -target
+    m, target = (0, target) if s0 >= ell0 else (1, -target)
     while (ell0 << (m + 2)) <= target:
         m += 2
     return m
@@ -136,6 +135,20 @@ def _entry_index_closed(s0: int, ell0: int) -> int:
 # ---------------------------------------------------------------------------
 # Closed-form constants in the splitting field.
 
+def _orbit_coeffs(v0, v1, v2) -> tuple[KElem, KElem, KElem]:
+    """(c0, c1, c2) in K with x_n = sum_j c_j (-alpha_j)^n for the sequence
+    with first terms v0, v1, v2 that obeys x_{k+3} = x_{k+2} + 2 x_{k+1} - 4 x_k:
+
+        c_j = (a_{j+1} a_{j+2} v0 + (a_{j+1} + a_{j+2}) v1 + v2)
+              / ((a_j - a_{j+1})(a_j - a_{j+2}))
+
+    For real first terms c0 is real and c2 is the conjugate of c1.
+    """
+    roots = [KElem.root(j) for j in range(3)]
+    triples = (roots[j:] + roots[:j] for j in range(3))  # (a_j, a_{j+1}, a_{j+2})
+    return tuple(k_div(b * c * v0 + (b + c) * v1 + v2, (a - b) * (a - c)) for a, b, c in triples)
+
+
 @cache
 def e_constants() -> Mapping[tuple[int, int], KElem]:
     """The six interpolation constants E_{j,v} (j mod 3, v in {0,1}):
@@ -143,23 +156,19 @@ def e_constants() -> Mapping[tuple[int, int], KElem]:
         E_{j,0} = (2 + a_{j+1} a_{j+2}) / ((a_j - a_{j+1})(a_j - a_{j+2}))
         E_{j,1} = -(1 + a_{j+1} + a_{j+2}) / (same denominator)
 
-    computed exactly in K; the j = 0 pair is real.  Built once, and
-    read-only.
+    the closed-form coefficients of the first terms (1, 0, 2) and (0, -1, -1)
+    that a seed crosscorrelation contributes at s0 and at -s0.  The j = 0
+    pair is real.  Built once, and read-only.
     """
-    roots = [KElem.root(j) for j in range(3)]
-    out = {}
-    for j in range(3):
-        a, b, c = roots[j], roots[(j + 1) % 3], roots[(j + 2) % 3]
-        den = (a - b) * (a - c)
-        out[(j, 0)] = k_div(2 + b * c, den)
-        out[(j, 1)] = k_div(-(1 + b + c), den)
-    return MappingProxyType(out)
+    starts = ((1, 0, 2), (0, -1, -1))
+    return MappingProxyType({(j, v): coeff for v, first in enumerate(starts)
+                             for j, coeff in enumerate(_orbit_coeffs(*first))})
 
 
 def e_sums() -> dict[int, KElem]:
-    """E_j = E_{j,0} + E_{j,1}."""
-    e = e_constants()
-    return {j: e[(j, 0)] + e[(j, 1)] for j in range(3)}
+    """E_j = E_{j,0} + E_{j,1}, the closed-form coefficients of the unit
+    seed's standard orbit (1, -1, 1)."""
+    return dict(enumerate(_orbit_coeffs(1, -1, 1)))
 
 
 def g_constants() -> dict[tuple[int, int], KElem]:
@@ -172,67 +181,31 @@ def g_constants() -> dict[tuple[int, int], KElem]:
     }
 
 
-def _rational_corr(f: Sequence, g: Sequence, s: int) -> Fraction:
-    v = as_cq(correlation.crosscorr(f, g, s))
-    if not v.is_real:
-        raise SeedNotRational("seed correlations must be rational")
-    return v.re
+def lily_predict(seed: SeedPair, s0: int, n: int) -> Fraction:
+    """Closed-form value of the crosscorrelation at the n-th orbit shift.
 
+    Along an orbit that starts inside its window (|s0| < ell0), the
+    values C_k(s_k) satisfy a three-term linear recursion, so
+    C_n(s_n) = sum_j c_j * (-alpha_j)^n with the ``_orbit_coeffs`` of the
+    first three values, read from the (tiny) level-0..2 pairs.  When the
+    orbit enters from the nonnegative side (s0 >= 0) the c_j collapse to
+    the E_{j,v} combination of the seed crosscorrelations at +/-s0 (see
+    ``e_constants``); an orbit started at a negative shift picks up
+    seed-autocorrelation terms that the E-form does not see.
 
-def _check_orbit(seed: SeedPair, s0: int, n: int) -> None:
-    """The conditions of the closed-form prediction at level n."""
+    Restricted to rational seeds, for which the result is rational and
+    equals C_{x_n, y_n}(s_n) exactly.
+    """
     if not seed.is_rational:
         raise SeedNotRational("closed-form prediction needs a rational seed")
     if abs(s0) >= seed.ell0:
         raise ShiftNotEntered(f"|s0| must be below ell0={seed.ell0}")
     if n < 0:
         raise ValueError("level must be nonnegative")
-
-
-def lily_predict(seed: SeedPair, s0: int, n: int) -> Fraction:
-    """Closed-form value of the crosscorrelation at the n-th orbit shift.
-
-    Along an orbit that starts inside its window (|s0| < ell0), the
-    values C_k(s_k) satisfy a three-term linear recursion from k = 2 on,
-    so C_n(s_n) = sum_j c_j * (-alpha_j)^n with interpolation constants
-    c_j fixed by the first three values.  Those are read from the (tiny)
-    level-0..2 spectra; when the orbit enters from the nonnegative side
-    (s0 >= 0) the c_j collapse to the E_{j,v} combination of the two
-    seed crosscorrelations at +/-s0 (see ``e_constants``), but an orbit
-    started at a negative shift picks up seed-autocorrelation terms that
-    the E-form does not see.
-
-    Restricted to rational seeds, for which the result is rational and
-    equals C_{x_n, y_n}(s_n) exactly.
-    """
-    _check_orbit(seed, s0, n)
     orbit = ShiftSeq(s0, seed.ell0)
     pairs = [grs_pair(seed, k) for k in range(3)]
-    triple = [_rational_corr(p.x, p.y, orbit.term(k)) for k, p in enumerate(pairs)]
-    total = KElem(0)
-    roots = [KElem.root(j) for j in range(3)]
-    for j in range(3):
-        a, b, c = roots[j], roots[(j + 1) % 3], roots[(j + 2) % 3]
-        num = b * c * triple[0] + (b + c) * triple[1] + triple[2]
-        coeff = k_div(num, (a - b) * (a - c))
-        total = total + coeff * ((-a) ** n)
-    return total.to_qalpha().as_fraction()
-
-
-def lily_predict_printed(seed: SeedPair, s0: int, n: int) -> Fraction:
-    """The E-constant form of the closed-form prediction,
-    sum over j, v of E_{j,v} * f_v * (-alpha_j)^n with f_0, f_1 the seed
-    crosscorrelations at s0 and -s0.  Agrees with ``lily_predict`` (and
-    the oracle) whenever s0 >= 0."""
-    _check_orbit(seed, s0, n)
-    f = {0: _rational_corr(seed.x0, seed.y0, s0), 1: _rational_corr(seed.x0, seed.y0, -s0)}
-    e = e_constants()
-    total = KElem(0)
-    for j in range(3):
-        power = (-KElem.root(j)) ** n
-        for v in (0, 1):
-            if f[v]:
-                total = total + e[(j, v)] * f[v] * power
+    coeffs = _orbit_coeffs(*(correlation.crosscorr(p.x, p.y, orbit.term(p.level)) for p in pairs))
+    total = sum((c * (-KElem.root(j)) ** n for j, c in enumerate(coeffs)), KElem(0))
     return total.to_qalpha().as_fraction()
 
 

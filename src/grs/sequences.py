@@ -373,6 +373,13 @@ def write_sequence(seq: Sequence, fp: TextIO) -> None:
     fp.writelines(f"{re} {im}\n" for re, im in zip(*columns))
 
 
+def _int_field(where: str, key: str, text: str) -> int:
+    try:
+        return text_int(text)
+    except ValueError:
+        raise ValueError(f"{where} field '{key}={text}' is not an integer") from None
+
+
 def read_sequence(fp: TextIO) -> Sequence:
     header = fp.readline().split()
     if bad := [part for part in header if "=" not in part]:
@@ -380,7 +387,7 @@ def read_sequence(fp: TextIO) -> Sequence:
     fields = dict(part.split("=", 1) for part in header)
     if "len" not in fields or "kind" not in fields:
         raise ValueError("sequence header needs len= and kind= fields")
-    length = int(fields["len"])
+    length = _int_field("sequence header", "len", fields["len"])
     if length < 0:
         raise ValueError(f"declared length len={length} is negative")
     kind = fields["kind"]
@@ -438,7 +445,7 @@ def read_seed_pair(fp: TextIO) -> SeedPair:
     line = fp.readline().strip()
     if not line.startswith("ell0="):
         raise ValueError("seed file must start with an ell0= line")
-    ell0 = int(line.split("=", 1)[1])
+    ell0 = _int_field("seed file", "ell0", line.split("=", 1)[1])
     x0 = read_sequence(fp)
     y0 = read_sequence(fp)
     return validate_seed(x0, y0, ell0)

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from grs import correlation
 from grs.bounds import (
+    _A,
+    _B,
+    _orbit_coeffs,
     SeedNotRational,
     ShiftNotEntered,
     ShiftSeq,
@@ -59,6 +62,12 @@ def test_entry_index_examples():
     assert seq == [5, -6, 4, -8, 0]
 
 
+@pytest.mark.parametrize("s0, ell0", [(0, 0), (3, -2)])
+def test_entry_index_refuses_nonpositive_length(s0, ell0):
+    with pytest.raises(ValueError, match="seed length must be positive"):
+        entry_index(s0, ell0)
+
+
 def test_entry_index_randomized_window_pattern():
     # After entry, every later term sits in (-ell_n, 0).
     rng = random.Random(99)
@@ -94,6 +103,15 @@ def test_e_constants_published_values():
         (2, 0): "18/59 -3/59 -3/59 1/118 0/1 0/1",
         (2, 1): "11/59 8/59 8/59 17/118 0/1 0/1",
     }
+
+
+def test_orbit_coeffs_give_the_printed_constants():
+    # The unit seed's standard orbit 1, -1, 1, ...: its dominant coefficient
+    # is the envelope's limit A, and 4 |c1|^2 is the squared amplitude B.
+    c = _orbit_coeffs(1, -1, 1)
+    assert c[0].to_qalpha() == _A
+    assert (4 * c[1] * c[2]).to_qalpha() == _B
+    assert c[2] == c[1].conj_swapped()
 
 
 def test_e_constants_are_read_only():
@@ -144,11 +162,26 @@ def test_lily_predict_matches_oracle(corpus):
                 assert lily_predict(seed, s0, n) == oracle, (seed.ell0, s0, n)
 
 
+def lily_predict_printed(seed, s0, n):
+    """The E-form of the closed-form prediction, the reference for
+    ``lily_predict``: the sum over j, v of E_{j,v} * f_v * (-alpha_j)^n,
+    with f_0, f_1 the seed crosscorrelations at s0 and -s0.  Agrees with
+    ``lily_predict`` (and the oracle) whenever 0 <= s0 < ell0."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    f = [correlation.crosscorr(seed.x0, seed.y0, s) for s in (s0, -s0)]
+    e = e_constants()
+    total = KElem(0)
+    for j in range(3):
+        power = (-KElem.root(j)) ** n
+        for v in (0, 1):
+            total = total + e[(j, v)] * f[v] * power
+    return total.to_qalpha().as_fraction()
+
+
 def test_lily_printed_form_on_nonnegative_starts(corpus):
     # The interpolation constants collapse to the E-form whenever the
     # orbit enters its window from the nonnegative side.
-    from grs.bounds import lily_predict_printed
-
     for seed in corpus:
         for s0 in range(0, seed.ell0):
             for n in range(0, 9):
@@ -156,8 +189,6 @@ def test_lily_printed_form_on_nonnegative_starts(corpus):
 
 
 def test_lily_forms_refuse_negative_levels(rs_seed):
-    from grs.bounds import lily_predict_printed
-
     for predict in (lily_predict, lily_predict_printed):
         with pytest.raises(ValueError, match="level must be nonnegative"):
             predict(rs_seed, 0, -1)

@@ -237,6 +237,25 @@ def test_bad_declared_length_exit_code(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ell0=abc\nlen=2 kind=binary\n++\nlen=2 kind=binary\n+-\n",
+         "error: seed file field 'ell0=abc' is not an integer\n"),
+        ("ell0=2\nlen=abc kind=binary\n++\nlen=2 kind=binary\n+-\n",
+         "error: sequence header field 'len=abc' is not an integer\n"),
+    ],
+    ids=["ell0", "len"],
+)
+def test_malformed_header_integer_is_named(tmp_path, capsys, text, message):
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["peaks", "--seed", str(seed_file), "--n", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("row", ["1/0 0/1", "1/2 -1/00"])
 def test_zero_denominator_exit_code(tmp_path, capsys, row):
     # Fraction("1/0") raises ZeroDivisionError, which is not an input error
