@@ -79,56 +79,29 @@ class ShiftSeq:
     ell0: int
 
     def term(self, n: int) -> int:
-        # Equivalent closed form: s_n = t_n + (-1)^n s0.
+        """s_n = t_n + (-1)^n s0, the one closed form of the orbit."""
         return standard_shift(n, self.ell0) + (-1 if n & 1 else 1) * self.s0
 
     def terms(self, upto: int) -> list[int]:
-        out = [self.s0]
-        for n in range(upto):
-            out.append(-out[-1] - (self.ell0 << n))
-        return out
+        return [self.term(n) for n in range(upto + 1)]
 
 
 def standard_shift(n: int, ell0: int) -> int:
     """t_n = ((-1)^n - 2^n) * ell0 / 3, always an exact integer."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    num = ((-1 if n & 1 else 1) - (1 << n)) * ell0
-    if num % 3:
-        raise ArithmeticError(f"t_{n} is not an integer for ell0={ell0}")
-    return num // 3
+    # 2 = -1 (mod 3), so (-1)^n - 2^n is a multiple of 3.
+    return ((-1 if n & 1 else 1) - (1 << n)) * ell0 // 3
 
 
 def entry_index(s0: int, ell0: int) -> int:
-    """Least m with |s_m| < ell_m along the orbit of s0.
-
-    Computed by iterating the recursion with exact integers; the
-    closed-form characterization (least even/odd m with
-    2^(m+2) * ell0 > +/-(3 s0 + ell0)) is evaluated as a cross-check.
-    """
+    """Least m with |s_m| < ell_m along the orbit of s0."""
     if ell0 < 1:
         raise ValueError("seed length must be positive")
+    orbit = ShiftSeq(s0, ell0)
     m = 0
-    s = s0
-    while abs(s) >= (ell0 << m):
-        s = -s - (ell0 << m)
+    while abs(orbit.term(m)) >= ell0 << m:
         m += 1
-    closed = _entry_index_closed(s0, ell0)
-    if m != closed:
-        raise ArithmeticError(
-            f"entry index of s0={s0}, ell0={ell0}: recursion gives {m}, "
-            f"closed form gives {closed}"
-        )
-    return m
-
-
-def _entry_index_closed(s0: int, ell0: int) -> int:
-    if abs(s0) < ell0:
-        return 0
-    target = 3 * s0 + ell0
-    m, target = (0, target) if s0 >= ell0 else (1, -target)
-    while (ell0 << (m + 2)) <= target:
-        m += 2
     return m
 
 

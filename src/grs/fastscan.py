@@ -124,11 +124,12 @@ def abgd(t: int) -> AbgdTable:
 
 
 def _bound(node, m_nt: int, m_nt1: int) -> int:
-    """(|A| + |B|) m_nt + max(|Gamma|, |Delta|) m_nt1, the largest
-    ``nellie_bound`` of a block, as a sum: one of Gamma and Delta is zero.
-    Gamma and Delta read disjoint remainder windows, so it caps every
-    partial sum of the four-term formula, real and imaginary, too: a block
-    whose bound fits int64 evaluates without wraparound."""
+    """(|A| + |B|) m_nt + max(|Gamma|, |Delta|) m_nt1, the one block
+    bound (``nellie_bound`` and ``derrel_bound`` are instances), as a
+    sum: one of Gamma and Delta is zero.  Gamma and Delta read disjoint
+    remainder windows, so it caps every partial sum of the four-term
+    formula, real and imaginary, too: a block whose bound fits int64
+    evaluates without wraparound."""
     a, b, g, d = node
     return (abs(a) + abs(b)) * m_nt + (abs(g) + abs(d)) * m_nt1
 
@@ -472,17 +473,17 @@ def nellie_bound(t: int, q: int, r: int, ell_nt: int, m_nt, m_nt1):
     if r == 0:
         return 0
     a, b, g, d = _coeffs(t, q)
-    tail = d if r < ell_nt else g if r > ell_nt else 0
-    return (abs(a) + abs(b)) * m_nt + abs(tail) * m_nt1
+    return _bound((a, b, g * (r > ell_nt), d * (r < ell_nt)), m_nt, m_nt1)
 
 
 def derrel_bound(pcc0, psl0, n: int, q: int):
     """Upper bound on |C_n(s)| for q = floor(s / ell_2), in terms of the
     seed statistics only (peak crosscorrelation and sidelobe of the seed).
 
-    Uses the t = n-1 tables, so it applies for n >= 2.
+    Uses the t = n-1 tables, so it applies for n >= 2: it is the block
+    bound at levels 1 and 0, with pcc0 + 2 psl0 in place of m_1 and pcc0
+    in place of m_0.
     """
     if n < 2:
         raise LevelTooSmall("seed-statistics bound needs n >= 2")
-    a, b, g, d = _coeffs(n - 1, q)
-    return (abs(a) + abs(b) + abs(g) + abs(d)) * pcc0 + (abs(a) + abs(b)) * (2 * psl0)
+    return _bound(_coeffs(n - 1, q), pcc0 + 2 * psl0, pcc0)

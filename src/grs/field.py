@@ -291,21 +291,13 @@ def min_poly_of(v: QAlphaElem) -> tuple[Fraction, Fraction, Fraction]:
     return (s, t, u)
 
 
-def alpha_pow(n: int) -> QAlphaElem:
-    """alpha0^n in canonical form, for any integer n.
+_ALPHA0 = QAlphaElem(0, 1)
 
-    Multiplying by alpha0 sends (a, b, c) to (4c, a + 2c, b - c).  For
-    n < 0, multiplying by 4/alpha0 = alpha0^2 + alpha0 - 2 sends (a, b, c)
-    to (-2a + 4b, a + 4c, a), so alpha0^n is |n| such steps over 4^|n|.
-    """
-    a, b, c = 1, 0, 0
-    if n >= 0:
-        for _ in range(n):
-            a, b, c = 4 * c, a + 2 * c, b - c
-        return _reduced(a, b, c, 1)
-    for _ in range(-n):
-        a, b, c = -2 * a + 4 * b, a + 4 * c, a
-    return _reduced(a, b, c, 4**-n)
+
+def alpha_pow(n: int) -> QAlphaElem:
+    """alpha0^n in canonical form, for any integer n: square-and-multiply
+    over the field product (of 1/alpha0 when n < 0)."""
+    return _ALPHA0**n
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +337,7 @@ class KElem:
     def root(cls, j: int) -> "KElem":
         """alpha_j as a KElem, j in {0, 1, 2}."""
         if j == 0:
-            return KElem(QAlphaElem(0, 1))
+            return KElem(_ALPHA0)
         if j == 1:
             return KElem(0, 1)
         if j == 2:  # alpha2 = -1 - alpha0 - alpha1

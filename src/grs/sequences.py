@@ -344,7 +344,8 @@ def validate_seed(x0: Sequence, y0: Sequence, ell0: int) -> SeedPair:
     syy = correlation.spectrum(y0, y0)
     if as_cq(sxx.value(0)) != as_cq(syy.value(0)):
         raise EnergyMismatch()
-    for s in range(1, ell0):
+    # Both autocorrelations vanish past both degrees.
+    for s in range(1, max(x0.degree, y0.degree) + 1):
         total = as_cq(sxx.value(s)) + as_cq(syy.value(s))
         if total:
             raise NotGolay(s)

@@ -358,10 +358,23 @@ def test_verdict_serialization():
         assert isinstance(d["lhs"], str) and isinstance(d["rhs"], str)
 
 
+def _entry_index_closed(s0: int, ell0: int) -> int:
+    """The least even (s0 >= ell0) or odd (s0 <= -ell0) m with
+    2^(m+2) ell0 > +/-(3 s0 + ell0), or 0 inside the window."""
+    if abs(s0) < ell0:
+        return 0
+    target = 3 * s0 + ell0
+    m, target = (0, target) if s0 >= ell0 else (1, -target)
+    while (ell0 << (m + 2)) <= target:
+        m += 2
+    return m
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-(10**9), 10**9), st.integers(1, 100))
 def test_entry_index_agrees_with_window(s0, ell0):
     m = entry_index(s0, ell0)
+    assert m == _entry_index_closed(s0, ell0)
     terms = ShiftSeq(s0, ell0).terms(m)
     assert abs(terms[m]) < (ell0 << m)
     assert all(abs(terms[n]) >= (ell0 << n) for n in range(m))

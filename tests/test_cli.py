@@ -220,6 +220,19 @@ def test_bad_seed_file_exit_code(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_huge_seed_length_meets_the_scan_budget(tmp_path, capsys):
+    # The seed check stops at the members' degrees, so the declared ell0
+    # reaches the scan, whose budget refuses it as an input error.
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text("ell0=1000000000000\nlen=2 kind=binary\n++\nlen=2 kind=binary\n+-\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["peaks", "--seed", str(seed_file), "--n", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: scan needs about 8000000000000 cached entries, budget is 2147483648\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

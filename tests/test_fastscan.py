@@ -607,8 +607,10 @@ def test_streaming_rational_seed():
 def test_nellie_bound_cases(rs_seed):
     # r = 0 forces a zero value.
     assert nellie_bound(3, -1, 0, 8, 100, 100) == 0
-    # t = 1, q = 0, r = block midpoint: only the first pair contributes.
+    # t = 1, r = block midpoint: only the first pair contributes, also on
+    # q = -1, whose Gamma = 2 starts one past the midpoint.
     assert nellie_bound(1, 0, 4, 4, 7, 3) == 7
+    assert nellie_bound(1, -1, 4, 4, 7, 3) == 7
     # t = 3, q = -2, low window: |A| + |B| = 5, Delta vanishes.
     assert nellie_bound(3, -2, 3, 8, 11, 13) == 5 * 11
     with pytest.raises(ValueError):
@@ -684,6 +686,16 @@ def test_derrel_bound_examples():
     assert derrel_bound(1, 0, 70, -1) == 9
     with pytest.raises(LevelTooSmall):
         derrel_bound(1, 0, 1, 0)
+
+
+def test_derrel_bound_is_the_written_out_sum():
+    stats = [(1, 0), (3, 2), (Fraction(5, 2), Fraction(1, 3))]
+    for t in range(1, 9):
+        for q in range(-(1 << (t - 1)) - 1, (1 << (t - 1)) + 1):
+            a, b, g, d = map(abs, abgd(t).entry(q))
+            for pcc0, psl0 in stats:
+                expected = (a + b + g + d) * pcc0 + (a + b) * 2 * psl0
+                assert derrel_bound(pcc0, psl0, t + 1, q) == expected, (t, q)
 
 
 def test_derrel_bound_dominates_oracle(corpus):

@@ -1,6 +1,7 @@
 """Layering: no ``grs`` module reads another ``grs`` module's private
 names.  Each exact-arithmetic rule has one home below every module that
-uses it, and the users import its public name."""
+uses it, and the users import its public name.  And no ``grs`` module
+checks an invariant with ``assert``, which ``python -O`` removes."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,20 @@ def test_guard_sees_each_kind_of_use(tmp_path):
 def test_no_module_reads_another_modules_private_names():
     uses = [use for path in sorted(SRC.glob("*.py")) for use in cross_module_private_uses(path)]
     assert uses == []
+
+
+def asserts_in(path: Path) -> list[str]:
+    """Each ``assert`` statement in ``path``, as module:line."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.stem}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_assert_guard_sees_an_assert(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("def f(x):\n    assert x > 0, 'x'\n    return x\n")
+    assert asserts_in(source) == ["probe:2"]
+
+
+def test_no_module_checks_with_assert():
+    found = [where for path in sorted(SRC.glob("*.py")) for where in asserts_in(path)]
+    assert found == []

@@ -106,6 +106,17 @@ def test_validate_seed_diagnostics():
         validate_seed(Sequence.binary("++"), Sequence.binary("+-"), 1)
 
 
+def test_seed_check_stops_at_the_members_degrees():
+    # Every autocorrelation vanishes past both degrees, so a huge declared
+    # ell0 costs nothing more to check.
+    seed = validate_seed(Sequence.binary("++"), Sequence.binary("+-"), 10**12)
+    assert seed.ell0 == 10**12
+    # The last shift checked is the larger degree itself.
+    with pytest.raises(NotGolay) as err:
+        validate_seed(Sequence([1, 0, 1]), Sequence([1, 0, 1]), 10**12)
+    assert err.value.shift == 2
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         rudin_shapiro(10, budget=100)
