@@ -27,11 +27,12 @@ The blocks of all step counts form one binary tree over the shifts
 (``_children``).  The peak scan searches it best first, bounding every
 block by the exact peaks of two lower levels, and evaluates only the
 leaves that can reach the best value found (``_tree_peak``).  Each seed
-keeps one bounded list, one entry per level: its peak, read off the dense
-level up to a small floor and found once by the same search above it, and
-up to the floor the dense level itself.  A level above the floor is built
-in one pass from the two floor levels and not kept.  So the memory of a
-default scan does not grow with n, and no level is searched twice.
+keeps one bounded list, one entry per level: its peak, read off the oracle
+levels 0 and 1, which the list also keeps, and found once by the same
+search above them, with its leaves at level 1.  Any higher level that a
+caller needs is built by t = 1 steps up from levels 1 and 0 and not kept.
+So the memory of a default scan does not grow with n, and no level is
+searched twice.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import inf, isqrt, lcm
 from . import correlation, np
 from .convolve import INT64_MAX, abs2, abs_max, scaled
 from .qcomplex import as_cq, exact_magnitude, exact_value, value_conj
-from .sequences import BudgetExceeded, SeedPair, Sequence, coefficient_budget, grs_pair
+from .sequences import BudgetExceeded, SeedPair, coefficient_budget, grs_pair
 
 __all__ = [
     "AbgdTable",
@@ -143,11 +144,9 @@ def _bound(node, m_nt: int, m_nt1: int) -> int:
 # ``_peak_bounds`` is the one store per seed: entry k, for k = 0, 1, ... in
 # ascending order, holds m_k, the least integer at or above every
 # |d^2 C_k(s)|, with the peak of level k as ``_tree_peak`` returns it, and,
-# up to the seed's dense floor (``_floor``), level k itself: levels 0 and 1
-# from the oracle on the (small) materialized pairs, higher ones from
-# entries k-1 and k-2 by the t = 1 instance of the coefficient formula.  A
-# level above the floor is built by one pass from the two floor levels
-# (``_int_level``) and not kept.
+# for k <= 1, level k itself, from the oracle on the (small) materialized
+# pairs.  A level above 1 is built from levels 1 and 0 by t = 1 steps
+# (``_levels``) and not kept.
 
 _peak_bounds: dict[SeedPair, list[tuple[int, int, list, tuple | None]]] = {}
 
@@ -164,21 +163,21 @@ def _scale(seed: SeedPair) -> int:
 
 
 def _oracle_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
+    """Level k from the oracle spectrum of the materialized pair, cut or
+    padded to the shifts -ell_k < s < ell_k (a seed member may be declared
+    shorter or longer than ell0); spec.den = x.den * y.den divides d^2."""
     pair = grs_pair(seed, k)
-    # Both members cut or padded to length ell_k (a seed member may be
-    # declared shorter or longer), so the spectrum's arrays hold
-    # -ell_k < s < ell_k; spec.den = x.den * y.den divides d^2.
-    x, y = (Sequence(s.coeffs[: pair.length], pair.length) for s in (pair.x, pair.y))
-    spec = correlation.spectrum(x, y)
-    parts = [scaled(part, _scale(seed) // spec.den) for part in spec.parts]
+    spec = correlation.spectrum(pair.x, pair.y)
+    size = 2 * pair.length - 1
+    lo = 1 - pair.length - spec.offset  # the index of shift 1 - ell_k
+    parts = []
+    for part in spec.parts:
+        window = np.zeros(size, dtype=part.dtype)
+        cut = part[max(lo, 0) : max(lo + size, 0)]
+        window[max(-lo, 0) :][: cut.size] = cut
+        parts.append(scaled(window, _scale(seed) // spec.den))
     count = 1 if seed.is_rational else 2
-    return (*parts, *[np.zeros(parts[0].size, dtype=np.int64)] * (count - len(parts)))
-
-
-def _int_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
-    """Level k: kept in entry k up to the floor, built and not kept above."""
-    floor = _floor(seed)
-    return _dense_int(seed, k, k - floor) if k > floor else _peak_bounds_to(seed, k)[k][3]
+    return (*parts, *[np.zeros(size, dtype=np.int64)] * (count - len(parts)))
 
 
 def _peak_of(parts: tuple[np.ndarray, ...]) -> tuple[int, np.ndarray]:
@@ -198,38 +197,41 @@ def _root_up(sq: int) -> int:
     return root + (root * root < sq)
 
 
-def _floor(seed: SeedPair) -> int:
-    """The default dense floor: the largest level k >= 1 with
-    ell_k <= 2^13 (level 13 of the unit seed), or 1 when there is none."""
-    return max(1, ((1 << 13) // seed.ell0).bit_length() - 1)
-
-
 def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, int, list, tuple | None]]:
     """Entries j = 0, 1, ... of the seed, at least to k: (m_j, best, hits,
     level), where (best, hits) is the peak of level j as ``_tree_peak``
-    returns it.  Up to the floor, level j is built from entries j-1 and j-2
-    (the oracle for j <= 1), kept, and its peak read off it; above it, the
-    level is None and the peak is found by the search with its leaves at
-    the floor, which needs only entries below j."""
+    returns it.  Levels 0 and 1 come from the oracle, are kept, and their
+    peaks are read off them; above them, the level is None and the peak is
+    found by the search with its leaves at level 1, which needs only
+    entries below j."""
     entries = _peak_bounds.setdefault(seed, [])
-    floor = _floor(seed)
     for j in range(len(entries), k + 1):
         level = None
-        if j <= floor:
-            level = _oracle_level(seed, j) if j <= 1 else _dense_int(seed, j, 1)
+        if j <= 1:
+            level = _oracle_level(seed, j)
             for part in level:
                 part.flags.writeable = False
             best, idx = _peak_of(level)
             start = 1 - (seed.ell0 << j)
             hits = [(start + int(u), *(int(p[u]) for p in level)) for u in idx] if best else []
         else:
-            best, hits = _tree_peak(seed, j, j - floor)
+            best, hits = _tree_peak(seed, j, j - 1)
         entries.append((best if seed.is_rational else _root_up(best), best, hits, level))
     return entries
 
 
+def _levels(seed: SeedPair, k: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Levels k and k-1, k >= 1: the kept levels 1 and 0, then t = 1 steps
+    up (``_dense_int``), each level built once and none kept."""
+    entries = _peak_bounds_to(seed, 1)
+    high, low = entries[1][3], entries[0][3]
+    for j in range(2, k + 1):
+        high, low = _dense_int(seed, j, 1, high, low), high
+    return high, low
+
+
 def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, ...]:
-    """C_n(q * L + r) for r = 1 .. L-1 (index u = r - 1) on block q, with
+    """C_n(q * L + r) for r = 0 .. L-1 (index r) on block q, with
     L = 2 * ell_{n-t}: A V1 + B conj(V2) + Gamma V3 + Delta conj(V4), where
 
         V1 = C_{n-t}(r - ell_{n-t}),        V2 = C_{n-t}(ell_{n-t} - r),
@@ -238,7 +240,7 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
     For r >= 1 these are the level arrays themselves: V1 and V2 are the
     level n-t spectrum forwards and reversed, V4 the level n-t-1 spectrum
     reversed on r < ell_{n-t} and V3 the same spectrum forwards on
-    r > ell_{n-t}.  (All four vanish at r = 0.)
+    r > ell_{n-t}.  All four vanish at r = 0, which is left zero.
 
     (a, b, g, d) are the block's table entries, or columns of entries, to
     evaluate one block per row by broadcasting.  The coefficients are
@@ -252,34 +254,36 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
     for c_nt, c_nt1 in zip(level_nt, level_nt1):
         if bound > INT64_MAX:
             c_nt, c_nt1 = c_nt.astype(object), c_nt1.astype(object)
-        vals = a * c_nt + b * c_nt[::-1]
+        vals = np.zeros(np.broadcast_shapes(np.shape(a), (c_nt.size + 1,)), dtype=c_nt.dtype)
+        np.multiply(a, c_nt, out=vals[..., 1:])
+        term = b * c_nt[::-1]  # also the scratch of the Gamma and Delta products
+        vals[..., 1:] += term
         if np.any(d):
-            vals[..., :half] += d * c_nt1[::-1]
+            vals[..., 1 : half + 1] += np.multiply(d, c_nt1[::-1], out=term[..., :half])
         if np.any(g):
-            vals[..., half + 1 :] += g * c_nt1
+            vals[..., half + 2 :] += np.multiply(g, c_nt1, out=term[..., :half])
         out.append(vals)
         b, d = -b, -d
     return tuple(out)
 
 
-def _dense_int(seed: SeedPair, n: int, t: int) -> tuple[np.ndarray, ...]:
-    """Level n in one pass from its levels n-t and n-t-1 (``_int_level``):
-    every block at once, one per row, each row followed by the zero at
-    r = 0 of the next block.  Python integers (object dtype) when some
-    value could leave int64."""
+def _dense_int(seed: SeedPair, n: int, t: int, level_nt, level_nt1) -> tuple[np.ndarray, ...]:
+    """Level n in one pass from its levels n-t and n-t-1: every block at
+    once, one per row, the rows end to end from shift -ell_n + 1 on.
+    Python integers (object dtype) when some value could leave int64."""
     table = abgd(t)
     cols = (table.a, table.b, table.g, table.d)
     ms = _peak_bounds_to(seed, n - t)
     bound = _bound([c.astype(object) for c in cols], ms[n - t][0], ms[n - t - 1][0]).max()
-    levels = _int_level(seed, n - t), _int_level(seed, n - t - 1)
-    blocks = _block_values(*(c[:, None] for c in cols), *levels, bound)
-    return tuple(np.pad(v, ((0, 0), (0, 1))).reshape(-1)[:-1] for v in blocks)
+    blocks = _block_values(*(c[:, None] for c in cols), level_nt, level_nt1, bound)
+    return tuple(v.reshape(-1)[1:] for v in blocks)
 
 
-def _split_levels(seed: SeedPair, n: int, t: int) -> tuple[int, int]:
+def _split_level(n: int, t: int) -> int:
+    """Level n-t, the higher of the two levels that split t reads."""
     if not 0 < t < n:
         raise LevelTooSmall(f"need 0 < t < n, got t={t}, n={n}")
-    return n - t, n - t - 1
+    return n - t
 
 
 @lru_cache(maxsize=2)
@@ -287,19 +291,17 @@ def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
     """Block q of level n (``_block_values``).  The last two blocks are
     kept: single lookups tend to come in runs of nearby shifts, and the two
     signs of the two-level rule are two blocks."""
-    lv1, lv2 = _split_levels(seed, n, t)
-    node, ms = _coeffs(t, q), _peak_bounds_to(seed, lv1)
-    return _block_values(*node, _int_level(seed, lv1), _int_level(seed, lv2),
-                         _bound(node, ms[lv1][0], ms[lv2][0]))
+    lv = _split_level(n, t)
+    node, ms = _coeffs(t, q), _peak_bounds_to(seed, lv)
+    return _block_values(*node, *_levels(seed, lv), _bound(node, ms[lv][0], ms[lv - 1][0]))
 
 
 def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
     """C_{x_n, y_n}(s), entry r of block q for s = q * L + r, from the
     level n-t and n-t-1 spectra."""
-    lv1, _ = _split_levels(seed, n, t)
-    q, r = divmod(s, 2 * (seed.ell0 << lv1))
+    q, r = divmod(s, 2 * (seed.ell0 << _split_level(n, t)))
     vals = _block(seed, n, t, q)
-    return exact_value(_scale(seed), *(int(v[r - 1]) if r else 0 for v in vals))
+    return exact_value(_scale(seed), *(int(v[r]) for v in vals))
 
 
 def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
@@ -307,8 +309,7 @@ def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
     integer-valued seeds only (vectorized)."""
     if not seed.is_int:
         raise ValueError("vectorized spectra need integer-valued seeds")
-    _split_levels(seed, n, t)
-    return _dense_int(seed, n, t)[0]
+    return _dense_int(seed, n, t, *_levels(seed, _split_level(n, t)))[0]
 
 
 def coeff_by_geoff(seed: SeedPair, n: int, s: int):
@@ -370,18 +371,14 @@ def streaming_peaks(seed: SeedPair, n: int, t_split: int | None = None,
     The split t, 0 < t < n, is the depth of the leaves, whose blocks are
     evaluated from the dense levels n-t and n-t-1.  By default the peak
     is the one the seed keeps for level n (``_peak_bounds_to``): read off
-    the dense level up to the seed's dense floor, found with n-t at the
-    floor above it, so a level is searched once per seed.  Every split
-    gives identical output.  The peak value is |v| of the first witness
-    v; a properly complex v, whose magnitude is in general irrational,
-    raises ValueError.
+    levels 0 and 1, found with n-t = 1 above them, so a level is searched
+    once per seed.  Every split gives identical output.  The peak value is
+    |v| of the first witness v; a properly complex v, whose magnitude is in
+    general irrational, raises ValueError.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if t_split is None:
-        lv1 = min(_floor(seed), max(n - 1, 0))
-    else:
-        lv1, _ = _split_levels(seed, n, t_split)
+    lv1 = min(1, max(n - 1, 0)) if t_split is None else _split_level(n, t_split)
     cap = coefficient_budget(budget)
     need = 4 * (seed.ell0 << lv1) * (1 if seed.is_rational else 2)
     if need > cap:
@@ -403,13 +400,13 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
     2 ell_{n-k}; the two roots cover [-ell_n, ell_n), and -ell_n has r = 0,
     where every value vanishes.  Its bound is ``_bound`` for m_{n-k} and
     m_{n-k-1}, capped by its parent's.  Nodes are expanded by decreasing
-    bound down to the leaves at depth t, evaluated from r = 1 on, until
-    a bound falls below the best value: nodes whose bound equals it are
+    bound down to the leaves at depth t, which are evaluated, until a
+    bound falls below the best value: nodes whose bound equals it are
     still expanded, so every witness is kept.  Complex levels compare
     squared magnitudes with squared bounds.
     """
-    lv1, lv2 = _split_levels(seed, n, t)
-    level_nt, level_nt1 = _int_level(seed, lv1), _int_level(seed, lv2)
+    lv1 = _split_level(n, t)
+    level_nt, level_nt1 = _levels(seed, lv1)
     power = 1 if seed.is_rational else 2
     big_l = 2 * (seed.ell0 << lv1)
     ms = [entry[0] for entry in _peak_bounds_to(seed, n - 1)]
@@ -436,7 +433,7 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
         if m > best:
             best = m
             hits.clear()
-        hits.append((q * big_l + 1, idx, [v[idx] for v in vals]))
+        hits.append((q * big_l, idx, [v[idx] for v in vals]))
     return best, sorted(
         (start + int(u), *map(int, parts))
         for start, idx, vals in hits

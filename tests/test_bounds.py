@@ -212,6 +212,12 @@ def test_orbit_values_follow_the_integer_recurrence(
                 assert lily_predict(seed, s0, n) == v[n], (seed.ell0, s0, n)
 
 
+PCC_600 = int(
+    "506691509013232929649635285128045617208528928217891901534697850495145969068"
+    "460692855068968479361520930307576335746308753350624317809"
+)
+
+
 # (seed, N0, offsets): from level N0 + 1 on, the witnesses s of PCC_n have
 # exactly these offsets (s - t_n)(-1)^n, the s0 of the orbits they sit on;
 # at N0 they differ.
@@ -288,15 +294,32 @@ def test_rs_bounds_full_paper_range():
     assert streaming_peaks(rudin_shapiro_seed(), 38)[0].value == 133991557
 
 
-def test_rs_verdicts_hold_to_level_200():
-    # Every upper bound and the envelope far past the paper's range; the
-    # envelope is closest to failing near n = 166.
-    verdicts = verify_rs_bounds(200) + verify_rs_lower_bounds(200)
+def test_rs_verdicts_hold_to_level_600():
+    # Every upper bound and the envelope far past the paper's range; up to
+    # n = 200 the envelope is closest to failing near n = 166.
+    verdicts = verify_rs_bounds(600) + verify_rs_lower_bounds(600)
     assert all(v.holds for v in verdicts)
     by_id = {v.claim_id: v for v in verdicts}
     envelope = by_id["rs_pcc_envelope_n166"]
     assert envelope.holds and envelope.witness == {"n": 166, "form": "squared"}
-    assert len(verdicts) == 686
+    assert len(verdicts) == 1886
+
+
+def test_pcc_600_is_pinned(rs_seed):
+    # 132 digits at one witness, the standard shift t_600, found alike by
+    # the default scan and by a split whose dense levels are 13 and 12.
+    rep, _ = streaming_peaks(rs_seed, 600)
+    assert rep.value == PCC_600 and len(str(PCC_600)) == 132
+    assert rep.witnesses == ((standard_shift(600, 1), PCC_600),)
+    assert streaming_peaks(rs_seed, 600, t_split=587)[0] == rep
+
+
+def test_generic_bound_holds_to_level_200(
+    seed_pm2, seed_pm4, seed_golay10, seed_padded3, seed_rational
+):
+    for seed in (seed_pm2, seed_pm4, seed_golay10, seed_padded3, seed_rational):
+        verdicts = verify_generic_bound(seed, 200)
+        assert len(verdicts) == 401 and all(v.holds for v in verdicts), seed.ell0
 
 
 def test_generic_prefactor_values():

@@ -325,30 +325,30 @@ def test_clear_caches_empties_every_cache(rs_seed):
 
 
 def test_each_level_is_searched_once_per_seed(rs_seed, monkeypatch):
-    # Both rs suites ask for every PCC_n up to 40, and each level above the
-    # floor is searched once, for its entry of the peak list; a later scan
-    # at the default split reads that entry.
+    # Both rs suites ask for every PCC_n up to 40, and each level above 1
+    # is searched once, for its entry of the peak list, with its leaves at
+    # level 1 (t = n - 1); a later scan at the default split reads that
+    # entry.
     from grs.bounds import verify_rs_bounds, verify_rs_lower_bounds
 
     searched = []
     search = fastscan._tree_peak
 
     def counted(seed, n, t):
-        searched.append(n)
+        searched.append((n, t))
         return search(seed, n, t)
 
     monkeypatch.setattr(fastscan, "_tree_peak", counted)
     fastscan.clear_caches()
     verify_rs_bounds(40) + verify_rs_lower_bounds(40)
-    floor = fastscan._floor(rs_seed)
-    assert sorted(searched) == list(range(floor + 1, 41)) and len(searched) == 27
+    assert sorted(searched) == [(n, n - 1) for n in range(2, 41)] and len(searched) == 39
     assert streaming_peaks(rs_seed, 40)[0].value == 372089521
-    assert len(searched) == 27
+    assert len(searched) == 39
 
 
 def test_levels_above_the_floor_are_not_kept(rs_seed):
-    # Explicit splits and single coefficients build the levels above the
-    # floor per call; only the entries up to the floor hold a level.
+    # Explicit splits and single coefficients build the levels above 1 per
+    # call; only entries 0 and 1 hold a level.
     fastscan.clear_caches()
     oracle = correlation.spectrum(*_pair_seqs(rs_seed, 17)).parts[0]
     assert iter_spectrum(rs_seed, 17, 2).tolist() == oracle.tolist()
@@ -360,13 +360,13 @@ def test_levels_above_the_floor_are_not_kept(rs_seed):
     assert coeff_by_iteration(rs_seed, 30, 10, shifts[0]) == rep.witnesses[0][1]
     entries = fastscan._peak_bounds[rs_seed]
     kept = [k for k, entry in enumerate(entries) if entry[3] is not None]
-    assert kept == list(range(fastscan._floor(rs_seed) + 1)) and len(entries) > len(kept)
+    assert kept == [0, 1] and len(entries) == 31
 
 
 def test_alternating_two_level_lookups_keep_both_blocks(rs_seed, monkeypatch):
     # Both signs of the two-level rule are two blocks, and both stay
-    # cached: level 15, above the floor, is built once per block, not once
-    # per lookup.
+    # cached: levels 2..15 are built once per block, each by one t = 1
+    # step, not once per lookup.
     built = []
     dense = fastscan._dense_int
 
@@ -379,7 +379,7 @@ def test_alternating_two_level_lookups_keep_both_blocks(rs_seed, monkeypatch):
     oracle = correlation.spectrum(*_pair_seqs(rs_seed, 16))
     shifts = [(-1) ** i * (1001 + 2 * i) for i in range(20)]
     assert [coeff_by_geoff(rs_seed, 16, s) for s in shifts] == [oracle.value(s) for s in shifts]
-    assert fastscan._floor(rs_seed) < 15 and built.count(15) == 2
+    assert built == list(range(2, 16)) * 2
     fastscan.clear_caches()
 
 
@@ -414,26 +414,53 @@ def test_oracle_levels_match_per_entry_reference(
         assert all(part.dtype == np.int64 for part in level)
 
 
+def test_scan_reads_no_coefficient_as_a_python_value(monkeypatch, seed_padded3, seed_rational):
+    # Levels 0 and 1 come from the members' numerator arrays, cut to the
+    # window without one Python value per coefficient: the scan never reads
+    # ``Sequence.coeffs``, on seeds whose members are declared shorter or
+    # longer than ell0 too.
+    long_members = validate_seed(Sequence([1, 1, 0, 0]), Sequence([1, -1, 0, 0]), 3)
+    seeds = [seed_padded3, long_members, seed_rational]
+    expected = []
+    for seed in seeds:
+        for n in range(8):
+            pair = _pair_seqs(seed, n)
+            spec = correlation.spectrum(*pair)
+            value, shifts = correlation.pcc(*pair)
+            expected.append((value, tuple((s, spec.value(s)) for s in shifts)))
+
+    def refused(seq):
+        raise AssertionError("a coefficient was read as a Python value")
+
+    monkeypatch.setattr(Sequence, "coeffs", property(refused))
+    fastscan.clear_caches()
+    try:
+        found = [streaming_peaks(seed, n)[0] for seed in seeds for n in range(8)]
+    finally:
+        fastscan.clear_caches()
+    assert [(rep.value, rep.witnesses) for rep in found] == expected
+
+
 def test_levels_above_a_lowered_floor(
-    monkeypatch, rs_seed, seed_pm4, seed_golay10, seed_padded3, seed_rational, seed_complex,
+    rs_seed, seed_pm4, seed_golay10, seed_padded3, seed_rational, seed_complex,
     seed_complex_rational,
 ):
-    # With the dense floor at level 3, levels 4..9 are each built in one
-    # pass from levels 3 and 2, on every kind of seed, and the peaks of the
-    # default split equal those of every explicit split.  The 10^20 seed's
-    # values leave int64, so its levels are Python integers.
+    # Levels 2..9 are each built by t = 1 steps from levels 1 and 0, on
+    # every kind of seed, and the peaks of the default split equal those of
+    # every explicit split.  The 10^20 seed's values leave int64, so its
+    # levels are Python integers.
     big = validate_seed(Sequence([10**20, 10**20]), Sequence([10**20, -(10**20)]), 2)
     seeds = [rs_seed, seed_pm4, seed_golay10, seed_padded3, seed_rational, seed_complex,
              seed_complex_rational, big]
-    monkeypatch.setattr(fastscan, "_floor", lambda seed: 3)
     fastscan.clear_caches()
     try:
         for seed in seeds:
-            for k in range(4, 10):
-                level = fastscan._int_level(seed, k)
-                assert [part.tolist() for part in level] == _reference_level(seed, k), k
-                assert all(part.dtype == (object if seed is big else np.int64) for part in level)
-            for n in range(4, 10):
+            for k in range(2, 10):
+                for j, level in zip((k, k - 1), fastscan._levels(seed, k)):
+                    assert [part.tolist() for part in level] == _reference_level(seed, j), k
+                    assert all(part.dtype == (object if seed is big else np.int64)
+                               for part in level)
+            for n in range(2, 10):
                 default = streaming_peaks(seed, n)
                 assert all(streaming_peaks(seed, n, t_split=t) == default for t in range(1, n))
     finally:
@@ -464,7 +491,7 @@ def test_tree_bounds_dominate_every_block(corpus, seed_golay10, seed_padded3):
             ell = seed.ell0 << n
             mags = np.abs(iter_spectrum(seed, n, 1))
             ms = [entry[0] for entry in fastscan._peak_bounds_to(seed, n - 1)]
-            assert ms[n - 1] == _peak_abs(fastscan._int_level(seed, n - 1))
+            assert ms[n - 1] == _peak_abs(fastscan._levels(seed, n - 1)[0])
             nodes = [(q, node, inf) for q, node in fastscan._ROOTS.items()]
             for depth in range(1, n):
                 size = 2 * (seed.ell0 << (n - depth))
@@ -503,7 +530,7 @@ def _reference_block_peak(tables, level_nt, level_nt1):
             best = m
             hits.clear()
         idx = np.flatnonzero(mags == best)
-        hits.append(((int(qi) - (1 << (tables.t - 1))) * big_l + 1, idx, [v[idx] for v in vals]))
+        hits.append(((int(qi) - (1 << (tables.t - 1))) * big_l, idx, [v[idx] for v in vals]))
     wits = sorted(
         (start + int(u), *map(int, parts))
         for start, idx, vals in hits
@@ -521,8 +548,7 @@ def test_tree_search_equals_sorted_bounds_reference(
     for seed in seeds:
         for n in range(3, 17):
             for t in range(1, n):
-                levels = (fastscan._int_level(seed, n - t), fastscan._int_level(seed, n - t - 1))
-                reference = _reference_block_peak(abgd(t), *levels)
+                reference = _reference_block_peak(abgd(t), *fastscan._levels(seed, n - t))
                 assert fastscan._tree_peak(seed, n, t) == reference, (seed.ell0, n, t)
 
 
@@ -564,13 +590,20 @@ def test_large_coefficients_leave_int64_exactly():
 
 
 def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
+    # The default split reads levels 1 and 0, 4 * 2 ell0 entries per part.
     fastscan.clear_caches()
-    with pytest.raises(BudgetExceeded):
-        streaming_peaks(rs_seed, 12, budget=64)
+    with pytest.raises(BudgetExceeded, match="needs about 8 "):
+        streaming_peaks(rs_seed, 12, budget=7)
+    assert streaming_peaks(rs_seed, 12, budget=8)[0].value == 373
     # Cached peaks of lower levels do not get round the budget.
-    assert streaming_peaks(rs_seed, 12)[0].value == 373
-    with pytest.raises(BudgetExceeded):
-        streaming_peaks(rs_seed, 12, budget=64)
+    with pytest.raises(BudgetExceeded, match="needs about 8 "):
+        streaming_peaks(rs_seed, 12, budget=7)
+    with pytest.raises(BudgetExceeded, match="needs about 16 "):
+        streaming_peaks(rs_seed, 12, t_split=10, budget=15)
+    assert streaming_peaks(rs_seed, 12, t_split=10, budget=16)[0].value == 373
+    with pytest.raises(BudgetExceeded, match="needs about 16 "):
+        streaming_peaks(seed_rational, 20, budget=15)
+    assert streaming_peaks(seed_rational, 20, budget=16)[0].value == Fraction(28293, 4)
     # A complex level is two arrays, re and im, so it counts twice: the
     # same scan fits the budget on a real seed and not on a complex one.
     rep, _ = streaming_peaks(seed_rational, 20, t_split=5, budget=300000)
