@@ -443,7 +443,12 @@ _STEP_INEQUALITIES = (
 )
 
 # (n, value): value <= 5 * alpha0^(n-3); the base cases of the unit-seed
-# upper bound (equality at n = 3).
+# upper bound (equality at n = 3).  value is the largest |C_n(s)| over the
+# shifts s that no step inequality reaches: at no split 0 < t < n is the
+# pair (a, b) of s's bound a * m_{n-t} + b * m_{n-t-1} (``nellie_bound``)
+# a step (t, a, b) above.  A reached shift is bounded from levels n-t and
+# n-t-1.  At n = 6, 8 and 9 the peak shifts are reached, so value is below
+# PCC_n there: 15, 49 and 83 against 19, 53 and 85.
 _UNIT_CASES = (
     (0, 1),
     (1, 1),

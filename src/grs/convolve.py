@@ -1,22 +1,21 @@
 """Exact integer polynomial multiplication.
 
 The correlation oracle needs products of integer polynomials with tens of
-thousands of terms, computed exactly.  Small products use the schoolbook
-loop.  Larger ones write each polynomial as one decimal number, a
-fixed-width group of k decimal digits per coefficient with the constant
-term lowest, and multiply the two numbers with the stdlib ``decimal``
-module.  Its libmpdec backend multiplies large operands by an exact
-number-theoretic transform (three prime moduli joined by the Chinese
-remainder theorem), which is O(N log N) in integer arithmetic; the
-context traps ``Inexact`` and ``Rounded``, so a product that did not fit
-the precision raises instead of rounding.  The k-digit groups of the
-product are the convolution.  Negative coefficients are handled by
-offsetting both inputs to be nonnegative and subtracting the three
-correction terms, which are plain window sums.  Everything stays in
-integer arithmetic, so results are exact at any size: the digit
-conversion and the window sums run on int64 arrays when an exact bound
-shows that no value can leave int64, and on object arrays of Python ints
-otherwise.
+thousands of terms, computed exactly.  Every product takes one path, at
+every size: write each polynomial as one decimal number, a fixed-width
+group of k decimal digits per coefficient with the constant term lowest,
+and multiply the two numbers with the stdlib ``decimal`` module.  Its
+libmpdec backend multiplies large operands by an exact number-theoretic
+transform (three prime moduli joined by the Chinese remainder theorem),
+which is O(N log N) in integer arithmetic; the context traps ``Inexact``
+and ``Rounded``, so a product that did not fit the precision raises
+instead of rounding.  The k-digit groups of the product are the
+convolution.  Negative coefficients are handled by offsetting both
+inputs to be nonnegative and subtracting the two correction terms,
+which are plain window sums.  Everything stays in integer arithmetic, so
+results are exact at any size: the digit conversion and the window sums
+run on int64 arrays when an exact bound shows that no value can leave
+int64, and on object arrays of Python ints otherwise.
 
 That rule has its one home here for every integer array of the package:
 ``int_array``, ``fitted``, ``scaled``, ``negated``, ``exact_sum``,
@@ -30,23 +29,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rou
 from . import np
 from .qcomplex import int_text, text_int
 
-__all__ = ["convolve_int", "schoolbook_convolve"]
-
-_SCHOOLBOOK_CUTOFF = 1 << 12  # len(a) * len(b) at or below this: direct loops
-
-
-def schoolbook_convolve(a: list[int], b: list[int]) -> list[int]:
-    """Reference quadratic convolution; exact for arbitrary Python ints."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av == 0:
-            continue
-        for j, bv in enumerate(b):
-            out[i + j] += av * bv
-    return out
-
+__all__ = ["convolve_int"]
 
 INT64_MAX = 2**63 - 1
 
@@ -177,8 +160,6 @@ def convolve_int(a, b) -> np.ndarray:
     b = int_array(b)
     if not a.size or not b.size:
         return np.zeros(0, dtype=np.int64)
-    if a.size * b.size <= _SCHOOLBOOK_CUTOFF:
-        return int_array(schoolbook_convolve(a.tolist(), b.tolist()))
 
     out_len = a.size + b.size - 1
     ma = max(0, -int(a.min()))
@@ -186,10 +167,12 @@ def convolve_int(a, b) -> np.ndarray:
     max_ap = int(a.max()) + ma
     max_bp = int(b.max()) + mb
 
-    # The digits and the three corrections below are each at most
-    # min(len) * (max_ap + ma) * (max_bp + mb) in magnitude, so this bound
-    # caps every digit, prefix sum and partial sum; past int64 the
-    # arithmetic uses Python ints.
+    # Each value ``out`` holds between the steps below (the digits,
+    # conv(a+ma, b), conv(a, b)) is a sum of at most min(len) products, and
+    # a prefix sum of a correction one of at most max(len), each product at
+    # most (max_ap + ma) * (max_bp + mb) in magnitude.  A partial sum is
+    # one value plus one prefix sum, so this bound caps them all; past
+    # int64 the arithmetic uses Python ints.
     exact64 = (a.size + b.size) * (max_ap + ma) * (max_bp + mb) <= INT64_MAX
     dtype = np.int64 if exact64 else object
     ap = a.astype(dtype) + ma
@@ -199,11 +182,9 @@ def convolve_int(a, b) -> np.ndarray:
     product = _EXACT.multiply(_pack(ap, k), _pack(bp, k))
     out = _unpack(product, k, out_len, dtype)
 
-    # conv(a+ma, b+mb) = conv(a,b) + mb*conv(a,1) + ma*conv(1,b) + ma*mb*conv(1,1)
+    # conv(a+ma, b+mb) = conv(a,b) + mb*conv(a+ma,1) + ma*conv(1,b)
     if mb:
         _add_window_sums(out, ap, b.size, -mb)
     if ma:
-        _add_window_sums(out, bp, a.size, -ma)
-    if ma and mb:
-        _add_window_sums(out, np.ones(a.size, dtype=dtype), b.size, ma * mb)
+        _add_window_sums(out, b, a.size, -ma)
     return out

@@ -9,6 +9,8 @@ from grs import correlation
 from grs.bounds import (
     _A,
     _B,
+    _STEP_INEQUALITIES,
+    _UNIT_CASES,
     _orbit_coeffs,
     SeedNotRational,
     ShiftNotEntered,
@@ -28,7 +30,7 @@ from grs.bounds import (
     verify_rs_bounds,
     verify_rs_lower_bounds,
 )
-from grs.fastscan import streaming_peaks
+from grs.fastscan import nellie_bound, streaming_peaks
 from grs.field import KElem, QAlphaElem, alpha_pow, compare
 from grs.qcomplex import CQ, as_cq
 from grs.sequences import Sequence, grs_pair, rudin_shapiro_seed, validate_seed
@@ -358,6 +360,33 @@ def test_inequality_suite_all_hold():
     assert all(v.holds for v in verdicts)
     tight = [v.claim_id for v in verdicts if v.observed == "="]
     assert tight == ["unit_case_n3"]
+
+
+def test_unit_cases_are_the_peaks_no_step_reaches(rs_seed):
+    # Entry n of _UNIT_CASES is the largest |C_n(s)| over the shifts s that
+    # no step inequality reaches: at every split 0 < t < n, the windowed
+    # pair (a, b) of s, read off nellie_bound as its bound for the peaks
+    # (1, 0) and (0, 1), is not a step (t, a, b).  At n = 6, 8 and 9 the
+    # peak shifts are reached, so the entry is below PCC_n there.
+    steps = set(_STEP_INEQUALITIES)
+
+    def reached(n, s):
+        for t in range(1, n):
+            ell = rs_seed.ell0 << (n - t)
+            q, r = divmod(s, 2 * ell)
+            pair = (nellie_bound(t, q, r, ell, 1, 0), nellie_bound(t, q, r, ell, 0, 1))
+            if (t, *pair) in steps:
+                return True
+        return False
+
+    below_pcc = []
+    for n, value in _UNIT_CASES:
+        pair = grs_pair(rs_seed, n)
+        entries = correlation.spectrum(pair.x, pair.y).entries
+        assert value == max(abs(v) for s, v in entries.items() if not reached(n, s))
+        if value < correlation.pcc(pair.x, pair.y)[0]:
+            below_pcc.append(n)
+    assert below_pcc == [6, 8, 9]
 
 
 def test_identity_suite_all_hold():

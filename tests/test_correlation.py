@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grs import correlation
-from grs.convolve import _SCHOOLBOOK_CUTOFF, convolve_int, schoolbook_convolve
+from grs.convolve import convolve_int
 from grs.correlation import (
     ShiftOutOfRange,
     Spectrum,
@@ -186,13 +186,26 @@ def test_exports_roundtrip():
     assert {int(r["shift"]): int(r["re_num"]) for r in rows} == spec.entries
 
 
+def schoolbook_convolve(a: list[int], b: list[int]) -> list[int]:
+    """Reference quadratic convolution; exact for arbitrary Python ints."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if av == 0:
+            continue
+        for j, bv in enumerate(b):
+            out[i + j] += av * bv
+    return out
+
+
 def test_convolve_matches_schoolbook():
     rng = random.Random(7)
     for _ in range(40):
         a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 80))]
         b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 80))]
         assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
-    # Force the packed path with a long +/-1 convolution.
+    # A long +/-1 convolution.
     a = [rng.choice((1, -1)) for _ in range(3000)]
     b = [rng.choice((1, -1)) for _ in range(500)]
     assert convolve_int(a, b).tolist() == schoolbook_convolve(a, b)
@@ -262,9 +275,8 @@ def test_convolve_array_and_negative_inputs():
     assert all(type(v) is int for v in out.tolist())
 
 
-def test_convolve_lengths_past_schoolbook_cutoff():
-    # Products just past the schoolbook cutoff (4096 terms), odd lengths
-    # included, take the packed multiply.
+def test_convolve_odd_lengths():
+    # Products of about 4096 terms, odd lengths included.
     rng = random.Random(17)
     for la, lb in ((4097, 1), (1, 4097), (2049, 3), (63, 67), (65, 64), (64, 65)):
         a = [rng.randint(-9, 9) for _ in range(la)]
@@ -323,10 +335,9 @@ def test_convolve_every_digit_width():
 def test_convolve_window_corrections(top):
     # The corrections for negative inputs are applied in place: only a
     # negative, only b, or both, on int64 (top = 9) and on Python ints
-    # (top = 10**25), for products below, at and above the schoolbook cutoff.
+    # (top = 10**25), for products of about 4096 terms.
     rng = random.Random(23)
     for la, lb in ((63, 64), (64, 64), (65, 64), (300, 7), (7, 300)):
-        assert (la * lb <= _SCHOOLBOOK_CUTOFF) == (la * lb <= 64 * 64)
         for neg_a, neg_b in ((True, False), (False, True), (True, True)):
             a = [rng.randint(-top if neg_a else 0, top) for _ in range(la)]
             b = [rng.randint(-top if neg_b else 0, top) for _ in range(lb)]
@@ -334,6 +345,29 @@ def test_convolve_window_corrections(top):
             out = convolve_int(a, b)
             assert out.tolist() == schoolbook_convolve(a, b)
             assert out.dtype == (np.int64 if top == 9 else object)
+
+
+@pytest.mark.parametrize("top", [9, 10**25, 10**2200], ids=["int64", "1e25", "1e2200"])
+def test_convolve_small_and_edge_shapes(top):
+    # Every shape up to 8 x 8, empty inputs included, and four of about
+    # 4096 terms, with no, one or both inputs negative: on int64 (top = 9)
+    # and on Python ints past int64 (top = 10**25 and 10**2200).  At
+    # 10**2200 each output group has 4400 digits and takes about 1 ms to
+    # parse, so the 4096-term shapes run below it only.
+    rng = random.Random(29)
+    shapes = [(la, lb) for la in range(9) for lb in range(9)]
+    if top < 10**2200:
+        shapes += [(1, 4096), (2, 2048), (64, 64), (65, 64)]
+    for la, lb in shapes:
+        for neg_a, neg_b in ((False, False), (True, False), (False, True), (True, True)):
+            a = [rng.randint(-top if neg_a else 0, top) for _ in range(la)]
+            b = [rng.randint(-top if neg_b else 0, top) for _ in range(lb)]
+            if la and lb:
+                a[0], b[-1] = (-top if neg_a else top), (-top if neg_b else top)
+            out = convolve_int(a, b)
+            assert out.tolist() == schoolbook_convolve(a, b), (la, lb, neg_a, neg_b)
+            if la and lb:
+                assert out.dtype == (np.int64 if top == 9 else object)
 
 
 def _reference_rows(values: dict) -> list[tuple]:
