@@ -53,9 +53,10 @@ def abs_max(arr: np.ndarray) -> int:
 
 
 def fitted(arr: np.ndarray, length: int) -> np.ndarray:
-    """The first ``length`` entries of ``arr``, zero-padded."""
-    pad = np.zeros(max(0, length - arr.size), dtype=arr.dtype)
-    return np.concatenate((arr[:length], pad))
+    """The first ``length`` entries of ``arr``: a view, or a zero-padded copy."""
+    if arr.size >= length:
+        return arr[:length]
+    return np.concatenate((arr, np.zeros(length - arr.size, dtype=arr.dtype)))
 
 
 def scaled(arr: np.ndarray, k: int) -> np.ndarray:

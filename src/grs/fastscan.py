@@ -143,12 +143,12 @@ def _bound(node, m_nt: int, m_nt1: int) -> int:
 # complex one; ``exact_value`` maps their entries back.
 # ``_peak_bounds`` is the one store per seed: entry k, for k = 0, 1, ... in
 # ascending order, holds m_k, the least integer at or above every
-# |d^2 C_k(s)|, with the peak of level k as ``_tree_peak`` returns it, and,
-# for k <= 1, level k itself, from the oracle on the (small) materialized
-# pairs.  A level above 1 is built from levels 1 and 0 by t = 1 steps
-# (``_levels``) and not kept.
+# |d^2 C_k(s)|, with the witnesses of level k as ``_tree_peak`` returns
+# them, and, for k <= 1, level k itself, from the oracle on the (small)
+# materialized pairs.  A level above 1 is built from levels 1 and 0 by
+# t = 1 steps (``_levels``) and not kept.
 
-_peak_bounds: dict[SeedPair, list[tuple[int, int, list, tuple | None]]] = {}
+_peak_bounds: dict[SeedPair, list[tuple[int, list, tuple | None]]] = {}
 
 
 def clear_caches() -> None:
@@ -197,10 +197,10 @@ def _root_up(sq: int) -> int:
     return root + (root * root < sq)
 
 
-def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, int, list, tuple | None]]:
-    """Entries j = 0, 1, ... of the seed, at least to k: (m_j, best, hits,
-    level), where (best, hits) is the peak of level j as ``_tree_peak``
-    returns it.  Levels 0 and 1 come from the oracle, are kept, and their
+def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, list, tuple | None]]:
+    """Entries j = 0, 1, ... of the seed, at least to k: (m_j, hits,
+    level), where hits are the witnesses of level j as ``_tree_peak``
+    returns them.  Levels 0 and 1 come from the oracle, are kept, and their
     peaks are read off them; above them, the level is None and the peak is
     found by the search with its leaves at level 1, which needs only
     entries below j."""
@@ -216,7 +216,7 @@ def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, int, list, tuple 
             hits = [(start + int(u), *(int(p[u]) for p in level)) for u in idx] if best else []
         else:
             best, hits = _tree_peak(seed, j, j - 1)
-        entries.append((best if seed.is_rational else _root_up(best), best, hits, level))
+        entries.append((best if seed.is_rational else _root_up(best), hits, level))
     return entries
 
 
@@ -224,7 +224,7 @@ def _levels(seed: SeedPair, k: int) -> tuple[tuple[np.ndarray, ...], tuple[np.nd
     """Levels k and k-1, k >= 1: the kept levels 1 and 0, then t = 1 steps
     up (``_dense_int``), each level built once and none kept."""
     entries = _peak_bounds_to(seed, 1)
-    high, low = entries[1][3], entries[0][3]
+    high, low = entries[1][2], entries[0][2]
     for j in range(2, k + 1):
         high, low = _dense_int(seed, j, 1, high, low), high
     return high, low
@@ -384,7 +384,7 @@ def streaming_peaks(seed: SeedPair, n: int, t_split: int | None = None,
     if need > cap:
         raise BudgetExceeded(f"scan needs about {need} cached entries, budget is {cap}")
 
-    hits = _peak_bounds_to(seed, n)[n][2] if t_split is None else _tree_peak(seed, n, t_split)[1]
+    hits = _peak_bounds_to(seed, n)[n][1] if t_split is None else _tree_peak(seed, n, t_split)[1]
     scale = _scale(seed)
     wits = tuple((s, exact_value(scale, *parts)) for s, *parts in hits)
     pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]) if wits else 0, wits)

@@ -2,15 +2,14 @@
 text codec of every exact value the package writes or reads.
 
 str(int), int(str) and Fraction(str) refuse integers past
-sys.get_int_max_str_digits() digits; Decimal converts exactly at any size,
-so the codec falls back to it when they raise.
+sys.get_int_max_str_digits() digits; when they raise, the codec converts
+the high and low halves of the digits apart and joins them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 __all__ = ["CQ", "as_cq", "value_conj", "exact_magnitude", "exact_fraction", "exact_value",
@@ -24,8 +23,9 @@ def int_text(v: int) -> str:
     """str(v), for an int of any size."""
     try:
         return str(v)
-    except ValueError:
-        return str(Decimal(v))
+    except ValueError:  # bits * 3/20 is about half the digits; the low half zero-filled
+        high, low = divmod(abs(v), 10 ** (half := v.bit_length() * 3 // 20))
+        return ("-" if v < 0 else "") + int_text(high) + int_text(low).zfill(half)
 
 
 def text_int(text: str) -> int:
@@ -35,7 +35,9 @@ def text_int(text: str) -> int:
     except ValueError:
         if _INT_TEXT.fullmatch(text) is None:
             raise
-        return int(Decimal(text))
+        digits = text.strip()
+        high, low = text_int(digits[: -(half := len(digits) // 2)]), text_int(digits[-half:])
+        return high * 10**half + (-low if digits[0] == "-" else low)
 
 
 def fraction_text(num: int, den: int) -> str:

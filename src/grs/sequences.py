@@ -109,46 +109,39 @@ class Sequence:
     least positive common denominator.  An array is int64, or object dtype
     (Python ints) when a value leaves int64; ``im`` is absent when it would
     be all zero.  A sequence of real integers is one array over den = 1.
-    The representation is canonical, so equality and hashing compare den
-    and the trimmed parts and treat sequences as polynomials (the declared
-    length does not matter, trailing zeros are ignored).
+    The representation is canonical, so equality compares den and the
+    trimmed parts, as polynomials: the declared length and trailing zeros
+    do not matter.  The hash reads den, the degree and the part count.
     """
 
-    __slots__ = ("length", "parts", "den", "_degree", "_key", "_hash")
+    __slots__ = ("length", "parts", "den", "_degree")
 
     def __init__(self, values: Iterable, length: int | None = None):
         self._set(*_canonical(values), length)
 
     @classmethod
     def _of(cls, parts: tuple, den: int) -> "Sequence":
-        """The sequence with numerator arrays ``parts`` over ``den``.  den
-        and the numerators must have gcd 1, which holds over the lcm of
-        reduced denominators."""
+        """The sequence with numerator arrays ``parts`` over ``den``, which
+        holds an int64 part without a copy.  den and the numerators must have
+        gcd 1, which holds over the lcm of reduced denominators."""
         seq = object.__new__(cls)
         seq._set(parts, den, None)
         return seq
 
     def _set(self, parts: tuple, den: int, length: int | None) -> None:
         parts = [int_array(part) for part in parts]
-        nonzero = [np.flatnonzero(part) for part in parts]
-        if len(parts) == 2 and not nonzero[1].size:
-            del parts[1], nonzero[1]
-        size = parts[0].size
-        if length is None:
-            length = size
-        if length < size:
+        # The degree of each part: its last nonzero index, -1 when all zero.
+        degrees = [p.size - 1 - int((p[::-1] != 0).argmax()) if p.any() else -1 for p in parts]
+        if len(parts) == 2 and degrees[1] < 0:
+            del parts[1], degrees[1]
+        length = parts[0].size if length is None else length
+        if length < parts[0].size:
             raise ValueError("declared length smaller than the coefficient list")
-        if length > size:
+        if length > parts[0].size:
             parts = [fitted(p, length) for p in parts]
         for part in parts:
             part.flags.writeable = False
-        degree = max((int(nz[-1]) for nz in nonzero if nz.size), default=-1)
-        key = (den, *(
-            p[: degree + 1].tobytes() if p.dtype == np.int64 else tuple(p[: degree + 1].tolist())
-            for p in parts
-        ))
-        for name, value in (("length", length), ("parts", tuple(parts)), ("den", den),
-                            ("_degree", degree), ("_key", key), ("_hash", hash(key))):
+        for name, value in zip(self.__slots__, (length, tuple(parts), den, max(degrees))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):
@@ -164,11 +157,10 @@ class Sequence:
             if not text.isascii() or not np.all(plus | (raw == ord("-"))):
                 ch = next(c for c in text if c not in "+-")
                 raise ValueError(f"unexpected character {ch!r} in sign string")
-            vals = np.where(plus, 1, -1).astype(np.int64)
-        else:
-            vals = [int(v) for v in signs]
-            if any(v not in (1, -1) for v in vals):
-                raise ValueError("binary sequences take only +1/-1 entries")
+            return cls._of((np.where(plus, np.int64(1), np.int64(-1)),), 1)
+        vals = [int(v) for v in signs]
+        if any(v not in (1, -1) for v in vals):
+            raise ValueError("binary sequences take only +1/-1 entries")
         return cls(vals)
 
     # -- views -------------------------------------------------------------
@@ -215,7 +207,7 @@ class Sequence:
     def sign_string(self) -> str:
         if not self.is_binary:
             raise ValueError("not a binary sequence")
-        return np.where(self.parts[0] == 1, ord("+"), ord("-")).astype(np.uint8).tobytes().decode()
+        return np.where(self.parts[0] == 1, *np.frombuffer(b"+-", np.uint8)).tobytes().decode()
 
     def __len__(self):
         return self.length
@@ -223,10 +215,13 @@ class Sequence:
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return self._hash == other._hash and self._key == other._key
+        end = self._degree + 1
+        return (self.den == other.den and self._degree == other._degree
+                and len(self.parts) == len(other.parts)
+                and all(np.array_equal(a[:end], b[:end]) for a, b in zip(self.parts, other.parts)))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.den, self._degree, len(self.parts)))
 
     def __repr__(self):
         if self.is_binary:

@@ -359,7 +359,7 @@ def test_levels_above_the_floor_are_not_kept(rs_seed):
         assert coeff_by_iteration(rs_seed, 30, 10, s) == coeff_by_iteration(rs_seed, 30, 17, s)
     assert coeff_by_iteration(rs_seed, 30, 10, shifts[0]) == rep.witnesses[0][1]
     entries = fastscan._peak_bounds[rs_seed]
-    kept = [k for k, entry in enumerate(entries) if entry[3] is not None]
+    kept = [k for k, entry in enumerate(entries) if entry[2] is not None]
     assert kept == [0, 1] and len(entries) == 31
 
 

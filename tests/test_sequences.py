@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,54 @@ def test_equality_ignores_trailing_zeros():
     assert Sequence([1, 1, 0, 0], 4) == Sequence([1, 1])
     assert Sequence([0, 1]) != Sequence([1])
     assert hash(Sequence([1, 1, 0, 0], 4)) == hash(Sequence.binary("++"))
+
+
+def test_equal_shape_is_not_equality():
+    # Same den, degree and part count; one coefficient differs, in the re
+    # part, the im part or a value past int64.
+    pairs = [
+        (Sequence([1, 2, 3]), Sequence([1, 5, 3])),
+        (Sequence([CQ(1, 2), CQ(3, 4)]), Sequence([CQ(1, 2), CQ(3, -4)])),
+        (Sequence([10**20, 0, 1]), Sequence([10**20 + 1, 0, 1])),
+        (Sequence([Fraction(1, 2), 0], 5), Sequence([Fraction(3, 2), 0], 3)),
+    ]
+    for a, b in pairs:
+        assert (a.den, a.degree, len(a.parts)) == (b.den, b.degree, len(b.parts))
+        assert a != b and b != a
+
+
+def _traced(fn):
+    """fn() under tracemalloc: its result, the bytes it leaves allocated
+    and its peak, both counted from the start of the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - before, peak - before
+
+
+def test_step_holds_each_coefficient_once():
+    # The new pair's arrays are all it keeps; the peak adds one negated
+    # member of the old pair, a quarter of the new pair's bytes.
+    seed = validate_seed(Sequence.binary("+++-"), Sequence.binary("++-+"), 4)
+    pair = grs_pair(seed, 15)
+    nxt, kept, peak = _traced(lambda: grs_step(pair))
+    size = sum(p.nbytes for s in (nxt.x, nxt.y) for p in s.parts)
+    assert size == 2 * 8 * (4 << 16)
+    assert kept <= 1.1 * size and peak <= 1.5 * size
+
+
+def test_sequence_of_an_array_copies_nothing():
+    # The degree is found from one bool array, an eighth of the int64 one.
+    arr = np.arange(1, 2**20 + 1, dtype=np.int64)
+    arr[-5:] = 0
+    seq, kept, peak = _traced(lambda: Sequence._of((arr,), 1))
+    assert seq.parts[0] is arr and seq.degree == 2**20 - 6
+    assert kept <= 0.05 * arr.nbytes and peak <= 0.25 * arr.nbytes
 
 
 def test_representation_is_canonical():
@@ -368,6 +417,23 @@ def test_exact_text_codec_past_int_text_limit():
     assert parse_fraction(f"-{digits}/3") == Fraction(-_HUGE, 3)
     assert parse_fraction(digits) == _HUGE
     for text in (digits + ".5", digits + "x", digits + "e2"):
+        with pytest.raises(ValueError):
+            text_int(text)
+
+
+@pytest.mark.parametrize("size", [4300, 4301, 8601])
+def test_text_codec_at_the_digit_limit(size):
+    # 4300 digits convert directly; past them the halves convert apart,
+    # and the low half of these digits starts with zeros.
+    from grs.qcomplex import int_text, text_int
+
+    digits = "7" + "0" * (size - 6) + "12345"
+    value = 7 * 10 ** (size - 1) + 12345
+    assert int_text(value) == digits and int_text(-value) == "-" + digits
+    assert text_int(digits) == value and text_int("-" + digits) == -value
+    assert text_int(f"+{digits}") == value and text_int(f" \t-{digits}\n") == -value
+    for text in (f"+-{digits}", f"- {digits}", f"{digits}_1", f"{digits[:9]} {digits[9:]}",
+                 f"{digits}.0", "-", ""):
         with pytest.raises(ValueError):
             text_int(text)
 
