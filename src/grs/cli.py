@@ -28,7 +28,7 @@ from .qcomplex import as_cq, int_text
 from .sequences import (
     SeedPair,
     Sequence,
-    grs_pair,
+    grs_member,
     read_seed_pair,
     read_sequence,
     rudin_shapiro_seed,
@@ -178,9 +178,7 @@ def _read_pair(args: argparse.Namespace) -> tuple[Sequence, Sequence]:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit code."""
     if args.command == "gen":
-        seed = _load_seed(args)
-        pair = grs_pair(seed, args.n, budget=args.budget)
-        seq = pair.x if args.member == "x" else pair.y
+        seq = grs_member(_load_seed(args), args.n, args.member, budget=args.budget)
         buf = io.StringIO()
         write_sequence(seq, buf)
         _emit(args, buf.getvalue())

@@ -170,25 +170,32 @@ def _oracle_level(seed: SeedPair, k: int) -> tuple[np.ndarray, ...]:
     spec = correlation.spectrum(pair.x, pair.y)
     size = 2 * pair.length - 1
     lo = 1 - pair.length - spec.offset  # the index of shift 1 - ell_k
-    parts = []
-    for part in spec.parts:
+    count = 1 if seed.is_rational else 2
+    level = []
+    for part in (*spec.parts, np.zeros(0, dtype=np.int64))[:count]:  # a missing im is zero
         window = np.zeros(size, dtype=part.dtype)
         cut = part[max(lo, 0) : max(lo + size, 0)]
         window[max(-lo, 0) :][: cut.size] = cut
-        parts.append(scaled(window, _scale(seed) // spec.den))
-    count = 1 if seed.is_rational else 2
-    return (*parts, *[np.zeros(size, dtype=np.int64)] * (count - len(parts)))
+        level.append(scaled(window, _scale(seed) // spec.den))
+        level[-1].flags.writeable = False
+    return tuple(level)
 
 
-def _peak_of(parts: tuple[np.ndarray, ...]) -> tuple[int, np.ndarray]:
+def _peak_of(parts: tuple[np.ndarray, ...], start: int) -> tuple[int, list]:
     """The largest |v| of a real level or block, or the largest |v|^2 =
-    re^2 + im^2 of a complex one, and the indices that attain it."""
+    re^2 + im^2 of a complex one, and its witnesses: (start + u, *parts
+    at u) as Python ints for every index u that attains it, by increasing
+    u; (0, []) when every value vanishes."""
     if len(parts) == 1:
         best = abs_max(parts[0])
-        return best, np.flatnonzero((parts[0] == best) | (parts[0] == -best))
-    sq = abs2(parts)
-    best = int(sq.max())
-    return best, np.flatnonzero(sq == best)
+        idx = np.flatnonzero((parts[0] == best) | (parts[0] == -best))
+    else:
+        sq = abs2(parts)
+        best = int(sq.max())
+        idx = np.flatnonzero(sq == best)
+    if not best:
+        return 0, []
+    return best, list(zip([start + u for u in idx.tolist()], *(p[idx].tolist() for p in parts)))
 
 
 def _root_up(sq: int) -> int:
@@ -199,23 +206,15 @@ def _root_up(sq: int) -> int:
 
 def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, list, tuple | None]]:
     """Entries j = 0, 1, ... of the seed, at least to k: (m_j, hits,
-    level), where hits are the witnesses of level j as ``_tree_peak``
-    returns them.  Levels 0 and 1 come from the oracle, are kept, and their
-    peaks are read off them; above them, the level is None and the peak is
-    found by the search with its leaves at level 1, which needs only
-    entries below j."""
+    level), where hits are the witnesses of level j, by shift.  Levels 0
+    and 1 come from the oracle, are kept, and their peaks and witnesses are
+    read off them by ``_peak_of``; above them, the level is None and both
+    are found by the search with its leaves at level 1 (``_tree_peak``),
+    which needs only entries below j."""
     entries = _peak_bounds.setdefault(seed, [])
     for j in range(len(entries), k + 1):
-        level = None
-        if j <= 1:
-            level = _oracle_level(seed, j)
-            for part in level:
-                part.flags.writeable = False
-            best, idx = _peak_of(level)
-            start = 1 - (seed.ell0 << j)
-            hits = [(start + int(u), *(int(p[u]) for p in level)) for u in idx] if best else []
-        else:
-            best, hits = _tree_peak(seed, j, j - 1)
+        level = _oracle_level(seed, j) if j <= 1 else None
+        best, hits = _peak_of(level, 1 - (seed.ell0 << j)) if level else _tree_peak(seed, j, j - 1)
         entries.append((best if seed.is_rational else _root_up(best), hits, level))
     return entries
 
@@ -426,19 +425,12 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
             for child_q, child in zip((2 * q, 2 * q + 1), _children(coeffs)):
                 heapq.heappush(heap, node(depth + 1, child_q, child, -neg))
             continue
-        vals = _block_values(*coeffs, level_nt, level_nt1, own)
-        m, idx = _peak_of(vals)
-        if m < best or m == 0:
-            continue
+        m, wits = _peak_of(_block_values(*coeffs, level_nt, level_nt1, own), q * big_l)
         if m > best:
-            best = m
-            hits.clear()
-        hits.append((q * big_l, idx, [v[idx] for v in vals]))
-    return best, sorted(
-        (start + int(u), *map(int, parts))
-        for start, idx, vals in hits
-        for u, *parts in zip(idx, *vals)
-    )
+            best, hits = m, wits
+        elif m == best:
+            hits += wits
+    return best, sorted(hits)
 
 
 def psl_report(seed: SeedPair, n: int) -> PeakReport:

@@ -39,6 +39,7 @@ __all__ = [
     "coefficient_budget",
     "grs_step",
     "grs_pair",
+    "grs_member",
     "rudin_shapiro",
     "rudin_shapiro_seed",
     "validate_seed",
@@ -148,20 +149,15 @@ class Sequence:
         raise AttributeError("Sequence is immutable")
 
     @classmethod
-    def binary(cls, signs) -> "Sequence":
-        """Build an all +/-1 sequence from a '+-' string or an iterable of signs."""
-        if isinstance(signs, str):
-            text = signs.strip()
-            raw = np.frombuffer(text.encode(), dtype=np.uint8)
-            plus = raw == ord("+")
-            if not text.isascii() or not np.all(plus | (raw == ord("-"))):
-                ch = next(c for c in text if c not in "+-")
-                raise ValueError(f"unexpected character {ch!r} in sign string")
-            return cls._of((np.where(plus, np.int64(1), np.int64(-1)),), 1)
-        vals = [int(v) for v in signs]
-        if any(v not in (1, -1) for v in vals):
-            raise ValueError("binary sequences take only +1/-1 entries")
-        return cls(vals)
+    def binary(cls, signs: str) -> "Sequence":
+        """Build an all +/-1 sequence from a '+-' string."""
+        text = signs.strip()
+        raw = np.frombuffer(text.encode(), dtype=np.uint8)
+        plus = raw == ord("+")
+        if not text.isascii() or not np.all(plus | (raw == ord("-"))):
+            ch = next(c for c in text if c not in "+-")
+            raise ValueError(f"unexpected character {ch!r} in sign string")
+        return cls._of((np.where(plus, np.int64(1), np.int64(-1)),), 1)
 
     # -- views -------------------------------------------------------------
 
@@ -277,16 +273,32 @@ def _member_parts(seq: Sequence, ell: int, den: int, count: int) -> list[np.ndar
     return parts + [np.zeros(ell, dtype=np.int64)] * (count - len(parts))
 
 
-def grs_step(pair: GolayPair) -> GolayPair:
-    """One doubling step: (x, y) -> (x + z^l y, x - z^l y), on the
-    numerator arrays of both members over the lcm of their denominators."""
-    ell = pair.length
-    den = lcm(pair.x.den, pair.y.den)
+def _next_member(pair: GolayPair, member: str) -> Sequence:
+    """Member ``member``, "x" or "y", of the pair one doubling step after
+    ``pair``: x + z^l y or x - z^l y, on the numerator arrays of both
+    members over the lcm of their denominators."""
+    ell, den = pair.length, lcm(pair.x.den, pair.y.den)
     count = max(len(pair.x.parts), len(pair.y.parts))
     xs, ys = (_member_parts(s, ell, den, count) for s in (pair.x, pair.y))
-    new_x = Sequence._of(tuple(map(np.concatenate, zip(xs, ys))), den)
-    new_y = Sequence._of(tuple(np.concatenate((a, negated(b))) for a, b in zip(xs, ys)), den)
-    return GolayPair(new_x, new_y, pair.level + 1, pair.ell0)
+    ys = ys if member == "x" else map(negated, ys)
+    return Sequence._of(tuple(map(np.concatenate, zip(xs, ys))), den)
+
+
+def grs_step(pair: GolayPair) -> GolayPair:
+    """One doubling step: (x, y) -> (x + z^l y, x - z^l y)."""
+    return GolayPair(_next_member(pair, "x"), _next_member(pair, "y"), pair.level + 1, pair.ell0)
+
+
+def _check_level(seed: SeedPair, n: int, budget: int | None) -> None:
+    """Raise unless level n is nonnegative and fits the budget."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    cap = coefficient_budget(budget)
+    if 2 * (seed.ell0 << n) > cap:
+        raise BudgetExceeded(
+            f"level {n} needs {2 * (seed.ell0 << n)} coefficients, budget is {cap}; "
+            "use the streaming scan for peak values at this size"
+        )
 
 
 def grs_pair(seed: SeedPair, n: int, budget: int | None = None) -> GolayPair:
@@ -296,18 +308,19 @@ def grs_pair(seed: SeedPair, n: int, budget: int | None = None) -> GolayPair:
     fit the configured budget; peak scans do not need materialization
     (see grs.fastscan.streaming_peaks).
     """
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    cap = coefficient_budget(budget)
-    if 2 * (seed.ell0 << n) > cap:
-        raise BudgetExceeded(
-            f"level {n} needs {2 * (seed.ell0 << n)} coefficients, budget is {cap}; "
-            "use the streaming scan for peak values at this size"
-        )
+    _check_level(seed, n, budget)
     pair = GolayPair(seed.x0, seed.y0, 0, seed.ell0)
     for _ in range(n):
         pair = grs_step(pair)
     return pair
+
+
+def grs_member(seed: SeedPair, n: int, member: str, budget: int | None = None) -> Sequence:
+    """Member ``member``, "x" or "y", of ``grs_pair(seed, n, budget)``, one
+    step from the level n-1 pair: the other level-n member is never built."""
+    _check_level(seed, n, budget)
+    pair = grs_pair(seed, max(n - 1, 0), budget)
+    return _next_member(pair, member) if n else getattr(pair, member)
 
 
 def rudin_shapiro(n: int, budget: int | None = None) -> GolayPair:

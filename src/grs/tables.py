@@ -93,27 +93,22 @@ def table2_rows(t_max: int = 10):
     return rows
 
 
+def _witness_rows(reports) -> list:
+    """(n, s, v) rows: one per witness of each report, in order."""
+    return [(rep.level, s, v) for rep in reports for s, v in rep.witnesses]
+
+
 def table3_rows(n_max: int = 26):
     """(n, s, C) peak-crosscorrelation rows: one row per witness shift."""
     seed = rudin_shapiro_seed()
-    rows = []
-    for n in range(n_max + 1):
-        report = streaming_peaks(seed, n)[0]
-        for s, v in report.witnesses:
-            rows.append((n, s, v))
-    return rows
+    return _witness_rows(streaming_peaks(seed, n)[0] for n in range(n_max + 1))
 
 
 def table4_rows(n_max: int = 27):
     """(n, s, D) peak-sidelobe rows at positive shifts; levels with zero
     sidelobes contribute no rows."""
     seed = rudin_shapiro_seed()
-    rows = []
-    for n in range(n_max + 1):
-        report = psl_report(seed, n)
-        for s, v in report.witnesses:
-            rows.append((n, s, v))
-    return rows
+    return _witness_rows(psl_report(seed, n) for n in range(n_max + 1))
 
 
 # The CSV header and the row generator of each table.

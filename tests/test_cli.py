@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -12,7 +13,14 @@ from grs.cli import build_parser, main, run
 from grs.correlation import crosscorr
 from grs.field import QAlphaElem, decimal_approx
 from grs.qcomplex import int_text
-from grs.sequences import Sequence, read_sequence, validate_seed, write_seed_pair
+from grs.sequences import (
+    Sequence,
+    grs_pair,
+    read_sequence,
+    validate_seed,
+    write_seed_pair,
+    write_sequence,
+)
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -32,6 +40,23 @@ def test_gen_unit_seed(tmp_path):
 def test_gen_members(tmp_path):
     code, text = run_cli(["gen", "--rs", "--n", "2", "--member", "y"], tmp_path)
     assert code == 0 and text.splitlines()[1] == "++-+"
+
+
+@pytest.mark.parametrize("name", ["seed_pm4", "seed_rational", "seed_complex"])
+def test_gen_writes_the_member_of_the_pair(tmp_path, request, name):
+    # gen builds only the member it writes, and writes the bytes of that
+    # member of the whole level-n pair: at level 0, the seed's own.
+    seed = request.getfixturevalue(name)
+    with open(tmp_path / "seed.txt", "w") as fp:
+        write_seed_pair(seed, fp)
+    for n in (0, 1, 2, 3, 9):
+        pair = grs_pair(seed, n)
+        for member in ("x", "y"):
+            expected = io.StringIO()
+            write_sequence(getattr(pair, member), expected)
+            code, text = run_cli(["gen", "--seed", str(tmp_path / "seed.txt"), "--n", str(n),
+                                  "--member", member], tmp_path)
+            assert code == 0 and text == expected.getvalue(), (n, member)
 
 
 def test_gen_roundtrips_into_corr(tmp_path):

@@ -470,7 +470,7 @@ def test_levels_above_a_lowered_floor(
 def _peak_abs(level):
     """The least integer at or above every |C_k(s)| of a level, from the
     peak reducer that the dense levels and the scan leaves share."""
-    best, _ = fastscan._peak_of(level)
+    best, _ = fastscan._peak_of(level, start=0)
     return best if len(level) == 1 else fastscan._root_up(best)
 
 

@@ -1,6 +1,7 @@
 import io
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from grs.sequences import (
     NotGolay,
     Sequence,
     ZeroSequence,
+    grs_member,
     grs_pair,
     grs_step,
     read_seed_pair,
@@ -166,6 +168,20 @@ def test_step_holds_each_coefficient_once():
     size = sum(p.nbytes for s in (nxt.x, nxt.y) for p in s.parts)
     assert size == 2 * 8 * (4 << 16)
     assert kept <= 1.1 * size and peak <= 1.5 * size
+
+
+def test_member_build_holds_the_pair_below_and_one_member(seed_pm4):
+    # A level-16 member is one step from the level-15 pair: the other
+    # level-16 member is never built.  The peak adds the degree scan of the
+    # new member and, for y, one negated member of the pair below.
+    below = grs_pair(seed_pm4, 15)
+    below_size = sum(p.nbytes for s in (below.x, below.y) for p in s.parts)
+    del below
+    for member in ("x", "y"):
+        seq, _, peak = _traced(partial(grs_member, seed_pm4, 16, member))
+        assert seq == getattr(grs_pair(seed_pm4, 16), member)
+        size = sum(p.nbytes for p in seq.parts)
+        assert peak <= 1.3 * (size + below_size), member
 
 
 def test_sequence_of_an_array_copies_nothing():
