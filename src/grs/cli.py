@@ -18,12 +18,8 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import replace
 from typing import NoReturn
 
-from . import bounds, correlation, tables
-from .fastscan import streaming_peaks
-from .field import QAlphaElem, decimal_approx
 from .qcomplex import as_cq, int_text
 from .sequences import (
     SeedPair,
@@ -185,6 +181,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "corr":
+        from . import correlation
         f, g = _read_pair(args)
         v = as_cq(correlation.crosscorr(f, g, args.shift))
         _emit_json(args, {
@@ -197,6 +194,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "spectrum":
+        from . import correlation
         f, g = _read_pair(args)
         spec = correlation.spectrum(f, g, budget=args.budget)
         text = spec.to_csv() if args.format == "csv" else spec.to_json() + "\n"
@@ -204,6 +202,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "peaks":
+        from .fastscan import streaming_peaks
         seed = _load_seed(args)
         pcc_rep, psl_rep = streaming_peaks(
             seed, args.n, t_split=args.t_split, budget=args.budget
@@ -215,6 +214,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "tables":
+        from . import tables
         _emit(args, tables.table_csv(args.which, _n_max(args, None)))
         return 0
 
@@ -224,6 +224,7 @@ def run(args: argparse.Namespace) -> int:
         return 0 if all(v.holds for v in verdicts) else 1
 
     if args.command == "approx":
+        from .field import QAlphaElem, decimal_approx
         interval = decimal_approx(QAlphaElem.from_text(args.expr), args.digits)
         _emit_json(args, {"digits": args.digits, "expr": args.expr,
                           "hi": interval.hi, "lo": interval.lo})
@@ -233,6 +234,9 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _run_suite(args: argparse.Namespace):
+    from dataclasses import replace
+    from . import bounds
+
     if args.suite == "rs":
         _refuse(args, "--seed", "--rs")
         n_max = _n_max(args, 26)

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from . import np
 from .convolve import abs2, convolve_int, exact_sum, int_array, lowest_terms, negated
 from .qcomplex import exact_magnitude, exact_value, int_text
-from .sequences import BudgetExceeded, Sequence, coefficient_budget
+from .sequences import Sequence, check_budget
 
 __all__ = [
     "Spectrum",
@@ -169,11 +169,7 @@ def spectrum(f: Sequence, g: Sequence, budget: int | None = None) -> Spectrum:
     """Full crosscorrelation spectrum of (f, g), i.e. f(z) * conj(g)(z),
     by exact integer convolution of the numerator arrays: one convolution
     for two real sequences, up to four for complex ones."""
-    cap = coefficient_budget(budget)
-    if f.length + g.length - 1 > cap:
-        raise BudgetExceeded(
-            f"spectrum needs {f.length + g.length - 1} entries, budget is {cap}"
-        )
+    check_budget(f.length + g.length - 1, budget, "spectrum")
     re, im = _numerators(lambda a, b: convolve_int(a, b[::-1]), f, g)
     parts = [int_array(re)] + ([int_array(im)] if im is not None and im.any() else [])
     for part in parts:

@@ -36,7 +36,7 @@ __all__ = [
     "DegreeTooLarge",
     "ZeroSequence",
     "DEFAULT_COEFF_BUDGET",
-    "coefficient_budget",
+    "check_budget",
     "grs_step",
     "grs_pair",
     "grs_member",
@@ -81,10 +81,13 @@ class ZeroSequence(SeedInvalid):
         super().__init__(f"{which} is the zero sequence")
 
 
-def coefficient_budget(budget: int | None = None) -> int:
-    """Resolve the coefficient cap: the explicit argument, else the
-    default."""
-    return DEFAULT_COEFF_BUDGET if budget is None else budget
+def check_budget(need: int, budget: int | None, what: str, unit: str = "entries",
+                 hint: str = "") -> None:
+    """Raise BudgetExceeded when ``need`` exceeds the cap: ``budget``, or
+    DEFAULT_COEFF_BUDGET when it is None."""
+    cap = DEFAULT_COEFF_BUDGET if budget is None else budget
+    if need > cap:
+        raise BudgetExceeded(f"{what} needs {need} {unit}, budget is {cap}{hint}")
 
 
 def _canonical(values) -> tuple[tuple, int]:
@@ -293,12 +296,8 @@ def _check_level(seed: SeedPair, n: int, budget: int | None) -> None:
     """Raise unless level n is nonnegative and fits the budget."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    cap = coefficient_budget(budget)
-    if 2 * (seed.ell0 << n) > cap:
-        raise BudgetExceeded(
-            f"level {n} needs {2 * (seed.ell0 << n)} coefficients, budget is {cap}; "
-            "use the streaming scan for peak values at this size"
-        )
+    check_budget(2 * (seed.ell0 << n), budget, f"level {n}", "coefficients",
+                 "; use the streaming scan for peak values at this size")
 
 
 def grs_pair(seed: SeedPair, n: int, budget: int | None = None) -> GolayPair:

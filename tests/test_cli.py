@@ -254,7 +254,24 @@ def test_huge_seed_length_meets_the_scan_budget(tmp_path, capsys):
         main(["peaks", "--seed", str(seed_file), "--n", "2"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
-        "error: scan needs about 8000000000000 cached entries, budget is 2147483648\n"
+        "error: scan needs 18000000000000 entries, budget is 2147483648\n"
+    )
+
+
+def test_scan_budget_refusal_is_an_input_error(monkeypatch, capsys):
+    # The t = 1 split of level 30 would hold 9 * 2^29 entries; it is
+    # refused before any level is built.
+    from grs import fastscan
+
+    def no_level(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(fastscan, "_levels", no_level)
+    with pytest.raises(SystemExit) as exc:
+        main(["peaks", "--rs", "--n", "30", "--t-split", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: scan needs 4831838208 entries, budget is 2147483648\n"
     )
 
 

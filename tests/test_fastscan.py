@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import inf, isqrt, lcm
 
@@ -20,7 +21,7 @@ from grs.fastscan import (
     streaming_peaks,
 )
 from grs.qcomplex import CQ, as_cq
-from grs.sequences import BudgetExceeded, Sequence, grs_pair, validate_seed
+from grs.sequences import BudgetExceeded, Sequence, grs_pair, rudin_shapiro_seed, validate_seed
 
 
 def test_abgd_base_row():
@@ -590,35 +591,73 @@ def test_large_coefficients_leave_int64_exactly():
 
 
 def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
-    # The default split reads levels 1 and 0, 4 * 2 ell0 entries per part.
+    # A split counts 9 * ell_{n-t} entries per part; the default split
+    # reads levels 1 and 0, so 18 * ell0.
     fastscan.clear_caches()
-    with pytest.raises(BudgetExceeded, match="needs about 8 "):
-        streaming_peaks(rs_seed, 12, budget=7)
-    assert streaming_peaks(rs_seed, 12, budget=8)[0].value == 373
+    with pytest.raises(BudgetExceeded, match="^scan needs 18 entries, budget is 17$"):
+        streaming_peaks(rs_seed, 12, budget=17)
+    assert streaming_peaks(rs_seed, 12, budget=18)[0].value == 373
     # Cached peaks of lower levels do not get round the budget.
-    with pytest.raises(BudgetExceeded, match="needs about 8 "):
-        streaming_peaks(rs_seed, 12, budget=7)
-    with pytest.raises(BudgetExceeded, match="needs about 16 "):
-        streaming_peaks(rs_seed, 12, t_split=10, budget=15)
-    assert streaming_peaks(rs_seed, 12, t_split=10, budget=16)[0].value == 373
-    with pytest.raises(BudgetExceeded, match="needs about 16 "):
-        streaming_peaks(seed_rational, 20, budget=15)
-    assert streaming_peaks(seed_rational, 20, budget=16)[0].value == Fraction(28293, 4)
+    with pytest.raises(BudgetExceeded, match="^scan needs 18 entries, budget is 17$"):
+        streaming_peaks(rs_seed, 12, budget=17)
+    with pytest.raises(BudgetExceeded, match="^scan needs 36 entries, budget is 35$"):
+        streaming_peaks(rs_seed, 12, t_split=10, budget=35)
+    assert streaming_peaks(rs_seed, 12, t_split=10, budget=36)[0].value == 373
+    with pytest.raises(BudgetExceeded, match="^scan needs 36 entries, budget is 35$"):
+        streaming_peaks(seed_rational, 20, budget=35)
+    assert streaming_peaks(seed_rational, 20, budget=36)[0].value == Fraction(28293, 4)
     # A complex level is two arrays, re and im, so it counts twice: the
     # same scan fits the budget on a real seed and not on a complex one.
-    rep, _ = streaming_peaks(seed_rational, 20, t_split=5, budget=300000)
+    need = 9 * (2 << 15)
+    with pytest.raises(BudgetExceeded, match=f"^scan needs {need} entries"):
+        streaming_peaks(seed_rational, 20, t_split=5, budget=need - 1)
+    rep, _ = streaming_peaks(seed_rational, 20, t_split=5, budget=need)
     assert rep.value == Fraction(28293, 4)
-    with pytest.raises(BudgetExceeded):
-        streaming_peaks(seed_complex, 20, t_split=5, budget=300000)
-    # The budget counts the two dense levels only: a deep split keeps them
-    # small, whatever the number of blocks at its depth.
+    with pytest.raises(BudgetExceeded, match=f"^scan needs {2 * need} entries"):
+        streaming_peaks(seed_complex, 20, t_split=5, budget=need)
+    # The budget counts the two dense levels and a leaf block: a deep split
+    # keeps them small, whatever the number of blocks at its depth.
     assert streaming_peaks(rs_seed, 40, t_split=35)[0].value == 372089521
     assert streaming_peaks(rs_seed, 40)[0].value == 372089521
     # Levels 0..2 take the same check, with dense level max(n - 1, 0).
-    for n, need in ((0, 4), (1, 4), (2, 8)):
-        with pytest.raises(BudgetExceeded, match=f"needs about {need} "):
+    for n, need in ((0, 9), (1, 9), (2, 18)):
+        with pytest.raises(BudgetExceeded, match=f"^scan needs {need} entries, budget is "):
             streaming_peaks(rs_seed, n, budget=need - 1)
         assert streaming_peaks(rs_seed, n, budget=need)[0].level == n
+
+
+def test_scan_budget_refuses_before_any_level_is_built(monkeypatch):
+    # Level 29 of the unit seed would hold 9 * 2^29 entries at the split
+    # t = 1, more than the default cap of 2^31.  Building any level fails
+    # the test, so the refusal must come first.
+    def no_level(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(fastscan, "_levels", no_level)
+    with pytest.raises(BudgetExceeded, match="^scan needs 4831838208 entries, budget is 2147483648$"):
+        streaming_peaks(rudin_shapiro_seed(), 30, t_split=1)
+    # A split with n - t = 27 is admitted and goes on to build its levels.
+    with pytest.raises(AssertionError, match="a level was built"):
+        streaming_peaks(rudin_shapiro_seed(), 28, t_split=1)
+
+
+@pytest.mark.parametrize("t", (1, 3, 6))
+def test_scan_budget_counts_what_a_split_holds(t, rs_seed, seed_pm4, seed_rational, seed_complex):
+    # At ell_{n-t} = 2^12, the bytes a split allocates stay within 8 bytes
+    # (one int64) per counted entry, on real and complex levels.
+    for seed in (rs_seed, seed_pm4, seed_rational, seed_complex):
+        n = 13 - seed.ell0.bit_length() + t
+        need = 9 * (1 << 12) * (1 if seed.is_rational else 2)
+        fastscan.clear_caches()
+        with pytest.raises(BudgetExceeded, match=f"^scan needs {need} entries"):
+            streaming_peaks(seed, n, t_split=t, budget=need - 1)
+        tracemalloc.start()
+        try:
+            streaming_peaks(seed, n, t_split=t, budget=need)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * need, (seed, t, peak / (8 * need))
 
 
 def test_budget_is_not_read_from_the_environment(monkeypatch, rs_seed):

@@ -83,6 +83,33 @@ def test_array_free_paths_load_no_numpy():
         assert result[0] == 0 and result[1].startswith(("[", "{"))
 
 
+# Run ``grs`` on argv[1:] in a fresh interpreter and print the grs modules
+# it loaded, one per line.
+_MODULES_SCRIPT = """
+import sys
+from grs.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as stop:
+    if stop.code:
+        raise
+print(*sorted(name for name in sys.modules if name.startswith("grs.")), sep="\\n")
+"""
+
+
+def test_each_command_imports_the_modules_it_runs(tmp_path):
+    seq = str(tmp_path / "x3.seq")
+    gen = _python("-c", _MODULES_SCRIPT, "gen", "--rs", "--n", "3", "-o", seq, text=True)
+    loaded = set(gen.stdout.split())
+    assert "grs.sequences" in loaded
+    assert not loaded & {"grs.bounds", "grs.field", "grs.tables", "grs.fastscan"}
+    spectrum = _python("-c", _MODULES_SCRIPT, "spectrum", "--f", seq, "--g", seq, text=True)
+    assert spectrum.stdout.startswith("[{")
+    loaded = set(spectrum.stdout.splitlines()[1:])
+    assert "grs.correlation" in loaded
+    assert not loaded & {"grs.bounds", "grs.field", "grs.tables"}
+
+
 def test_public_names_resolve_to_their_home_modules():
     assert grs.__all__ == [name for names in HOMES.values() for name in names]
     assert len(grs.__all__) == 51
