@@ -34,7 +34,7 @@ from .field import (
     k_div,
     reduce_poly,
 )
-from .qcomplex import as_cq, fraction_text, int_text
+from .qcomplex import as_cq
 from .sequences import SeedPair, grs_pair, rudin_shapiro_seed
 
 __all__ = [
@@ -216,11 +216,7 @@ class BoundVerdict:
 
 
 def _fmt_exact(v) -> str:
-    if isinstance(v, (QAlphaElem, KElem)):
-        return v.to_text()
-    if isinstance(v, Fraction):
-        return fraction_text(*v.as_integer_ratio())
-    return int_text(v)
+    return v.to_text() if isinstance(v, (QAlphaElem, KElem)) else str(v)
 
 
 _OBS = {-1: "<", 0: "=", 1: ">"}
@@ -464,7 +460,11 @@ _UNIT_CASES = (
 )
 
 # (n, value, coeff, power): value <= coeff * alpha0^power; the base cases
-# of the seed-statistics bound.
+# of the seed-statistics bound.  value is the coefficient of pcc0 (coeff 9)
+# or of psl0 (18) in m_0 <= pcc0 and m_1 <= pcc0 + 2 psl0, and for n >= 2
+# its largest coefficient in ``derrel_bound(pcc0, psl0, n, q)`` over q; the
+# maxima 9 at n = 4 and 18 at n = 5 equal their bounds.  (8, 51) and (9, 98)
+# are below their maxima, 57 and 114.
 _GENERIC_CASES = (
     (0, 1, 9, -4),
     (1, 1, 9, -3),

@@ -20,7 +20,6 @@ import json
 import sys
 from typing import NoReturn
 
-from .qcomplex import as_cq, int_text
 from .sequences import (
     SeedPair,
     Sequence,
@@ -183,14 +182,8 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "corr":
         from . import correlation
         f, g = _read_pair(args)
-        v = as_cq(correlation.crosscorr(f, g, args.shift))
-        _emit_json(args, {
-            "shift": str(args.shift),
-            "re_num": int_text(v.re.numerator),
-            "re_den": int_text(v.re.denominator),
-            "im_num": int_text(v.im.numerator),
-            "im_den": int_text(v.im.denominator),
-        })
+        value = correlation.crosscorr(f, g, args.shift)
+        _emit(args, correlation.json_row(args.shift, value) + "\n")
         return 0
 
     if args.command == "spectrum":

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from . import np
 from .convolve import abs2, convolve_int, exact_sum, int_array, lowest_terms, negated
-from .qcomplex import exact_magnitude, exact_value, int_text
+from .qcomplex import as_cq, exact_magnitude, exact_value, int_text
 from .sequences import Sequence, check_budget
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "ZeroLength",
     "ShiftOutOfRange",
     "crosscorr",
+    "json_row",
     "spectrum",
     "pcc",
     "psl",
@@ -50,10 +51,10 @@ class ShiftOutOfRange(ValueError):
 
 # Export columns: the shift, then the real and imaginary parts as fractions.
 _COLUMNS = ("shift", "re_num", "re_den", "im_num", "im_den")
-_CSV_ROW = "%d,%d,%d,%d,%d\n"
+_CSV_ROW = "%s,%s,%s,%s,%s\n"
 # One row as json.dumps(rows, sort_keys=True) writes it: keys in sorted order.
 _JSON_ORDER = sorted(range(len(_COLUMNS)), key=_COLUMNS.__getitem__)
-_JSON_ROW = "{" + ", ".join(f'"{_COLUMNS[i]}": "%d"' for i in _JSON_ORDER) + "}"
+_JSON_ROW = "{" + ", ".join(f'"{_COLUMNS[i]}": "%s"' for i in _JSON_ORDER) + "}"
 # Rows formatted at a time: this bounds the Python ints an export holds.
 _CHUNK = 1 << 11
 
@@ -122,11 +123,9 @@ class Spectrum:
             if len(self.parts) == 1:
                 columns += [np.zeros(idx.size, dtype=np.int64), np.ones(idx.size, dtype=np.int64)]
             table = np.stack([columns[i] for i in order], axis=1)
-            if table.dtype == np.int64:
-                yield sep.join([row] * idx.size) % tuple(table.ravel().tolist())
-            else:
-                texts = map(int_text, table.ravel().tolist())
-                yield sep.join([row.replace("%d", "%s")] * idx.size) % tuple(texts)
+            values = table.ravel().tolist()
+            texts = values if table.dtype == np.int64 else map(int_text, values)
+            yield sep.join([row] * idx.size) % tuple(texts)
 
     def to_csv(self) -> str:
         return "".join([",".join(_COLUMNS) + "\n", *self._text_blocks(_CSV_ROW, "")])
@@ -134,6 +133,14 @@ class Spectrum:
     def to_json(self) -> str:
         """The rows as json.dumps(rows, sort_keys=True) writes them."""
         return "[" + ", ".join(self._text_blocks(_JSON_ROW, ", ", _JSON_ORDER)) + "]"
+
+
+def json_row(s: int, value) -> str:
+    """The row of shift s with value ``value`` (an int, a Fraction or a
+    CQ) as ``Spectrum.to_json`` writes it; a zero value has a row too."""
+    v = as_cq(value)
+    columns = (s, v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator)
+    return _JSON_ROW % tuple(int_text(columns[i]) for i in _JSON_ORDER)
 
 
 def crosscorr(f: Sequence, g: Sequence, s: int):

@@ -456,11 +456,8 @@ def _format_scaled(k: int, digits: int, trim: bool = False) -> str:
     sign = "-" if k < 0 else ""
     whole, frac = divmod(abs(k), 10**digits)
     text = f"{sign}{int_text(whole)}.{int_text(frac).zfill(digits)}"
-    if trim:
-        text = text.rstrip("0").rstrip(".")
-        if text in ("", "-"):
-            text = "0"
-    return text
+    # Trimming stops at the ".", so the integer digits always stay.
+    return text.rstrip("0").rstrip(".") if trim else text
 
 
 def _alpha0_times(g: int) -> int:

@@ -23,7 +23,7 @@ from typing import Iterable, TextIO
 
 from . import np
 from .convolve import fitted, int_array, lowest_terms, negated, scaled
-from .qcomplex import CQ, as_cq, fraction_text, parse_fraction, text_int
+from .qcomplex import CQ, as_cq, fraction_text, int_text, parse_fraction, text_int
 
 __all__ = [
     "Sequence",
@@ -87,6 +87,7 @@ def check_budget(need: int, budget: int | None, what: str, unit: str = "entries"
     DEFAULT_COEFF_BUDGET when it is None."""
     cap = DEFAULT_COEFF_BUDGET if budget is None else budget
     if need > cap:
+        need, cap = int_text(need), int_text(cap)
         raise BudgetExceeded(f"{what} needs {need} {unit}, budget is {cap}{hint}")
 
 
@@ -397,7 +398,7 @@ def read_sequence(fp: TextIO) -> Sequence:
         raise ValueError("sequence header needs len= and kind= fields")
     length = _int_field("sequence header", "len", fields["len"])
     if length < 0:
-        raise ValueError(f"declared length len={length} is negative")
+        raise ValueError(f"declared length len={int_text(length)} is negative")
     kind = fields["kind"]
     if kind == "binary":
         seq = Sequence.binary(fp.readline().strip())
@@ -444,7 +445,7 @@ def _rational_sequence(lines: list[str]) -> Sequence:
 
 
 def write_seed_pair(seed: SeedPair, fp: TextIO) -> None:
-    fp.write(f"ell0={seed.ell0}\n")
+    fp.write(f"ell0={int_text(seed.ell0)}\n")
     write_sequence(seed.x0, fp)
     write_sequence(seed.y0, fp)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from . import correlation
 from .fastscan import abgd, coeff_by_geoff, psl_report, streaming_peaks
+from .qcomplex import int_text
 from .sequences import grs_pair, rudin_shapiro_seed
 
 __all__ = [
@@ -28,10 +29,7 @@ __all__ = [
     "table3_rows",
     "table4_rows",
     "table_csv",
-    "DEFAULT_TABLE_MAX",
 ]
-
-DEFAULT_TABLE_MAX = {1: 10, 2: 10, 3: 26, 4: 27}
 
 # Spot-check shifts for the crosscorrelation value table, by level.
 SELECTED_CROSSCORR_SHIFTS: dict[int, tuple[int, ...]] = {
@@ -125,7 +123,5 @@ def table_csv(which: int, n_max: int | None = None) -> str:
     if which not in _TABLES:
         raise ValueError("table selector must be 1, 2, 3, or 4")
     header, rows_of = _TABLES[which]
-    limit = DEFAULT_TABLE_MAX[which] if n_max is None else n_max
-    lines = [header]
-    lines.extend(",".join(str(x) for x in row) for row in rows_of(limit))
-    return "\n".join(lines) + "\n"
+    rows = rows_of() if n_max is None else rows_of(n_max)
+    return "".join([header + "\n", *(",".join(map(int_text, row)) + "\n" for row in rows)])

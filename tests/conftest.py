@@ -78,3 +78,14 @@ def seed_complex_rational():
     return validate_seed(
         Sequence([half, CQ(0, third)]), Sequence([half, CQ(0, -third)]), 2
     )
+
+
+def assert_outcome(call, expected):
+    """``call()`` equals ``expected``, or, when ``expected`` is an exception,
+    raises one of exactly its type with exactly its message."""
+    if not isinstance(expected, Exception):
+        assert call() == expected
+        return
+    with pytest.raises(type(expected)) as exc:
+        call()
+    assert type(exc.value) is type(expected) and str(exc.value) == str(expected)

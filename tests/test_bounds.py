@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import assert_outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from grs import correlation
 from grs.bounds import (
     _A,
     _B,
+    _GENERIC_CASES,
     _STEP_INEQUALITIES,
     _UNIT_CASES,
     _orbit_coeffs,
@@ -30,7 +32,7 @@ from grs.bounds import (
     verify_rs_bounds,
     verify_rs_lower_bounds,
 )
-from grs.fastscan import nellie_bound, streaming_peaks
+from grs.fastscan import derrel_bound, nellie_bound, streaming_peaks
 from grs.field import KElem, QAlphaElem, alpha_pow, compare
 from grs.qcomplex import CQ, as_cq
 from grs.sequences import Sequence, grs_pair, rudin_shapiro_seed, validate_seed
@@ -387,6 +389,46 @@ def test_unit_cases_are_the_peaks_no_step_reaches(rs_seed):
         if value < correlation.pcc(pair.x, pair.y)[0]:
             below_pcc.append(n)
     assert below_pcc == [6, 8, 9]
+
+
+def test_generic_cases_are_the_seed_statistics_coefficients():
+    # Entry (n, value, 9, n - 4) holds the coefficient of pcc0, and
+    # (n, value, 18, n - 5) that of psl0, in a bound on m_n: m_0 <= pcc0,
+    # m_1 <= pcc0 + 2 psl0, and for n >= 2 the maxima over q of the two
+    # coefficients of derrel_bound(pcc0, psl0, n, q).  Claims that hold with
+    # equality (9 at n = 4, 18 at n = 5) have no entry.
+    derived = []
+    for n in range(11):
+        if n < 2:
+            pcc0, psl0 = (1, 0) if n == 0 else (1, 2)
+        else:
+            half = 1 << (n - 2)
+            pcc0 = max(derrel_bound(1, 0, n, q) for q in range(-half, half))
+            psl0 = max(derrel_bound(0, 1, n, q) for q in range(-half, half))
+        for value, coeff, power in ((pcc0, 9, n - 4), (psl0, 18, n - 5)):
+            if value and compare(value, coeff * alpha_pow(power)) < 0:
+                derived.append((n, value, coeff, power))
+    # Two entries are below their maxima, which satisfy the claims as well.
+    below = {(8, 57, 9, 4): (8, 51, 9, 4), (9, 114, 18, 4): (9, 98, 18, 4)}
+    assert [below.get(case, case) for case in derived] == list(_GENERIC_CASES)
+
+
+# Inputs that no other test gives: each call and its value, or the
+# exception it raises.
+BOUNDS_EDGES = {
+    "negative level": (lambda: standard_shift(-1, 1), ValueError("level must be nonnegative")),
+    # The orbit of s0 = 100 alternates in sign, so every other level and
+    # every cecilia level is skipped.
+    "orbit outside the window": (
+        lambda: [(v.claim_id, v.holds) for v in nestor_cecilia_check(rudin_shapiro_seed(), 100, 5)],
+        [("nestor_n3", True), ("nestor_conj_n3", True),
+         ("nestor_n5", True), ("nestor_conj_n5", True)]),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDS_EDGES)
+def test_bounds_edge_inputs(case):
+    assert_outcome(*BOUNDS_EDGES[case])
 
 
 def test_identity_suite_all_hold():

@@ -8,7 +8,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from conftest import assert_outcome
 
+from grs import tables
 from grs.cli import build_parser, main, run
 from grs.correlation import crosscorr
 from grs.field import QAlphaElem, decimal_approx
@@ -72,6 +74,27 @@ def test_gen_roundtrips_into_corr(tmp_path):
     assert payload["re_num"] == "-5" and payload["im_num"] == "0"
 
 
+def test_corr_prints_the_spectrum_row(tmp_path, capsys, seed_complex_rational):
+    # Every shift's line is its row of `spectrum --format json`, or, where the
+    # spectrum has no row, the same row with a zero value.
+    seed_path = tmp_path / "seed.txt"
+    with open(seed_path, "w") as fp:
+        write_seed_pair(seed_complex_rational, fp)
+    for member in ("x", "y"):
+        run_cli(["gen", "--seed", str(seed_path), "--n", "3", "--member", member], tmp_path,
+                f"{member}.seq")
+    files = ["--f", str(tmp_path / "x.seq"), "--g", str(tmp_path / "y.seq")]
+    _, text = run_cli(["spectrum", *files], tmp_path)
+    rows = {row["shift"]: row for row in json.loads(text)}
+    assert len(rows) > 20
+    for s in range(-32, 33):
+        zero = {"shift": str(s), "re_num": "0", "re_den": "1", "im_num": "0", "im_den": "1"}
+        with pytest.raises(SystemExit) as exc:
+            main(["corr", *files, "--shift", str(s)])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == json.dumps(rows.get(str(s), zero), sort_keys=True) + "\n"
+
+
 def test_spectrum_formats(tmp_path):
     run_cli(["gen", "--rs", "--n", "2"], tmp_path, "x.seq")
     run_cli(["gen", "--rs", "--n", "2", "--member", "y"], tmp_path, "y.seq")
@@ -114,6 +137,31 @@ def test_tables_published_rows(tmp_path):
     assert "4,-11,5" in text.splitlines()
     code, text = run_cli(["tables", "--which", "4", "--max", "4"], tmp_path)
     assert text.splitlines()[-1] == "4,11,-5"
+
+
+def test_tables_past_int_text_limit(monkeypatch, capsys):
+    # A witness shift with more digits than str(int) writes by default, in a
+    # table at its rows function's default size.
+    shift = -(10**5000 + 1)
+    monkeypatch.setitem(tables._TABLES, 3, ("n,s,C", lambda n_max=26: [(n_max, shift, 7)]))
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--which", "3"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["n,s,C", f"26,{int_text(shift)},7"]
+    assert int(Decimal(lines[1].split(",")[1])) == shift
+
+
+TABLES_EDGES = {
+    "unknown table": (lambda: tables.table_csv(5),
+                      ValueError("table selector must be 1, 2, 3, or 4")),
+    "default size": (lambda: tables.table_csv(2) == tables.table_csv(2, 10), True),
+}
+
+
+@pytest.mark.parametrize("case", TABLES_EDGES)
+def test_tables_edge_inputs(case):
+    assert_outcome(*TABLES_EDGES[case])
 
 
 def test_tables_deterministic(tmp_path):
@@ -255,6 +303,19 @@ def test_huge_seed_length_meets_the_scan_budget(tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
         "error: scan needs 18000000000000 entries, budget is 2147483648\n"
+    )
+
+
+def test_budget_message_past_int_text_limit(tmp_path, capsys):
+    # A declared ell0 of 5001 digits: the refusal writes the count in full.
+    ell0 = 10**5000 + 7
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(f"ell0={int_text(ell0)}\nlen=2 kind=binary\n++\nlen=2 kind=binary\n+-\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["peaks", "--seed", str(seed_file), "--n", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: scan needs {int_text(9 * ell0)} entries, budget is 2147483648\n"
     )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import assert_outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from grs.correlation import (
     crosscorr,
     demerit_auto,
     demerit_cross,
+    json_row,
     pcc,
     periodic_corr,
     psl,
@@ -110,6 +112,40 @@ def test_demerit_values():
     p1 = rudin_shapiro(1)
     assert demerit_cross(p1.x, p1.y) == Fraction(1, 2)
     assert demerit_auto(Sequence([-1])) == 0
+
+
+def test_json_row_of_a_zero_value():
+    # corr prints a row at every shift, also where the spectrum has none.
+    for s, v in ((-7, 0), (0, Fraction(0)), (10**5000, CQ(0))):
+        assert json_row(s, v) == json.dumps(
+            {"shift": int_text(s), "re_num": "0", "re_den": "1", "im_num": "0", "im_den": "1"},
+            sort_keys=True)
+
+
+# Inputs that no other test gives: each call and its value, or the
+# exception it raises.
+CORRELATION_EDGES = {
+    "spectra equal by value": (
+        lambda: spectrum(Sequence([1, 1]), Sequence([1])) == spectrum(Sequence([1, 1, 0], 3),
+                                                                      Sequence([1])),
+        True),
+    "spectrum against a non-spectrum": (lambda: spectrum(Sequence([1]), Sequence([1])) == 1,
+                                        False),
+    "member longer than the period": (
+        lambda: periodic_corr(Sequence([1, 1, 1]), Sequence([1]), 2, 0),
+        ValueError("period must be at least the sequence lengths")),
+    "autocorrelation demerit of zero": (
+        lambda: demerit_auto(Sequence([0, 0])),
+        ZeroLength("demerit factor of the zero sequence is undefined")),
+    "crosscorrelation demerit with zero": (
+        lambda: demerit_cross(Sequence([1]), Sequence([0])),
+        ZeroLength("demerit factor needs nonzero sequences")),
+}
+
+
+@pytest.mark.parametrize("case", CORRELATION_EDGES)
+def test_correlation_edge_inputs(case):
+    assert_outcome(*CORRELATION_EDGES[case])
 
 
 def test_demerit_trend():
@@ -431,6 +467,8 @@ def test_export_matches_per_entry_reference(case, chunk, monkeypatch):
         keys = ("shift", "re_num", "re_den", "im_num", "im_den")
         assert spec.to_json() == json.dumps([dict(zip(keys, row)) for row in rows],
                                             sort_keys=True)
+        row_texts = [json_row(s, values[s]) for s in sorted(values)]
+        assert spec.to_json() == "[" + ", ".join(row_texts) + "]"
         assert spec.shifts() == sorted(values)
         if count <= 2 * 4 + 1:
             assert dict(spec.entries) == values

@@ -1,15 +1,19 @@
 import itertools
+import json
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from math import inf, isqrt, lcm
 
 import numpy as np
 import pytest
+from conftest import assert_outcome
 
 from golden import TABLE1, TABLE2, TABLE3, TABLE4
 from grs import correlation, fastscan
 from grs.fastscan import (
     LevelTooSmall,
+    PeakReport,
     ShiftZero,
     abgd,
     coeff_by_geoff,
@@ -20,7 +24,7 @@ from grs.fastscan import (
     psl_report,
     streaming_peaks,
 )
-from grs.qcomplex import CQ, as_cq
+from grs.qcomplex import CQ, as_cq, int_text
 from grs.sequences import BudgetExceeded, Sequence, grs_pair, rudin_shapiro_seed, validate_seed
 
 
@@ -658,6 +662,88 @@ def test_scan_budget_counts_what_a_split_holds(t, rs_seed, seed_pm4, seed_ration
         finally:
             tracemalloc.stop()
         assert peak <= 8 * need, (seed, t, peak / (8 * need))
+
+
+def test_lookups_refuse_before_any_level_is_built(monkeypatch, rs_seed):
+    # A lookup at level 40, t = 1, holds levels 39 and 38 and a block of
+    # level 40: 9 * 2^39 entries; the whole level-40 spectrum counts 6 *
+    # 2^40.  Both are over the default cap and refused first.
+    def no_level(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(fastscan, "_levels", no_level)
+    fastscan.clear_caches()
+    lookup = f"^lookup needs {9 << 39} entries, budget is 2147483648$"
+    with pytest.raises(BudgetExceeded, match=lookup):
+        coeff_by_iteration(rs_seed, 40, 1, 1)
+    with pytest.raises(BudgetExceeded, match=lookup):
+        coeff_by_geoff(rs_seed, 40, 3)
+    with pytest.raises(BudgetExceeded,
+                       match=f"^level 40 spectrum needs {6 << 40} entries, budget is 2147483648$"):
+        iter_spectrum(rs_seed, 40, 1)
+
+
+@pytest.mark.parametrize("t", (1, 3, 6))
+def test_lookup_budgets_count_what_they_hold(t, rs_seed, seed_pm4, seed_rational, seed_complex):
+    # A lookup holds what a split of the scan holds: within 8 bytes per
+    # counted entry at ell_{n-t} = 2^12.  A level spectrum stays within 8
+    # bytes per counted entry from ell_n = 2^16 on; below that, fixed
+    # costs of a few hundred KB dominate.
+    for seed in (rs_seed, seed_pm4, seed_rational, seed_complex):
+        lv = 13 - seed.ell0.bit_length()
+        need = 9 * (1 << 12) * (1 if seed.is_rational else 2)
+        fastscan.clear_caches()
+        fastscan._peak_bounds_to(seed, lv)
+        tracemalloc.start()
+        try:
+            coeff_by_iteration(seed, lv + t, t, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * need, (seed, t, peak / (8 * need))
+        if seed.is_int:
+            n = 17 - seed.ell0.bit_length()
+            fastscan._peak_bounds_to(seed, n - t)
+            tracemalloc.start()
+            try:
+                iter_spectrum(seed, n, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 6 * (1 << 16), (seed, t, peak / (8 * 6 * (1 << 16)))
+
+
+def test_peak_report_json_past_int_text_limit():
+    # A witness shift of a level far out has about 0.301 * n digits, more
+    # than str(int) writes by default from n = 14 286 on.
+    shift = -(10**5000 + 12345)
+    rep = PeakReport(16610, 7, ((shift, -7), (-shift, 7)))
+    payload = json.loads(json.dumps(rep.as_json_dict("pcc")))
+    assert [int(Decimal(w["shift"])) for w in payload["witnesses"]] == [shift, -shift]
+    assert payload["witnesses"][0] == {"shift": int_text(shift), "value": "-7"}
+
+
+# Inputs that no other test gives: each call and its value, or the
+# exception it raises.
+FASTSCAN_EDGES = {
+    "abgd(0)": (lambda: abgd(0), ValueError("step count must be at least 1")),
+    "entry at t = 0": (lambda: fastscan._coeffs(0, 0),
+                       ValueError("step count must be at least 1")),
+    "level spectrum of a rational seed": (
+        lambda: iter_spectrum(validate_seed(Sequence([Fraction(1, 2)]),
+                                            Sequence([Fraction(1, 2)]), 1), 2, 1),
+        ValueError("vectorized spectra need integer-valued seeds")),
+    "negative level": (lambda: streaming_peaks(rudin_shapiro_seed(), -1),
+                       ValueError("level must be nonnegative")),
+    "all-zero block": (lambda: fastscan._peak_of((np.zeros(5, dtype=np.int64),), -2), (0, [])),
+    "all-zero complex block": (
+        lambda: fastscan._peak_of((np.zeros(3, dtype=np.int64),) * 2, 4), (0, [])),
+}
+
+
+@pytest.mark.parametrize("case", FASTSCAN_EDGES)
+def test_fastscan_edge_inputs(case):
+    assert_outcome(*FASTSCAN_EDGES[case])
 
 
 def test_budget_is_not_read_from_the_environment(monkeypatch, rs_seed):

@@ -3,6 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from conftest import assert_outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,33 @@ def test_format_scaled_past_int_text_limit(sign, trim):
     k = int(Decimal(sign + whole + frac))
     expected = frac.rstrip("0") if trim else frac
     assert _format_scaled(k, len(frac), trim=trim) == f"{sign}{whole}.{expected}"
+
+
+# Inputs that no other test gives: each call and its value, or the
+# exception it raises.
+FIELD_EDGES = {
+    "fraction of an irrational": (
+        lambda: QAlphaElem(1, 2).as_fraction(),
+        RationalInputError("(1) + (2)*a + (0)*a^2 is not rational")),
+    "int minus QAlphaElem": (lambda: 1 - QAlphaElem(Fraction(1, 2), 3),
+                             QAlphaElem(Fraction(1, 2), -3)),
+    "int minus KElem": (lambda: 1 - KElem(QAlphaElem(2), QAlphaElem(0, 1)),
+                        KElem(QAlphaElem(-1), QAlphaElem(0, -1))),
+    "text with two fields": (lambda: QAlphaElem.from_text("1/2 3/4"),
+                             ValueError("expected three rationals 'p q r'")),
+    "root 3": (lambda: KElem.root(3), ValueError("root index must be 0, 1, or 2")),
+    "no digits": (lambda: decimal_approx(A, 0), ValueError("digits must be positive")),
+    # The estimate of floor(v * 10^22) comes out one below it, so the
+    # bracket is settled upwards.
+    "estimate below the floor": (
+        lambda: decimal_approx(QAlphaElem(50, 1, -2), 22),
+        DecimalInterval("46.1546235241486209912322", "46.1546235241486209912323")),
+}
+
+
+@pytest.mark.parametrize("case", FIELD_EDGES)
+def test_field_edge_inputs(case):
+    assert_outcome(*FIELD_EDGES[case])
 
 
 def test_qalpha_text_roundtrip():

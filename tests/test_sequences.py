@@ -5,15 +5,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import assert_outcome
 
 from grs.correlation import crosscorr, spectrum
-from grs.qcomplex import CQ, as_cq
+from grs.qcomplex import CQ, as_cq, exact_magnitude, int_text
 from grs.sequences import (
     BudgetExceeded,
     DegreeTooLarge,
     EnergyMismatch,
     GolayPair,
     NotGolay,
+    SeedPair,
     Sequence,
     ZeroSequence,
     grs_member,
@@ -22,6 +24,7 @@ from grs.sequences import (
     read_seed_pair,
     read_sequence,
     rudin_shapiro,
+    rudin_shapiro_seed,
     validate_seed,
     write_seed_pair,
     write_sequence,
@@ -118,6 +121,66 @@ def test_seed_check_stops_at_the_members_degrees():
     with pytest.raises(NotGolay) as err:
         validate_seed(Sequence([1, 0, 1]), Sequence([1, 0, 1]), 10**12)
     assert err.value.shift == 2
+
+
+# Inputs that no other test gives: each call and its value, or the
+# exception it raises.
+SEQUENCE_EDGES = {
+    "declared length below the coefficient count": (
+        lambda: Sequence([1, 2, 3], 2),
+        ValueError("declared length smaller than the coefficient list")),
+    "setattr": (lambda: setattr(Sequence([1]), "den", 2), AttributeError("Sequence is immutable")),
+    "sign string of a non-binary sequence": (
+        lambda: Sequence([1, 2]).sign_string(), ValueError("not a binary sequence")),
+    "len": (lambda: len(Sequence([1, 0], 5)), 5),
+    "equality with a non-sequence": (lambda: Sequence([1]) == 1, False),
+    "repr, binary": (lambda: repr(Sequence.binary("+-")), "Sequence('+-')"),
+    "repr, rational": (lambda: repr(Sequence([Fraction(1, 2)], 3)),
+                       "Sequence(<3 rational coeffs>)"),
+    "unit seed is rudin-shapiro": (lambda: rudin_shapiro_seed().is_rudin_shapiro, True),
+    "padded unit seed is not": (
+        lambda: SeedPair(Sequence([1]), Sequence([1]), 2).is_rudin_shapiro, False),
+    "negative level": (lambda: grs_pair(rudin_shapiro_seed(), -1),
+                       ValueError("level must be nonnegative")),
+    "ell0 = 0": (lambda: validate_seed(Sequence([1]), Sequence([1]), 0),
+                 ValueError("seed length must be positive")),
+    "zero y0": (lambda: validate_seed(Sequence([1]), Sequence([0]), 1), ZeroSequence("y0")),
+    "y0 degree at ell0": (lambda: validate_seed(Sequence([1]), Sequence([0, 1]), 1),
+                          DegreeTooLarge("y0")),
+    "sign string of the wrong length": (
+        lambda: read_sequence(io.StringIO("len=3 kind=binary\n++\n")),
+        ValueError("sign string does not match the declared length")),
+    "unknown kind": (lambda: read_sequence(io.StringIO("len=1 kind=ternary\n1\n")),
+                     ValueError("unknown sequence kind 'ternary'")),
+    "seed file without ell0": (
+        lambda: read_seed_pair(io.StringIO("len=1 kind=binary\n+\n")),
+        ValueError("seed file must start with an ell0= line")),
+}
+
+
+@pytest.mark.parametrize("case", SEQUENCE_EDGES)
+def test_sequence_edge_inputs(case):
+    assert_outcome(*SEQUENCE_EDGES[case])
+
+
+QCOMPLEX_EDGES = {
+    "int minus CQ": (lambda: 1 - CQ(Fraction(1, 2), 3), CQ(Fraction(1, 2), -3)),
+    "CQ equals a non-number": (lambda: CQ(1) == object(), False),
+    "hash of a real CQ": (lambda: hash(CQ(Fraction(3, 4))) == hash(Fraction(3, 4)), True),
+    "hash of a complex CQ": (lambda: hash(CQ(1, 2)) == hash((Fraction(1), Fraction(2))), True),
+    "complex float": (lambda: as_cq(1j),
+                      TypeError("binary floating complex is not exact; pass rationals")),
+    "object": (lambda: as_cq(object()),
+               TypeError("cannot interpret object as a complex rational")),
+    "magnitude of a real CQ": (lambda: exact_magnitude(CQ(Fraction(-3, 2))), Fraction(3, 2)),
+    "magnitude of a float": (lambda: exact_magnitude(1.5),
+                             TypeError("unsupported value type float")),
+}
+
+
+@pytest.mark.parametrize("case", QCOMPLEX_EDGES)
+def test_qcomplex_edge_inputs(case):
+    assert_outcome(*QCOMPLEX_EDGES[case])
 
 
 def test_budget_guard():
@@ -496,6 +559,19 @@ def test_seed_pair_roundtrip(seed_pm4):
     buf.seek(0)
     again = read_seed_pair(buf)
     assert again == seed_pm4
+
+
+def test_seed_and_length_fields_past_int_text_limit():
+    # A declared ell0 of 5001 digits is written in full and read back; a
+    # negative declared length of as many digits is named in full.
+    seed = validate_seed(Sequence.binary("++"), Sequence.binary("+-"), 10**5000 + 3)
+    buf = io.StringIO()
+    write_seed_pair(seed, buf)
+    buf.seek(0)
+    assert read_seed_pair(buf) == seed
+    length = -(10**5000)
+    with pytest.raises(ValueError, match=f"^declared length len={int_text(length)} is negative$"):
+        read_sequence(io.StringIO(f"len={int_text(length)} kind=binary\n+\n"))
 
 
 def test_product_identities_against_oracle(corpus):
