@@ -1,7 +1,8 @@
 """Peak scans without materializing the sequences.
 
 The coefficient-table recursion evaluates any crosscorrelation value of
-the level-n pair from two cached lower-level spectra.  The peak scan
+the level-n pair from the spectra of two lower levels, n-t and n-t-1,
+built for the call from levels 1 and 0 and not kept.  The peak scan
 searches the tree of coefficient blocks best first, bounded by the peaks
 of lower levels, so its memory does not grow with n.  Run:
 
@@ -15,7 +16,7 @@ from grs.fastscan import coeff_by_iteration, psl_report
 
 seed = rudin_shapiro_seed()
 
-# A single coefficient at level 20 costs two small cached spectra.
+# A single coefficient at level 20 builds the spectra of levels 10 and 9.
 value = coeff_by_iteration(seed, 20, 10, -349525)
 print("C_20(-349525) =", value)
 
@@ -33,8 +34,7 @@ print(f"levels 0..20 in {time.monotonic() - t0:.2f}s")
 rep = psl_report(seed, 17)
 print("\nsidelobe peak of level 17:", rep.value, "at", rep.witnesses)
 
-# The split sets the leaf depth of the search and the two dense levels;
-# it does not change the output.
-for t_split in (5, 8, 12):
-    rep, _ = streaming_peaks(seed, 16, t_split=t_split)
-    print(f"t_split={t_split:2d} -> {rep.value} at {rep.witnesses}")
+# The step count t picks the two levels a lookup reads; it does not
+# change the value, here at the level-16 peak.
+for t in (5, 8, 12):
+    print(f"t={t:2d}: C_16(-22955) = {coeff_by_iteration(seed, 16, t, -22955)}")

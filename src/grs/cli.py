@@ -9,7 +9,7 @@ identical configurations produce byte-identical output.
 Exit codes: 0 success, 1 at least one verification verdict failed,
 2 usage or input error (bad arguments, unreadable or invalid files,
 a negative --max, an option the chosen verify suite ignores, --rs
-with --seed, budget caps).
+with --seed, budget caps, an allocation that fails).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("peaks", help="streaming peak crosscorrelation scan")
     add_seed_opts(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-split", dest="t_split", type=int)
     p.add_argument("--psl", dest="with_psl", action="store_true",
                    help="include the derived level n+1 sidelobe report")
     add_output(p)
@@ -197,9 +196,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "peaks":
         from .fastscan import streaming_peaks
         seed = _load_seed(args)
-        pcc_rep, psl_rep = streaming_peaks(
-            seed, args.n, t_split=args.t_split, budget=args.budget
-        )
+        pcc_rep, psl_rep = streaming_peaks(seed, args.n, args.budget)
         payload = pcc_rep.as_json_dict("pcc")
         if args.with_psl:
             payload["psl_next"] = psl_rep.as_json_dict("psl")
@@ -258,11 +255,12 @@ def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     try:
         sys.exit(run(args))
-    except (ValueError, RuntimeError, OSError) as err:
-        # Predictable failures (budget caps, bad seed files, bad shifts)
-        # get a one-line message instead of a traceback, and the usage
-        # error code, so that exit 1 always means a failed verdict.
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as err:
+        # Predictable failures (budget caps, bad seed files, bad shifts, an
+        # allocation that fails) get a one-line message instead of a
+        # traceback, and the usage error code, so that exit 1 always means
+        # a failed verdict.  str(MemoryError()) is empty.
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         sys.exit(2)
 
 

@@ -25,14 +25,15 @@ dtype) instead.
 
 The blocks of all step counts form one binary tree over the shifts
 (``_children``).  The peak scan searches it best first, bounding every
-block by the exact peaks of two lower levels, and evaluates only the
-leaves that can reach the best value found (``_tree_peak``).  Each seed
-keeps one bounded list, one entry per level: its peak, read off the oracle
-levels 0 and 1, which the list also keeps, and found once by the same
-search above them, with its leaves at level 1.  Any higher level that a
-caller needs is built by t = 1 steps up from levels 1 and 0 and not kept.
-So the memory of a default scan does not grow with n, and no level is
-searched twice.
+block by the exact peaks of two lower levels, down to the leaves at depth
+n-1, and evaluates on levels 1 and 0 only the leaves that can reach the
+best value found (``_tree_peak``).  Each seed keeps one list, one entry
+per level: its peak, read off the oracle levels 0 and 1, which the list
+also keeps, and found once by that search above them.  So the memory of a
+scan does not grow with n, and no level is searched twice.  The lookups
+(``coeff_by_iteration``, ``iter_spectrum``) take the step count t: they
+build the levels n-t and n-t-1 they read by t = 1 steps up from levels 1
+and 0, and keep neither.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, list, tuple | Non
     entries = _peak_bounds.setdefault(seed, [])
     for j in range(len(entries), k + 1):
         level = _oracle_level(seed, j) if j <= 1 else None
-        best, hits = _peak_of(level, 1 - (seed.ell0 << j)) if level else _tree_peak(seed, j, j - 1)
+        best, hits = _peak_of(level, 1 - (seed.ell0 << j)) if level else _tree_peak(seed, j)
         entries.append((best if seed.is_rational else _root_up(best), hits, level))
     return entries
 
@@ -368,52 +369,49 @@ def _psl_from_pcc(pcc_rep: PeakReport, ell_n: int) -> PeakReport:
     return PeakReport(pcc_rep.level + 1, pcc_rep.value, tuple(mapped))
 
 
-def streaming_peaks(seed: SeedPair, n: int, t_split: int | None = None,
+def streaming_peaks(seed: SeedPair, n: int,
                     budget: int | None = None) -> tuple[PeakReport, PeakReport]:
-    """Peak crosscorrelation of the level-n pair by a best-first search of
-    the shift tree (see ``_tree_peak``), plus the derived peak sidelobe
-    report for level n+1.
+    """Peak crosscorrelation of the level-n pair, plus the derived peak
+    sidelobe report for level n+1.
 
-    The split t, 0 < t < n, is the depth of the leaves, whose blocks are
-    evaluated from the dense levels n-t and n-t-1.  By default the peak
-    is the one the seed keeps for level n (``_peak_bounds_to``): read off
-    levels 0 and 1, found with n-t = 1 above them, so a level is searched
-    once per seed.  Every split gives identical output.  The peak value is
-    |v| of the first witness v; a properly complex v, whose magnitude is in
-    general irrational, raises ValueError.  A split over ``budget`` is
-    refused before any level is built (``_check_split``).
+    The peak is the one the seed keeps for level n (``_peak_bounds_to``):
+    read off the oracle levels 0 and 1, and above them found once per seed
+    by a best-first search of the shift tree with its leaves on levels 1
+    and 0 (``_tree_peak``).  The peak value is |v| of the first witness v;
+    a properly complex v, whose magnitude is in general irrational, raises
+    ValueError.  A scan over ``budget`` is refused before any level is
+    built (``_check_split``).
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    lv1 = min(1, max(n - 1, 0)) if t_split is None else _split_level(n, t_split)
-    _check_split(seed, lv1, budget, "scan")
+    _check_split(seed, min(1, max(n - 1, 0)), budget, "scan")
 
-    hits = _peak_bounds_to(seed, n)[n][1] if t_split is None else _tree_peak(seed, n, t_split)[1]
+    hits = _peak_bounds_to(seed, n)[n][1]
     scale = _scale(seed)
     wits = tuple((s, exact_value(scale, *parts)) for s, *parts in hits)
     pcc_rep = PeakReport(n, exact_magnitude(wits[0][1]) if wits else 0, wits)
     return pcc_rep, _psl_from_pcc(pcc_rep, seed.ell0 << n)
 
 
-def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
-    """Largest |d^2 C_n(s)| over all shifts (its square for a complex seed)
-    and every attaining shift with the parts of its value, (s, re) or
-    (s, re, im), sorted by shift; (0, []) when every value vanishes.
+def _tree_peak(seed: SeedPair, n: int) -> tuple[int, list]:
+    """Largest |d^2 C_n(s)| over all shifts, n >= 2 (its square for a
+    complex seed), and every attaining shift with the parts of its value,
+    (s, re) or (s, re, im), sorted by shift; (0, []) when every value
+    vanishes.
 
     Node q at depth k holds the shifts q * 2 ell_{n-k} + r, 0 <= r <
     2 ell_{n-k}; the two roots cover [-ell_n, ell_n), and -ell_n has r = 0,
     where every value vanishes.  Its bound is ``_bound`` for m_{n-k} and
     m_{n-k-1}, capped by its parent's.  Nodes are expanded by decreasing
-    bound down to the leaves at depth t, which are evaluated, until a
-    bound falls below the best value: nodes whose bound equals it are
-    still expanded, so every witness is kept.  Complex levels compare
-    squared magnitudes with squared bounds.
+    bound down to the leaves at depth n-1, which are evaluated on the kept
+    levels 1 and 0, until a bound falls below the best value: nodes whose
+    bound equals it are still expanded, so every witness is kept.  Complex
+    levels compare squared magnitudes with squared bounds.
     """
-    lv1 = _split_level(n, t)
-    level_nt, level_nt1 = _levels(seed, lv1)
+    entries = _peak_bounds_to(seed, n - 1)
+    level_1, level_0 = entries[1][2], entries[0][2]
     power = 1 if seed.is_rational else 2
-    big_l = 2 * (seed.ell0 << lv1)
-    ms = [entry[0] for entry in _peak_bounds_to(seed, n - 1)]
+    ms = [entry[0] for entry in entries]
 
     def node(depth, q, coeffs, cap):
         own = _bound(coeffs, ms[n - depth], ms[n - depth - 1])
@@ -426,11 +424,11 @@ def _tree_peak(seed: SeedPair, n: int, t: int) -> tuple[int, list]:
         bound = (-neg) ** power
         if bound < best or bound == 0:
             break
-        if depth < t:
+        if depth < n - 1:
             for child_q, child in zip((2 * q, 2 * q + 1), _children(coeffs)):
                 heapq.heappush(heap, node(depth + 1, child_q, child, -neg))
             continue
-        m, wits = _peak_of(_block_values(*coeffs, level_nt, level_nt1, own), q * big_l)
+        m, wits = _peak_of(_block_values(*coeffs, level_1, level_0, own), q * 4 * seed.ell0)
         if m > best:
             best, hits = m, wits
         elif m == best:

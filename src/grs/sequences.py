@@ -116,7 +116,8 @@ class Sequence:
     be all zero.  A sequence of real integers is one array over den = 1.
     The representation is canonical, so equality compares den and the
     trimmed parts, as polynomials: the declared length and trailing zeros
-    do not matter.  The hash reads den, the degree and the part count.
+    do not matter.  The hash reads den, the degree and the trimmed parts,
+    computed per call: no key copy is kept.
     """
 
     __slots__ = ("length", "parts", "den", "_degree")
@@ -221,7 +222,8 @@ class Sequence:
                 and all(np.array_equal(a[:end], b[:end]) for a, b in zip(self.parts, other.parts)))
 
     def __hash__(self):
-        return hash((self.den, self._degree, len(self.parts)))
+        end = self._degree + 1
+        return hash((self.den, self._degree, *(tuple(p[:end].tolist()) for p in self.parts)))
 
     def __repr__(self):
         if self.is_binary:

@@ -310,12 +310,10 @@ def test_rs_verdicts_hold_to_level_600():
 
 
 def test_pcc_600_is_pinned(rs_seed):
-    # 132 digits at one witness, the standard shift t_600, found alike by
-    # the default scan and by a split whose dense levels are 13 and 12.
+    # 132 digits at one witness, the standard shift t_600.
     rep, _ = streaming_peaks(rs_seed, 600)
     assert rep.value == PCC_600 and len(str(PCC_600)) == 132
     assert rep.witnesses == ((standard_shift(600, 1), PCC_600),)
-    assert streaming_peaks(rs_seed, 600, t_split=587)[0] == rep
 
 
 def test_generic_bound_holds_to_level_200(

@@ -320,20 +320,41 @@ def test_budget_message_past_int_text_limit(tmp_path, capsys):
 
 
 def test_scan_budget_refusal_is_an_input_error(monkeypatch, capsys):
-    # The t = 1 split of level 30 would hold 9 * 2^29 entries; it is
-    # refused before any level is built.
+    # The scan of level 30 holds 18 entries of levels 1 and 0; under
+    # --budget 17 it is refused before any level is built.
     from grs import fastscan
 
     def no_level(*args):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(fastscan, "_levels", no_level)
+    monkeypatch.setattr(fastscan, "_peak_bounds_to", no_level)
     with pytest.raises(SystemExit) as exc:
-        main(["peaks", "--rs", "--n", "30", "--t-split", "1"])
+        main(["peaks", "--rs", "--n", "30", "--budget", "17"])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == (
-        "error: scan needs 4831838208 entries, budget is 2147483648\n"
-    )
+    assert capsys.readouterr() == ("", "error: scan needs 18 entries, budget is 17\n")
+
+
+@pytest.mark.parametrize(
+    "args, target, error, message",
+    [
+        (["gen", "--rs", "--n", "3"], "grs.cli.grs_member", MemoryError(), "MemoryError"),
+        (["verify", "--suite", "rs", "--max", "3"], "grs.bounds.verify_rs_bounds",
+         MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB"),
+    ],
+    ids=["gen", "verify"],
+)
+def test_allocation_failure_is_not_a_failed_verdict(monkeypatch, capsys, args, target, error,
+                                                    message):
+    # Exit 1 means a failed verdict; an allocation that fails exits 2 with
+    # one error line that names it, also when the exception has no text.
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, fail)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -520,7 +541,6 @@ PARSER_TABLE = {
         (("--rs",), "rs", False, False, None, 0, None),
         (("--seed",), "seed_path", None, False, None, None, None),
         (("--n",), "n", None, True, None, None, "int"),
-        (("--t-split",), "t_split", None, False, None, None, "int"),
         (("--psl",), "with_psl", False, False, None, 0, None),
         (("--output", "-o"), "output", None, False, None, None, None),
         (("--budget",), "budget", None, False, None, None, "int"),
@@ -603,13 +623,14 @@ def test_negative_max_is_an_input_error(capsys, args):
     assert capsys.readouterr() == ("", "error: --max must be nonnegative\n")
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_invalid_split_is_an_input_error_at_low_levels(capsys, n):
-    for t in (-1, 0, n, 9):
-        with pytest.raises(SystemExit) as exc:
-            main(["peaks", "--rs", "--n", str(n), "--t-split", str(t)])
-        assert exc.value.code == 2
-        assert capsys.readouterr() == ("", f"error: need 0 < t < n, got t={t}, n={n}\n")
+def test_t_split_is_an_unrecognized_argument(capsys):
+    # The scan has one leaf depth; a split is not an option of peaks.
+    with pytest.raises(SystemExit) as exc:
+        main(["peaks", "--rs", "--n", "5", "--t-split", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --t-split 3\n")
 
 
 def test_entry_point_runs():

@@ -41,9 +41,9 @@ C_20(-349525) = 19041
 levels 0..20 in <wall>s
 
 sidelobe peak of level 17: 2445 at ((88491, 2445),)
-t_split= 5 -> 2445 at ((-22955, 2445),)
-t_split= 8 -> 2445 at ((-22955, 2445),)
-t_split=12 -> 2445 at ((-22955, 2445),)
+t= 5: C_16(-22955) = 2445
+t= 8: C_16(-22955) = 2445
+t=12: C_16(-22955) = 2445
 """,
     "03_exact_field": """\
 m(alpha) = (0) + (0)*a + (0)*a^2

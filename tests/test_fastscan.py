@@ -158,13 +158,15 @@ def test_psl_report_takes_no_split(rs_seed):
 
 
 def test_streaming_golden_large_levels(rs_seed):
-    # Far past any materializable level; two leaf depths agree on each.
-    for n, value in ((50, 59901979961), (100, 6109881259849012232609),
-                     (166, 1973078732664453215819858214744627849)):
-        reports = [streaming_peaks(rs_seed, n, t_split=t)[0] for t in (n - 13, n - 9)]
-        assert reports[0] == reports[1]
-        assert reports[0].value == value
-        assert streaming_peaks(rs_seed, n)[0] == reports[0]
+    # Far past any materializable level: each peak and its one witness.
+    for n, value, shift in (
+        (50, 59901979961, -375299968947541),
+        (100, 6109881259849012232609, -422550200076076467165567735125),
+        (166, 1973078732664453215819858214744627849,
+         -31178701596392595588345276431280704419326560916821),
+    ):
+        rep, _ = streaming_peaks(rs_seed, n)
+        assert (rep.level, rep.value, rep.witnesses) == (n, value, ((shift, value),)), n
 
 
 def test_streaming_beyond_cutoff(rs_seed):
@@ -177,13 +179,14 @@ def test_streaming_beyond_cutoff(rs_seed):
 
 
 def test_streaming_split_independence(corpus, seed_complex, seed_complex_rational):
+    # The pruned search equals the peak of the whole level n, built at every
+    # split t of the four-term formula, real and complex.
     for seed in corpus + [seed_complex, seed_complex_rational]:
         for n in range(3, 11):
-            reports = [
-                streaming_peaks(seed, n, t_split=t)
-                for t in range(1, n)
-            ]
-            assert all(r == reports[0] for r in reports)
+            found = fastscan._tree_peak(seed, n)
+            for t in range(1, n):
+                level = fastscan._dense_int(seed, n, t, *fastscan._levels(seed, n - t))
+                assert fastscan._peak_of(level, 1 - (seed.ell0 << n)) == found, (n, t)
 
 
 def test_streaming_even_skip_consistency(rs_seed, seed_pm2):
@@ -220,8 +223,8 @@ def _dense_peak(seed, n, t):
 def test_pruned_scan_equals_dense(corpus, seed_golay10, seed_padded3, seed_rational):
     for seed in corpus + [seed_golay10, seed_padded3, seed_rational]:
         for n in range(3, 17):
+            rep, _ = streaming_peaks(seed, n)
             for t in range(1, n):
-                rep, _ = streaming_peaks(seed, n, t_split=t)
                 value, wits = _dense_peak(seed, n, t)
                 assert rep.value == value, (seed.ell0, n, t)
                 assert rep.witnesses == wits, (seed.ell0, n, t)
@@ -275,7 +278,7 @@ def test_low_levels_match_the_oracle(
 def test_complex_leaves_stay_in_int64(seed_complex, monkeypatch):
     # The bound of a block caps every re and im partial sum, so the leaves
     # of the (1, i)/(1, -i) scan stay in int64 at n = 60, where the square
-    # of that bound leaves it.
+    # of that bound leaves it.  The peak is the pure imaginary 15491477817747i.
     dtypes = set()
 
     def block_values(*args):
@@ -289,8 +292,8 @@ def test_complex_leaves_stay_in_int64(seed_complex, monkeypatch):
     rep, _ = streaming_peaks(seed_complex, 60)
     fastscan.clear_caches()
     assert dtypes == {np.dtype(np.int64)}
-    monkeypatch.undo()
-    assert streaming_peaks(seed_complex, 60, t_split=52)[0] == rep
+    assert rep.value == 15491477817747
+    assert rep.witnesses == ((-768614336404564661, CQ(0, 15491477817747)),)
 
 
 def test_properly_complex_peak_still_raises(tmp_path, capsys):
@@ -331,34 +334,32 @@ def test_clear_caches_empties_every_cache(rs_seed):
 
 def test_each_level_is_searched_once_per_seed(rs_seed, monkeypatch):
     # Both rs suites ask for every PCC_n up to 40, and each level above 1
-    # is searched once, for its entry of the peak list, with its leaves at
-    # level 1 (t = n - 1); a later scan at the default split reads that
-    # entry.
+    # is searched once, for its entry of the peak list; a later scan reads
+    # that entry.
     from grs.bounds import verify_rs_bounds, verify_rs_lower_bounds
 
     searched = []
     search = fastscan._tree_peak
 
-    def counted(seed, n, t):
-        searched.append((n, t))
-        return search(seed, n, t)
+    def counted(seed, n):
+        searched.append(n)
+        return search(seed, n)
 
     monkeypatch.setattr(fastscan, "_tree_peak", counted)
     fastscan.clear_caches()
     verify_rs_bounds(40) + verify_rs_lower_bounds(40)
-    assert sorted(searched) == [(n, n - 1) for n in range(2, 41)] and len(searched) == 39
+    assert sorted(searched) == list(range(2, 41)) and len(searched) == 39
     assert streaming_peaks(rs_seed, 40)[0].value == 372089521
     assert len(searched) == 39
 
 
 def test_levels_above_the_floor_are_not_kept(rs_seed):
-    # Explicit splits and single coefficients build the levels above 1 per
+    # Level spectra and single coefficients build the levels above 1 per
     # call; only entries 0 and 1 hold a level.
     fastscan.clear_caches()
     oracle = correlation.spectrum(*_pair_seqs(rs_seed, 17)).parts[0]
     assert iter_spectrum(rs_seed, 17, 2).tolist() == oracle.tolist()
     rep, _ = streaming_peaks(rs_seed, 30)
-    assert streaming_peaks(rs_seed, 30, t_split=10)[0] == rep
     shifts = [s for s, _ in rep.witnesses] + [-(1 << 29) + 5, 3, (1 << 30) - 7]
     for s in shifts:
         assert coeff_by_iteration(rs_seed, 30, 10, s) == coeff_by_iteration(rs_seed, 30, 17, s)
@@ -451,8 +452,8 @@ def test_levels_above_a_lowered_floor(
     seed_complex_rational,
 ):
     # Levels 2..9 are each built by t = 1 steps from levels 1 and 0, on
-    # every kind of seed, and the peaks of the default split equal those of
-    # every explicit split.  The 10^20 seed's values leave int64, so its
+    # every kind of seed, and the scan's peak of each equals the one read
+    # off the whole level.  The 10^20 seed's values leave int64, so its
     # levels are Python integers.
     big = validate_seed(Sequence([10**20, 10**20]), Sequence([10**20, -(10**20)]), 2)
     seeds = [rs_seed, seed_pm4, seed_golay10, seed_padded3, seed_rational, seed_complex,
@@ -466,8 +467,8 @@ def test_levels_above_a_lowered_floor(
                     assert all(part.dtype == (object if seed is big else np.int64)
                                for part in level)
             for n in range(2, 10):
-                default = streaming_peaks(seed, n)
-                assert all(streaming_peaks(seed, n, t_split=t) == default for t in range(1, n))
+                dense = fastscan._peak_of(fastscan._levels(seed, n)[0], 1 - (seed.ell0 << n))
+                assert fastscan._peak_bounds_to(seed, n)[n][1] == dense[1], n
     finally:
         fastscan.clear_caches()
 
@@ -552,25 +553,24 @@ def test_tree_search_equals_sorted_bounds_reference(
              seed_complex_rational]
     for seed in seeds:
         for n in range(3, 17):
-            for t in range(1, n):
-                reference = _reference_block_peak(abgd(t), *fastscan._levels(seed, n - t))
-                assert fastscan._tree_peak(seed, n, t) == reference, (seed.ell0, n, t)
+            reference = _reference_block_peak(abgd(n - 1), *fastscan._levels(seed, 1))
+            assert fastscan._tree_peak(seed, n) == reference, (seed.ell0, n)
 
 
 def test_tree_search_keeps_equal_bound_witnesses():
     # (1, 1, 0)/(0, -1, 1) with ell0 = 3 peaks at two shifts from level 5
-    # on, and deep splits put them in blocks whose bound equals the peak:
-    # the search must expand those blocks too.
+    # on, and the search puts them in blocks whose bound equals the peak:
+    # it must expand those blocks too.
     seed = validate_seed(Sequence([1, 1, 0]), Sequence([0, -1, 1]), 3)
+    fastscan.clear_caches()
     for n in range(3, 11):
         pair = grs_pair(seed, n)
         spec = correlation.spectrum(pair.x, pair.y)
         value, shifts = correlation.pcc(pair.x, pair.y)
         assert len(shifts) == (1 if n in (3, 4, 6) else 2)
-        for t in range(1, n):
-            rep, _ = streaming_peaks(seed, n, t_split=t)
-            assert rep.value == value, (n, t)
-            assert rep.witnesses == tuple((s, spec.value(s)) for s in shifts), (n, t)
+        rep, _ = streaming_peaks(seed, n)
+        assert rep.value == value, n
+        assert rep.witnesses == tuple((s, spec.value(s)) for s in shifts), n
 
 
 def test_large_coefficients_leave_int64_exactly():
@@ -590,13 +590,13 @@ def test_large_coefficients_leave_int64_exactly():
             assert iter_spectrum(seed, n, t).tolist() == oracle, (n, t)
             for s in range(-ell + 1, ell):
                 assert coeff_by_iteration(seed, n, t, s) == oracle[s + ell - 1]
-            rep, _ = streaming_peaks(seed, n, t_split=t)
-            assert (rep.value, rep.witnesses) == (peak, wits), (n, t)
+        rep, _ = streaming_peaks(seed, n)
+        assert (rep.value, rep.witnesses) == (peak, wits), n
 
 
 def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
-    # A split counts 9 * ell_{n-t} entries per part; the default split
-    # reads levels 1 and 0, so 18 * ell0.
+    # The scan reads levels 1 and 0, and counts 9 * ell_1 = 18 * ell0
+    # entries per part.
     fastscan.clear_caches()
     with pytest.raises(BudgetExceeded, match="^scan needs 18 entries, budget is 17$"):
         streaming_peaks(rs_seed, 12, budget=17)
@@ -605,24 +605,16 @@ def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
     with pytest.raises(BudgetExceeded, match="^scan needs 18 entries, budget is 17$"):
         streaming_peaks(rs_seed, 12, budget=17)
     with pytest.raises(BudgetExceeded, match="^scan needs 36 entries, budget is 35$"):
-        streaming_peaks(rs_seed, 12, t_split=10, budget=35)
-    assert streaming_peaks(rs_seed, 12, t_split=10, budget=36)[0].value == 373
-    with pytest.raises(BudgetExceeded, match="^scan needs 36 entries, budget is 35$"):
         streaming_peaks(seed_rational, 20, budget=35)
     assert streaming_peaks(seed_rational, 20, budget=36)[0].value == Fraction(28293, 4)
     # A complex level is two arrays, re and im, so it counts twice: the
     # same scan fits the budget on a real seed and not on a complex one.
-    need = 9 * (2 << 15)
-    with pytest.raises(BudgetExceeded, match=f"^scan needs {need} entries"):
-        streaming_peaks(seed_rational, 20, t_split=5, budget=need - 1)
-    rep, _ = streaming_peaks(seed_rational, 20, t_split=5, budget=need)
-    assert rep.value == Fraction(28293, 4)
-    with pytest.raises(BudgetExceeded, match=f"^scan needs {2 * need} entries"):
-        streaming_peaks(seed_complex, 20, t_split=5, budget=need)
-    # The budget counts the two dense levels and a leaf block: a deep split
-    # keeps them small, whatever the number of blocks at its depth.
-    assert streaming_peaks(rs_seed, 40, t_split=35)[0].value == 372089521
-    assert streaming_peaks(rs_seed, 40)[0].value == 372089521
+    with pytest.raises(BudgetExceeded, match="^scan needs 72 entries, budget is 36$"):
+        streaming_peaks(seed_complex, 20, budget=36)
+    assert streaming_peaks(seed_complex, 20, budget=72)[0].level == 20
+    # The budget counts the two kept levels and a leaf block, whatever the
+    # number of blocks at the leaf depth.
+    assert streaming_peaks(rs_seed, 40, budget=18)[0].value == 372089521
     # Levels 0..2 take the same check, with dense level max(n - 1, 0).
     for n, need in ((0, 9), (1, 9), (2, 18)):
         with pytest.raises(BudgetExceeded, match=f"^scan needs {need} entries, budget is "):
@@ -631,37 +623,22 @@ def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
 
 
 def test_scan_budget_refuses_before_any_level_is_built(monkeypatch):
-    # Level 29 of the unit seed would hold 9 * 2^29 entries at the split
-    # t = 1, more than the default cap of 2^31.  Building any level fails
-    # the test, so the refusal must come first.
+    # Every level the scan reads, kept or searched, comes through the
+    # seed's store; reaching it fails the test, so the refusal must come
+    # first.  A seed declared with ell0 = 2^28 needs 18 * 2^28 entries at
+    # levels 1 and 0, more than the default cap of 2^31.
     def no_level(*args):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(fastscan, "_levels", no_level)
+    monkeypatch.setattr(fastscan, "_peak_bounds_to", no_level)
+    with pytest.raises(BudgetExceeded, match="^scan needs 18 entries, budget is 17$"):
+        streaming_peaks(rudin_shapiro_seed(), 30, budget=17)
+    huge = validate_seed(Sequence.binary("++"), Sequence.binary("+-"), 1 << 28)
     with pytest.raises(BudgetExceeded, match="^scan needs 4831838208 entries, budget is 2147483648$"):
-        streaming_peaks(rudin_shapiro_seed(), 30, t_split=1)
-    # A split with n - t = 27 is admitted and goes on to build its levels.
+        streaming_peaks(huge, 30)
+    # At the need, the scan is admitted and goes on to build its levels.
     with pytest.raises(AssertionError, match="a level was built"):
-        streaming_peaks(rudin_shapiro_seed(), 28, t_split=1)
-
-
-@pytest.mark.parametrize("t", (1, 3, 6))
-def test_scan_budget_counts_what_a_split_holds(t, rs_seed, seed_pm4, seed_rational, seed_complex):
-    # At ell_{n-t} = 2^12, the bytes a split allocates stay within 8 bytes
-    # (one int64) per counted entry, on real and complex levels.
-    for seed in (rs_seed, seed_pm4, seed_rational, seed_complex):
-        n = 13 - seed.ell0.bit_length() + t
-        need = 9 * (1 << 12) * (1 if seed.is_rational else 2)
-        fastscan.clear_caches()
-        with pytest.raises(BudgetExceeded, match=f"^scan needs {need} entries"):
-            streaming_peaks(seed, n, t_split=t, budget=need - 1)
-        tracemalloc.start()
-        try:
-            streaming_peaks(seed, n, t_split=t, budget=need)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * need, (seed, t, peak / (8 * need))
+        streaming_peaks(rudin_shapiro_seed(), 30, budget=18)
 
 
 def test_lookups_refuse_before_any_level_is_built(monkeypatch, rs_seed):
@@ -685,13 +662,17 @@ def test_lookups_refuse_before_any_level_is_built(monkeypatch, rs_seed):
 
 @pytest.mark.parametrize("t", (1, 3, 6))
 def test_lookup_budgets_count_what_they_hold(t, rs_seed, seed_pm4, seed_rational, seed_complex):
-    # A lookup holds what a split of the scan holds: within 8 bytes per
-    # counted entry at ell_{n-t} = 2^12.  A level spectrum stays within 8
+    # A lookup holds, within 8 bytes (one int64) per counted entry at
+    # ell_{n-t} = 2^12, the count that its split check and the scan's
+    # share, on real and complex levels.  A level spectrum stays within 8
     # bytes per counted entry from ell_n = 2^16 on; below that, fixed
     # costs of a few hundred KB dominate.
     for seed in (rs_seed, seed_pm4, seed_rational, seed_complex):
         lv = 13 - seed.ell0.bit_length()
         need = 9 * (1 << 12) * (1 if seed.is_rational else 2)
+        with pytest.raises(BudgetExceeded, match=f"^lookup needs {need} entries"):
+            fastscan._check_split(seed, lv, need - 1, "lookup")
+        fastscan._check_split(seed, lv, need, "lookup")
         fastscan.clear_caches()
         fastscan._peak_bounds_to(seed, lv)
         tracemalloc.start()
@@ -744,6 +725,14 @@ FASTSCAN_EDGES = {
 @pytest.mark.parametrize("case", FASTSCAN_EDGES)
 def test_fastscan_edge_inputs(case):
     assert_outcome(*FASTSCAN_EDGES[case])
+
+
+def test_budget_is_the_third_positional_parameter(rs_seed):
+    # A caller may pass the budget, None included, as the third positional
+    # argument; perfbench/tracing.py passes None there.
+    assert streaming_peaks(rs_seed, 14, None) == streaming_peaks(rs_seed, 14)
+    with pytest.raises(BudgetExceeded, match="^scan needs 18 entries, budget is 17$"):
+        streaming_peaks(rs_seed, 14, 17)
 
 
 def test_budget_is_not_read_from_the_environment(monkeypatch, rs_seed):

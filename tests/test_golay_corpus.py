@@ -12,9 +12,10 @@ from itertools import product
 from math import factorial
 
 import pytest
+from test_fastscan import _reference_block_peak
 
-from grs import correlation
-from grs.fastscan import streaming_peaks
+from grs import correlation, fastscan
+from grs.fastscan import abgd, streaming_peaks
 from grs.sequences import Sequence, grs_pair, validate_seed
 
 LENGTHS = (2, 4, 8, 10)
@@ -56,6 +57,12 @@ def test_ordered_pair_counts():
     assert len(corpus_seeds()) == 360
 
 
+def test_every_pair_hashes_apart():
+    # The per-seed peak store is a dict keyed by the pair, so equal hashes
+    # would turn its lookups into chains of equality tests.
+    assert len({hash(seed) for seed in corpus_seeds()}) == 360
+
+
 @pytest.mark.parametrize("length, m", [(4, 2), (8, 3)])
 def test_member_counts_match_davis_jedwab(length, m):
     # The Golay sequences of length 2^m number m!/2 * 2^(m+1).
@@ -73,9 +80,10 @@ def test_scan_equals_the_oracle_on_every_pair():
             assert (report.value, report.witnesses) == (value, witnesses), (seed, n)
 
 
-def test_explicit_split_equals_the_default_on_every_pair():
-    # One level per pair, n = 2..6 in turn, each with its own split t.
+def test_scan_equals_the_unpruned_reference_on_every_pair():
+    # One level per pair, n = 2..6 in turn: the pruned search equals every
+    # block of its leaf depth evaluated without pruning.
     for i, seed in enumerate(corpus_seeds()):
         n = 2 + i % 5
-        t = 1 + i % (n - 1)
-        assert streaming_peaks(seed, n, t_split=t) == streaming_peaks(seed, n), (seed, n, t)
+        reference = _reference_block_peak(abgd(n - 1), *fastscan._levels(seed, 1))
+        assert fastscan._tree_peak(seed, n) == reference, (seed, n)

@@ -194,6 +194,19 @@ def test_equality_ignores_trailing_zeros():
     assert hash(Sequence([1, 1, 0, 0], 4)) == hash(Sequence.binary("++"))
 
 
+def test_hash_reads_the_coefficients():
+    # One polynomial built four ways hashes alike; another one of the same
+    # den, degree and part count does not.
+    forms = [
+        Sequence([1, -1, 2]),
+        Sequence([Fraction(1), Fraction(-1), Fraction(2)]),
+        Sequence([1, -1, 2, 0, 0], 5),
+        Sequence([CQ(1, 0), CQ(-1, 0), CQ(2, 0)]),
+    ]
+    assert len({hash(seq) for seq in forms}) == 1
+    assert hash(Sequence([1, 1, 2])) != hash(forms[0])
+
+
 def test_equal_shape_is_not_equality():
     # Same den, degree and part count; one coefficient differs, in the re
     # part, the im part or a value past int64.
