@@ -623,14 +623,17 @@ def test_negative_max_is_an_input_error(capsys, args):
     assert capsys.readouterr() == ("", "error: --max must be nonnegative\n")
 
 
-def test_t_split_is_an_unrecognized_argument(capsys):
-    # The scan has one leaf depth; a split is not an option of peaks.
-    with pytest.raises(SystemExit) as exc:
-        main(["peaks", "--rs", "--n", "5", "--t-split", "3"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("error: unrecognized arguments: --t-split 3\n")
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_invalid_split_is_an_input_error_at_low_levels(capsys, n):
+    # The scan has one leaf depth; a split is not an option of peaks, at any
+    # level and for any value, including the ones that were once out of range.
+    for t in (-1, 0, n, 3, 9):
+        with pytest.raises(SystemExit) as exc:
+            main(["peaks", "--rs", "--n", str(n), "--t-split", str(t)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: --t-split {t}\n")
 
 
 def test_entry_point_runs():
