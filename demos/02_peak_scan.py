@@ -2,7 +2,8 @@
 
 The coefficient-table recursion evaluates any crosscorrelation value of
 the level-n pair from the spectra of two lower levels, n-t and n-t-1,
-built for the call from levels 1 and 0 and not kept.  The peak scan
+built from levels 1 and 0; the last pair built is kept for the next
+lookup, and no lookup runs the peak search.  The peak scan
 searches the tree of coefficient blocks best first, bounded by the peaks
 of lower levels, so its memory does not grow with n.  Run:
 

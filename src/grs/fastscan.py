@@ -21,7 +21,8 @@ computes whole blocks as combinations of views of the level arrays; the
 coefficients are real, so the imaginary part is the same sum with the
 signs of the two conjugated terms flipped.  Every level and every block
 whose exact bound exceeds int64 is computed with Python integers (object
-dtype) instead.
+dtype) instead; the evaluator bounds each block from its own coefficients
+and the levels it reads, so that choice is made in one place.
 
 The blocks of all step counts form one binary tree over the shifts
 (``_children``).  The peak scan searches it best first, bounding every
@@ -31,9 +32,10 @@ best value found (``_tree_peak``).  Each seed keeps one list, one entry
 per level: its peak, read off the oracle levels 0 and 1, which the list
 also keeps, and found once by that search above them.  So the memory of a
 scan does not grow with n, and no level is searched twice.  The lookups
-(``coeff_by_iteration``, ``iter_spectrum``) take the step count t: they
-build the levels n-t and n-t-1 they read by t = 1 steps up from levels 1
-and 0, and keep neither.
+(``coeff_by_iteration``, ``iter_spectrum``) take the step count t and never
+run the search: they build the levels n-t and n-t-1 they read by t = 1
+steps up from levels 1 and 0, and keep the last pair built and the last
+two blocks evaluated.
 """
 
 from __future__ import annotations
@@ -147,13 +149,14 @@ def _bound(node, m_nt: int, m_nt1: int) -> int:
 # |d^2 C_k(s)|, with the witnesses of level k as ``_tree_peak`` returns
 # them, and, for k <= 1, level k itself, from the oracle on the (small)
 # materialized pairs.  A level above 1 is built from levels 1 and 0 by
-# t = 1 steps (``_levels``) and not kept.
+# t = 1 steps (``_levels``); the last pair built is kept, outside the store.
 
 _peak_bounds: dict[SeedPair, list[tuple[int, list, tuple | None]]] = {}
 
 
 def clear_caches() -> None:
     _peak_bounds.clear()
+    _levels.cache_clear()
     _block.cache_clear()
 
 
@@ -220,17 +223,19 @@ def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, list, tuple | Non
     return entries
 
 
+@lru_cache(maxsize=1)
 def _levels(seed: SeedPair, k: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Levels k and k-1, k >= 1: the kept levels 1 and 0, then t = 1 steps
-    up (``_dense_int``), each level built once and none kept."""
+    up (``_dense_int``).  The last pair built is kept, so a run of lookups
+    on one split builds it once and costs one evaluation per new block."""
     entries = _peak_bounds_to(seed, 1)
     high, low = entries[1][2], entries[0][2]
-    for j in range(2, k + 1):
-        high, low = _dense_int(seed, j, 1, high, low), high
+    for _ in range(2, k + 1):
+        high, low = _dense_int(1, high, low), high
     return high, low
 
 
-def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, ...]:
+def _block_values(a, b, g, d, level_nt, level_nt1) -> tuple[np.ndarray, ...]:
     """C_n(q * L + r) for r = 0 .. L-1 (index r) on block q, with
     L = 2 * ell_{n-t}: A V1 + B conj(V2) + Gamma V3 + Delta conj(V4), where
 
@@ -245,11 +250,15 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
     (a, b, g, d) are the block's table entries, or columns of entries, to
     evaluate one block per row by broadcasting.  The coefficients are
     real, so the imaginary part of a complex level is the same sum over
-    the im arrays with the signs of B and Delta flipped.  ``bound`` caps
-    every partial sum (see ``_bound``); past int64 the levels are
-    evaluated as Python integers.  Returns one array per part of the level.
+    the im arrays with the signs of B and Delta flipped.  ``_bound`` of
+    the coefficients, at the largest |entry| over all parts of each level,
+    caps every partial sum; past int64 the levels are evaluated as Python
+    integers.  Returns one array per part of the level.
     """
     half = level_nt1[0].size  # ell_{n-t} - 1
+    m_nt, m_nt1 = (max(map(abs_max, level)) for level in (level_nt, level_nt1))
+    cols = [c.astype(object) if isinstance(c, np.ndarray) else c for c in (a, b, g, d)]
+    bound = max(np.ravel(_bound(cols, m_nt, m_nt1)))
     out = []
     for c_nt, c_nt1 in zip(level_nt, level_nt1):
         if bound > INT64_MAX:
@@ -267,15 +276,12 @@ def _block_values(a, b, g, d, level_nt, level_nt1, bound) -> tuple[np.ndarray, .
     return tuple(out)
 
 
-def _dense_int(seed: SeedPair, n: int, t: int, level_nt, level_nt1) -> tuple[np.ndarray, ...]:
+def _dense_int(t: int, level_nt, level_nt1) -> tuple[np.ndarray, ...]:
     """Level n in one pass from its levels n-t and n-t-1: every block at
-    once, one per row, the rows end to end from shift -ell_n + 1 on.
-    Python integers (object dtype) when some value could leave int64."""
+    once, one per row, the rows end to end from shift -ell_n + 1 on."""
     table = abgd(t)
-    cols = (table.a, table.b, table.g, table.d)
-    ms = _peak_bounds_to(seed, n - t)
-    bound = _bound([c.astype(object) for c in cols], ms[n - t][0], ms[n - t - 1][0]).max()
-    blocks = _block_values(*(c[:, None] for c in cols), level_nt, level_nt1, bound)
+    blocks = _block_values(*(c[:, None] for c in (table.a, table.b, table.g, table.d)),
+                           level_nt, level_nt1)
     return tuple(v.reshape(-1)[1:] for v in blocks)
 
 
@@ -301,8 +307,7 @@ def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
     signs of the two-level rule are two blocks."""
     lv = _split_level(n, t)
     _check_split(seed, lv, None, "lookup")
-    node, ms = _coeffs(t, q), _peak_bounds_to(seed, lv)
-    return _block_values(*node, *_levels(seed, lv), _bound(node, ms[lv][0], ms[lv - 1][0]))
+    return _block_values(*_coeffs(t, q), *_levels(seed, lv))
 
 
 def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
@@ -321,7 +326,7 @@ def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
         raise ValueError("vectorized spectra need integer-valued seeds")
     lv = _split_level(n, t)
     check_budget(6 * (seed.ell0 << n), None, f"level {n} spectrum")
-    return _dense_int(seed, n, t, *_levels(seed, lv))[0]
+    return _dense_int(t, *_levels(seed, lv))[0]
 
 
 def coeff_by_geoff(seed: SeedPair, n: int, s: int):
@@ -414,13 +419,12 @@ def _tree_peak(seed: SeedPair, n: int) -> tuple[int, list]:
     ms = [entry[0] for entry in entries]
 
     def node(depth, q, coeffs, cap):
-        own = _bound(coeffs, ms[n - depth], ms[n - depth - 1])
-        return (-min(own, cap), depth, q, coeffs, own)
+        return (-min(_bound(coeffs, ms[n - depth], ms[n - depth - 1]), cap), depth, q, coeffs)
 
     heap = sorted(node(1, q, coeffs, inf) for q, coeffs in _ROOTS.items())
     best, hits = 0, []
     while heap:
-        neg, depth, q, coeffs, own = heapq.heappop(heap)
+        neg, depth, q, coeffs = heapq.heappop(heap)
         bound = (-neg) ** power
         if bound < best or bound == 0:
             break
@@ -428,7 +432,7 @@ def _tree_peak(seed: SeedPair, n: int) -> tuple[int, list]:
             for child_q, child in zip((2 * q, 2 * q + 1), _children(coeffs)):
                 heapq.heappush(heap, node(depth + 1, child_q, child, -neg))
             continue
-        m, wits = _peak_of(_block_values(*coeffs, level_1, level_0, own), q * 4 * seed.ell0)
+        m, wits = _peak_of(_block_values(*coeffs, level_1, level_0), q * 4 * seed.ell0)
         if m > best:
             best, hits = m, wits
         elif m == best:

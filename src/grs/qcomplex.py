@@ -97,10 +97,6 @@ class CQ:
     def is_real(self) -> bool:
         return self.im == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 

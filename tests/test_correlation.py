@@ -434,7 +434,7 @@ def _array_spectrum(rng, count, den, top, complex_):
     values = {}
     for k in rows:
         v = CQ(Fraction(re[k], den), Fraction(im[k], den))
-        values[offset + k] = v if not v.is_real else int(v.re) if v.is_integer else v.re
+        values[offset + k] = v if not v.is_real else int(v.re) if v.re.denominator == 1 else v.re
     return Spectrum(parts, den, offset, size), values
 
 

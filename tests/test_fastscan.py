@@ -185,7 +185,7 @@ def test_streaming_split_independence(corpus, seed_complex, seed_complex_rationa
         for n in range(3, 11):
             found = fastscan._tree_peak(seed, n)
             for t in range(1, n):
-                level = fastscan._dense_int(seed, n, t, *fastscan._levels(seed, n - t))
+                level = fastscan._dense_int(t, *fastscan._levels(seed, n - t))
                 assert fastscan._peak_of(level, 1 - (seed.ell0 << n)) == found, (n, t)
 
 
@@ -327,6 +327,7 @@ def test_clear_caches_empties_every_cache(rs_seed):
     coeff_by_geoff(rs_seed, 10, 3)
     fastscan.clear_caches()
     assert len(fastscan._peak_bounds) == 0
+    assert fastscan._levels.cache_info().currsize == 0
     assert fastscan._block.cache_info().currsize == 0
     again, _ = streaming_peaks(rs_seed, 20)
     assert again == before
@@ -354,8 +355,8 @@ def test_each_level_is_searched_once_per_seed(rs_seed, monkeypatch):
 
 
 def test_levels_above_the_floor_are_not_kept(rs_seed):
-    # Level spectra and single coefficients build the levels above 1 per
-    # call; only entries 0 and 1 hold a level.
+    # Level spectra and single coefficients build the levels above 1 out of
+    # the store, which holds a level at entries 0 and 1 only.
     fastscan.clear_caches()
     oracle = correlation.spectrum(*_pair_seqs(rs_seed, 17)).parts[0]
     assert iter_spectrum(rs_seed, 17, 2).tolist() == oracle.tolist()
@@ -371,21 +372,21 @@ def test_levels_above_the_floor_are_not_kept(rs_seed):
 
 def test_alternating_two_level_lookups_keep_both_blocks(rs_seed, monkeypatch):
     # Both signs of the two-level rule are two blocks, and both stay
-    # cached: levels 2..15 are built once per block, each by one t = 1
-    # step, not once per lookup.
+    # cached, as does the pair of levels they read: levels 2..15 are built
+    # once, each by one t = 1 step, not once per block or per lookup.
     built = []
     dense = fastscan._dense_int
 
-    def counted(seed, n, *rest):
-        built.append(n)
-        return dense(seed, n, *rest)
+    def counted(t, level_nt, level_nt1):
+        built.append((level_nt[0].size + 1).bit_length() - 1)  # ell_n = 2^n
+        return dense(t, level_nt, level_nt1)
 
     monkeypatch.setattr(fastscan, "_dense_int", counted)
     fastscan.clear_caches()
     oracle = correlation.spectrum(*_pair_seqs(rs_seed, 16))
     shifts = [(-1) ** i * (1001 + 2 * i) for i in range(20)]
     assert [coeff_by_geoff(rs_seed, 16, s) for s in shifts] == [oracle.value(s) for s in shifts]
-    assert built == list(range(2, 16)) * 2
+    assert built == list(range(2, 16))
     fastscan.clear_caches()
 
 
@@ -527,7 +528,7 @@ def _reference_block_peak(tables, level_nt, level_nt1):
         if bound < best or bound == 0:
             break
         coeffs = (int(col[qi]) for col in (tables.a, tables.b, tables.g, tables.d))
-        vals = fastscan._block_values(*coeffs, level_nt, level_nt1, bound)
+        vals = fastscan._block_values(*coeffs, level_nt, level_nt1)
         mags = vals[0] * vals[0] + vals[1] * vals[1] if square else np.abs(vals[0])
         m = int(mags.max())
         if m < best or m == 0:
@@ -594,6 +595,59 @@ def test_large_coefficients_leave_int64_exactly():
         assert (rep.value, rep.witnesses) == (peak, wits), n
 
 
+def test_large_complex_levels_bound_both_parts():
+    # Every level of (10^9, 10^9 i)/(10^9, -10^9 i) is purely imaginary,
+    # +/-10^18 i at level 0, and its values leave int64 from level 4 on: the
+    # evaluator's bound must read the im array as well as the re one.
+    big, big_i = 10**9, CQ(0, 10**9)
+    seed = validate_seed(Sequence([big, big_i]), Sequence([big, -big_i]), 2)
+    fastscan.clear_caches()
+    for n in range(8):
+        pair = grs_pair(seed, n)
+        spec = correlation.spectrum(pair.x, pair.y)
+        for t in range(1, n):
+            for s in range(1 - pair.length, pair.length):
+                assert as_cq(coeff_by_iteration(seed, n, t, s)) == as_cq(spec.value(s)), (n, t, s)
+        value, shifts = correlation.pcc(pair.x, pair.y)
+        rep, _ = streaming_peaks(seed, n)
+        assert (rep.value, rep.witnesses) == (value, tuple((s, spec.value(s)) for s in shifts)), n
+
+
+def test_lookups_never_run_the_search(
+    monkeypatch, rs_seed, seed_pm4, seed_golay10, seed_complex
+):
+    # A lookup reads the levels n-t and n-t-1 it builds and nothing of the
+    # peak search: with the search made to fail, every lookup still equals
+    # the oracle, and the store holds entries 0 and 1 only.
+    def no_search(*args):
+        raise AssertionError("a lookup ran the peak search")
+
+    monkeypatch.setattr(fastscan, "_tree_peak", no_search)
+    fastscan.clear_caches()
+    try:
+        for seed in (rs_seed, seed_pm4, seed_golay10):
+            for n in range(2, 13):
+                oracle = _oracle_dense(seed, n)
+                ell = seed.ell0 << n
+                shifts = range(1 - ell, ell, 1 + (ell >> 6))
+                for t in range(1, n):
+                    assert np.array_equal(iter_spectrum(seed, n, t), oracle), (n, t)
+                    for s in shifts:
+                        assert coeff_by_iteration(seed, n, t, s) == oracle[s + ell - 1], (n, t, s)
+                for s in shifts:
+                    if s:
+                        assert coeff_by_geoff(seed, n, s) == oracle[s + ell - 1], (n, s)
+        for n in range(2, 9):
+            pair = grs_pair(seed_complex, n)
+            spec = correlation.spectrum(pair.x, pair.y)
+            for t, s in itertools.product(range(1, n), range(1 - pair.length, pair.length)):
+                assert as_cq(coeff_by_iteration(seed_complex, n, t, s)) == as_cq(spec.value(s))
+        for seed in (rs_seed, seed_pm4, seed_golay10, seed_complex):
+            assert len(fastscan._peak_bounds[seed]) == 2
+    finally:
+        fastscan.clear_caches()
+
+
 def test_streaming_budget_guard(rs_seed, seed_rational, seed_complex):
     # The scan reads levels 1 and 0, and counts 9 * ell_1 = 18 * ell0
     # entries per part.
@@ -648,8 +702,8 @@ def test_lookups_refuse_before_any_level_is_built(monkeypatch, rs_seed):
     def no_level(*args):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(fastscan, "_levels", no_level)
     fastscan.clear_caches()
+    monkeypatch.setattr(fastscan, "_peak_bounds_to", no_level)
     lookup = f"^lookup needs {9 << 39} entries, budget is 2147483648$"
     with pytest.raises(BudgetExceeded, match=lookup):
         coeff_by_iteration(rs_seed, 40, 1, 1)
@@ -658,15 +712,19 @@ def test_lookups_refuse_before_any_level_is_built(monkeypatch, rs_seed):
     with pytest.raises(BudgetExceeded,
                        match=f"^level 40 spectrum needs {6 << 40} entries, budget is 2147483648$"):
         iter_spectrum(rs_seed, 40, 1)
+    # Under the cap, a lookup is admitted and goes on to build its levels.
+    with pytest.raises(AssertionError, match="a level was built"):
+        coeff_by_iteration(rs_seed, 5, 1, 1)
 
 
 @pytest.mark.parametrize("t", (1, 3, 6))
 def test_lookup_budgets_count_what_they_hold(t, rs_seed, seed_pm4, seed_rational, seed_complex):
-    # A lookup holds, within 8 bytes (one int64) per counted entry at
-    # ell_{n-t} = 2^12, the count that its split check and the scan's
-    # share, on real and complex levels.  A level spectrum stays within 8
-    # bytes per counted entry from ell_n = 2^16 on; below that, fixed
-    # costs of a few hundred KB dominate.
+    # A cold lookup, levels 0 and 1 included, holds within 8 bytes (one
+    # int64) per counted entry at ell_{n-t} = 2^12 the count that its split
+    # check and the scan's share, on real and complex levels; so do the
+    # level pair and the two blocks it keeps once a second block is looked
+    # up.  A level spectrum stays within 8 bytes per counted entry from
+    # ell_n = 2^16 on; below that, fixed costs of a few hundred KB dominate.
     for seed in (rs_seed, seed_pm4, seed_rational, seed_complex):
         lv = 13 - seed.ell0.bit_length()
         need = 9 * (1 << 12) * (1 if seed.is_rational else 2)
@@ -674,17 +732,18 @@ def test_lookup_budgets_count_what_they_hold(t, rs_seed, seed_pm4, seed_rational
             fastscan._check_split(seed, lv, need - 1, "lookup")
         fastscan._check_split(seed, lv, need, "lookup")
         fastscan.clear_caches()
-        fastscan._peak_bounds_to(seed, lv)
         tracemalloc.start()
         try:
             coeff_by_iteration(seed, lv + t, t, 1)
             peak = tracemalloc.get_traced_memory()[1]
+            coeff_by_iteration(seed, lv + t, t, -1)
+            kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * need, (seed, t, peak / (8 * need))
+        assert kept <= 8 * need, (seed, t, kept / (8 * need))
         if seed.is_int:
             n = 17 - seed.ell0.bit_length()
-            fastscan._peak_bounds_to(seed, n - t)
             tracemalloc.start()
             try:
                 iter_spectrum(seed, n, t)
