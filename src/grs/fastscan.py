@@ -21,8 +21,8 @@ computes whole blocks as combinations of views of the level arrays; the
 coefficients are real, so the imaginary part is the same sum with the
 signs of the two conjugated terms flipped.  Every level and every block
 whose exact bound exceeds int64 is computed with Python integers (object
-dtype) instead; the evaluator bounds each block from its own coefficients
-and the levels it reads, so that choice is made in one place.
+dtype) instead; the evaluator bounds each call from its coefficients and
+the levels it reads, so that choice is made in one place.
 
 The blocks of all step counts form one binary tree over the shifts
 (``_children``).  The peak scan searches it best first, bounding every
@@ -34,15 +34,14 @@ also keeps, and found once by that search above them.  So the memory of a
 scan does not grow with n, and no level is searched twice.  The lookups
 (``coeff_by_iteration``, ``iter_spectrum``) take the step count t and never
 run the search: they build the levels n-t and n-t-1 they read by t = 1
-steps up from levels 1 and 0, and keep the last pair built and the last
-two blocks evaluated.
+steps up from levels 1 and 0.  A point lookup keeps that pair and the one
+block it evaluated, and drops both before it builds anything new.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf, isqrt, lcm
 
 from . import correlation, np
@@ -149,15 +148,17 @@ def _bound(node, m_nt: int, m_nt1: int) -> int:
 # |d^2 C_k(s)|, with the witnesses of level k as ``_tree_peak`` returns
 # them, and, for k <= 1, level k itself, from the oracle on the (small)
 # materialized pairs.  A level above 1 is built from levels 1 and 0 by
-# t = 1 steps (``_levels``); the last pair built is kept, outside the store.
+# t = 1 steps (``_levels``).  Outside the store, ``_kept`` holds at most the
+# last lookup's level pair, under (seed, n-t), and its block, under
+# (seed, n, t, q); whatever it holds is dropped before anything is built.
 
 _peak_bounds: dict[SeedPair, list[tuple[int, list, tuple | None]]] = {}
+_kept: dict[tuple, tuple] = {}
 
 
 def clear_caches() -> None:
     _peak_bounds.clear()
-    _levels.cache_clear()
-    _block.cache_clear()
+    _kept.clear()
 
 
 def _scale(seed: SeedPair) -> int:
@@ -223,11 +224,9 @@ def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, list, tuple | Non
     return entries
 
 
-@lru_cache(maxsize=1)
 def _levels(seed: SeedPair, k: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Levels k and k-1, k >= 1: the kept levels 1 and 0, then t = 1 steps
-    up (``_dense_int``).  The last pair built is kept, so a run of lookups
-    on one split builds it once and costs one evaluation per new block."""
+    up (``_dense_int``)."""
     entries = _peak_bounds_to(seed, 1)
     high, low = entries[1][2], entries[0][2]
     for _ in range(2, k + 1):
@@ -251,14 +250,14 @@ def _block_values(a, b, g, d, level_nt, level_nt1) -> tuple[np.ndarray, ...]:
     evaluate one block per row by broadcasting.  The coefficients are
     real, so the imaginary part of a complex level is the same sum over
     the im arrays with the signs of B and Delta flipped.  ``_bound`` of
-    the coefficients, at the largest |entry| over all parts of each level,
-    caps every partial sum; past int64 the levels are evaluated as Python
-    integers.  Returns one array per part of the level.
+    the coefficients (of a column, its largest |entry|) at the largest
+    |entry| of each level's parts caps every partial sum; past int64 the
+    levels are evaluated as Python integers.  Returns one array per part.
     """
     half = level_nt1[0].size  # ell_{n-t} - 1
     m_nt, m_nt1 = (max(map(abs_max, level)) for level in (level_nt, level_nt1))
-    cols = [c.astype(object) if isinstance(c, np.ndarray) else c for c in (a, b, g, d)]
-    bound = max(np.ravel(_bound(cols, m_nt, m_nt1)))
+    bound = _bound([abs_max(c) if isinstance(c, np.ndarray) else c for c in (a, b, g, d)],
+                   m_nt, m_nt1)
     out = []
     for c_nt, c_nt1 in zip(level_nt, level_nt1):
         if bound > INT64_MAX:
@@ -293,39 +292,40 @@ def _split_level(n: int, t: int) -> int:
 
 
 def _check_split(seed: SeedPair, lv: int, budget: int | None, what: str) -> None:
-    """Refuse over ``budget`` a split whose higher level is lv: per part,
-    levels lv and lv-1, a leaf block with its scratch and the squares of
-    ``_peak_of`` hold 7.0 to 8.2 times ell_lv entries under tracemalloc,
-    counted as 9."""
+    """Refuse over ``budget`` a split whose higher level is lv, counted as
+    9 ell_lv entries per part.  Per part under tracemalloc, a scan holds 7.0
+    to 8.2 ell_lv (levels lv and lv-1, a leaf block with its scratch and the
+    squares of ``_peak_of``), and a lookup, which drops the kept state
+    first, 7.1 to 7.2 (the levels and one block with its scratch)."""
     check_budget(9 * (seed.ell0 << lv) * (1 if seed.is_rational else 2), budget, what)
-
-
-@lru_cache(maxsize=2)
-def _block(seed: SeedPair, n: int, t: int, q: int) -> tuple[np.ndarray, ...]:
-    """Block q of level n (``_block_values``).  The last two blocks are
-    kept: single lookups tend to come in runs of nearby shifts, and the two
-    signs of the two-level rule are two blocks."""
-    lv = _split_level(n, t)
-    _check_split(seed, lv, None, "lookup")
-    return _block_values(*_coeffs(t, q), *_levels(seed, lv))
 
 
 def coeff_by_iteration(seed: SeedPair, n: int, t: int, s: int):
     """C_{x_n, y_n}(s), entry r of block q for s = q * L + r, from the
-    level n-t and n-t-1 spectra."""
-    q, r = divmod(s, 2 * (seed.ell0 << _split_level(n, t)))
-    vals = _block(seed, n, t, q)
+    level n-t and n-t-1 spectra: the kept block, or one evaluated once the
+    kept state is dropped, on the kept level pair if the split is the same."""
+    lv = _split_level(n, t)
+    q, r = divmod(s, 2 * (seed.ell0 << lv))
+    vals = _kept.get((seed, n, t, q))
+    if vals is None:
+        _check_split(seed, lv, None, "lookup")
+        levels = _kept.get((seed, lv))
+        _kept.clear()
+        _kept[seed, lv] = levels = levels or _levels(seed, lv)
+        _kept[seed, n, t, q] = vals = _block_values(*_coeffs(t, q), *levels)
     return exact_value(_scale(seed), *(int(v[r]) for v in vals))
 
 
 def iter_spectrum(seed: SeedPair, n: int, t: int) -> np.ndarray:
     """All C_{x_n, y_n}(s) for s in (-ell_n, ell_n), via the level split;
-    integer-valued seeds only (vectorized).  From ell_n = 2^16 on it holds
-    4.0 to 5.6 times ell_n entries, counted as 6 against the default cap."""
+    integer-valued seeds only (vectorized).  It drops the kept lookup state
+    first; from ell_n = 2^16 on it holds 4.2 to 6.5 times ell_n entries, the
+    most at t = n-1 where ``abgd`` stacks 2 ell_n, counted as 7."""
     if not seed.is_int:
         raise ValueError("vectorized spectra need integer-valued seeds")
     lv = _split_level(n, t)
-    check_budget(6 * (seed.ell0 << n), None, f"level {n} spectrum")
+    check_budget(7 * (seed.ell0 << n), None, f"level {n} spectrum")
+    _kept.clear()
     return _dense_int(t, *_levels(seed, lv))[0]
 
 

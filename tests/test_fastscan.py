@@ -325,10 +325,10 @@ def test_clear_caches_empties_every_cache(rs_seed):
     abgd(12)
     coeff_by_iteration(rs_seed, 10, 5, 3)
     coeff_by_geoff(rs_seed, 10, 3)
+    assert len(fastscan._kept) == 2  # one level pair and one block
     fastscan.clear_caches()
     assert len(fastscan._peak_bounds) == 0
-    assert fastscan._levels.cache_info().currsize == 0
-    assert fastscan._block.cache_info().currsize == 0
+    assert not fastscan._kept
     again, _ = streaming_peaks(rs_seed, 20)
     assert again == before
 
@@ -370,9 +370,10 @@ def test_levels_above_the_floor_are_not_kept(rs_seed):
     assert kept == [0, 1] and len(entries) == 31
 
 
-def test_alternating_two_level_lookups_keep_both_blocks(rs_seed, monkeypatch):
-    # Both signs of the two-level rule are two blocks, and both stay
-    # cached, as does the pair of levels they read: levels 2..15 are built
+def test_alternating_two_level_lookups_build_levels_once(rs_seed, monkeypatch):
+    # Both signs of the two-level rule are two blocks on one pair of levels.
+    # Only the last block is kept, so alternating signs evaluate a block per
+    # lookup, but the kept pair serves them all: levels 2..15 are built
     # once, each by one t = 1 step, not once per block or per lookup.
     built = []
     dense = fastscan._dense_int
@@ -388,6 +389,28 @@ def test_alternating_two_level_lookups_keep_both_blocks(rs_seed, monkeypatch):
     assert [coeff_by_geoff(rs_seed, 16, s) for s in shifts] == [oracle.value(s) for s in shifts]
     assert built == list(range(2, 16))
     fastscan.clear_caches()
+
+
+def test_table1_evaluates_two_blocks_per_level(monkeypatch):
+    # Table 1 looks its shifts up in ascending order at t = 1, so the
+    # negative shifts of a level share block -1 and the positive ones
+    # block 0, and the one kept block serves each run.
+    from collections import Counter
+
+    from grs.tables import table1_rows
+
+    blocks = Counter()
+    evaluate = fastscan._block_values
+
+    def counted(a, b, g, d, level_nt, level_nt1):
+        if not isinstance(a, np.ndarray):  # a lookup's block, not a level build
+            blocks[(level_nt[0].size + 1).bit_length() - 1] += 1  # n for ell_{n-1} = 2^(n-1)
+        return evaluate(a, b, g, d, level_nt, level_nt1)
+
+    monkeypatch.setattr(fastscan, "_block_values", counted)
+    fastscan.clear_caches()
+    table1_rows()
+    assert blocks == {n: 2 for n in range(2, 11)}
 
 
 def _reference_level(seed, k):
@@ -697,7 +720,7 @@ def test_scan_budget_refuses_before_any_level_is_built(monkeypatch):
 
 def test_lookups_refuse_before_any_level_is_built(monkeypatch, rs_seed):
     # A lookup at level 40, t = 1, holds levels 39 and 38 and a block of
-    # level 40: 9 * 2^39 entries; the whole level-40 spectrum counts 6 *
+    # level 40: 9 * 2^39 entries; the whole level-40 spectrum counts 7 *
     # 2^40.  Both are over the default cap and refused first.
     def no_level(*args):
         raise AssertionError("a level was built")
@@ -710,47 +733,82 @@ def test_lookups_refuse_before_any_level_is_built(monkeypatch, rs_seed):
     with pytest.raises(BudgetExceeded, match=lookup):
         coeff_by_geoff(rs_seed, 40, 3)
     with pytest.raises(BudgetExceeded,
-                       match=f"^level 40 spectrum needs {6 << 40} entries, budget is 2147483648$"):
+                       match=f"^level 40 spectrum needs {7 << 40} entries, budget is 2147483648$"):
         iter_spectrum(rs_seed, 40, 1)
     # Under the cap, a lookup is admitted and goes on to build its levels.
     with pytest.raises(AssertionError, match="a level was built"):
         coeff_by_iteration(rs_seed, 5, 1, 1)
 
 
+def _traced(*calls):
+    """(memory held when each call starts, its peak) under one tracemalloc
+    session, the calls run in order."""
+    held = []
+    tracemalloc.start()
+    try:
+        for call in calls:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            held.append((start, tracemalloc.get_traced_memory()[1]))
+    finally:
+        tracemalloc.stop()
+    return held
+
+
 @pytest.mark.parametrize("t", (1, 3, 6))
 def test_lookup_budgets_count_what_they_hold(t, rs_seed, seed_pm4, seed_rational, seed_complex):
-    # A cold lookup, levels 0 and 1 included, holds within 8 bytes (one
-    # int64) per counted entry at ell_{n-t} = 2^12 the count that its split
-    # check and the scan's share, on real and complex levels; so do the
-    # level pair and the two blocks it keeps once a second block is looked
-    # up.  A level spectrum stays within 8 bytes per counted entry from
-    # ell_n = 2^16 on; below that, fixed costs of a few hundred KB dominate.
+    # At ell_{n-t} = 2^12, on real and complex levels, a lookup peaks
+    # within 8 bytes (one int64) per counted entry of the count that its
+    # split check and the scan's share, or at what was held when it started
+    # if that is more, give or take 4 KB for the call's own Python objects
+    # (a lookup of the kept block takes about 1 KB): nothing kept stays
+    # alive while the next build runs.  So it goes for a cold lookup, levels
+    # 0 and 1 included, for a second and a third one on new blocks of the
+    # kept pair, after a lookup on a larger split and after a higher level
+    # spectrum.
     for seed in (rs_seed, seed_pm4, seed_rational, seed_complex):
         lv = 13 - seed.ell0.bit_length()
+        n = lv + t
         need = 9 * (1 << 12) * (1 if seed.is_rational else 2)
         with pytest.raises(BudgetExceeded, match=f"^lookup needs {need} entries"):
             fastscan._check_split(seed, lv, need - 1, "lookup")
         fastscan._check_split(seed, lv, need, "lookup")
         fastscan.clear_caches()
-        tracemalloc.start()
-        try:
-            coeff_by_iteration(seed, lv + t, t, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-            coeff_by_iteration(seed, lv + t, t, -1)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * need, (seed, t, peak / (8 * need))
-        assert kept <= 8 * need, (seed, t, kept / (8 * need))
+        runs = _traced(lambda: coeff_by_iteration(seed, n, t, 1),
+                       lambda: coeff_by_iteration(seed, n, t, -1),
+                       lambda: coeff_by_iteration(seed, n + 1, t + 1, -1))
+        for _, peak in runs:
+            assert peak <= 8 * need, (seed, t, runs)
+        fastscan.clear_caches()
+        before = [lambda: coeff_by_iteration(seed, n + 1, t, 1)]
         if seed.is_int:
-            n = 17 - seed.ell0.bit_length()
-            tracemalloc.start()
-            try:
-                iter_spectrum(seed, n, t)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * 6 * (1 << 16), (seed, t, peak / (8 * 6 * (1 << 16)))
+            before.append(lambda: iter_spectrum(seed, n + 2, t))
+        for call in before:
+            runs = _traced(call, lambda: coeff_by_iteration(seed, n, t, 1))
+            start, peak = runs[1]
+            assert peak <= max(8 * need, start + 4096), (seed, t, runs)
+            fastscan.clear_caches()
+
+
+def test_level_spectra_count_what_they_hold(rs_seed, seed_pm4):
+    # A level spectrum at ell_n = 2^16 peaks within 8 bytes per counted
+    # entry, 7 ell_n, at every split; the most, about 6.5 ell_n, at
+    # t = n-1, where the table stacks 2 ell_n coefficients.  Below that
+    # size, fixed costs of a few hundred KB dominate.  After a lookup on
+    # split n, whose kept state holds about 5 ell_n, it peaks at the more
+    # of its count and what was held when it started (as lookups do).
+    for seed, n in ((rs_seed, 16), (seed_pm4, 14)):
+        count = 8 * 7 * (seed.ell0 << n)
+        for t in range(1, n):
+            fastscan.clear_caches()
+            [(_, peak)] = _traced(lambda: iter_spectrum(seed, n, t))
+            assert peak <= count, (seed, t, peak / count)
+        fastscan.clear_caches()
+        runs = _traced(lambda: coeff_by_iteration(seed, n + 1, 1, 1),
+                       lambda: iter_spectrum(seed, n, n - 1))
+        start, peak = runs[1]
+        assert peak <= max(count, start + 4096), (seed, runs)
 
 
 def test_peak_report_json_past_int_text_limit():
