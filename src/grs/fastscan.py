@@ -19,30 +19,30 @@ im, for a complex one.  Within one block of shifts sharing q the four
 table coefficients are constant, so one evaluator (``_block_values``)
 computes whole blocks as combinations of views of the level arrays; the
 coefficients are real, so the imaginary part is the same sum with the
-signs of the two conjugated terms flipped.  Every level and every block
-whose exact bound exceeds int64 is computed with Python integers (object
-dtype) instead; the evaluator bounds each call from its coefficients and
-the levels it reads, so that choice is made in one place.
+signs of the two conjugated terms flipped.
 
-The blocks of all step counts form one binary tree over the shifts
-(``_children``).  The peak scan searches it best first, bounding every
-block by the exact peaks of two lower levels, down to the leaves at depth
-n-1, and evaluates on levels 1 and 0 only the leaves that can reach the
-best value found (``_tree_peak``).  Each seed keeps one list, one entry
-per level: its peak, read off the oracle levels 0 and 1, which the list
-also keeps, and found once by that search above them.  So the memory of a
-scan does not grow with n, and no level is searched twice.  The lookups
-(``coeff_by_iteration``, ``iter_spectrum``) take the step count t and never
-run the search: they build the levels n-t and n-t-1 they read by t = 1
-steps up from levels 1 and 0.  A point lookup keeps that pair and the one
-block it evaluated, and drops both before it builds anything new.
+One bound (``_bound``), from a block's coefficients and the largest
+entries of the two levels it reads, caps every value and partial sum in
+the block.  The evaluator uses Python integers (object dtype) where it
+exceeds int64.  The blocks of all step counts form one binary tree over
+the shifts (``_children``), which the peak scan searches best first by
+that bound down to the leaves at depth n-1, evaluating on levels 1 and 0
+only the leaves that can reach the best value found (``_tree_peak``).
+Each seed keeps one list, one entry per level: its peak, read off the
+oracle levels 0 and 1, which the list also keeps, and found once by that
+search above them.  So the memory of a scan does not grow with n, and no
+level is searched twice.  The lookups (``coeff_by_iteration``,
+``iter_spectrum``) take the step count t and never run the search: they
+build the levels n-t and n-t-1 they read by t = 1 steps up from levels 1
+and 0.  A point lookup keeps that pair and the one block it evaluated,
+and drops both before it builds anything new.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import inf, isqrt, lcm
+from math import isqrt, lcm
 
 from . import correlation, np
 from .convolve import INT64_MAX, abs2, abs_max, scaled
@@ -128,11 +128,11 @@ def abgd(t: int) -> AbgdTable:
 
 def _bound(node, m_nt: int, m_nt1: int) -> int:
     """(|A| + |B|) m_nt + max(|Gamma|, |Delta|) m_nt1, the one block
-    bound (``nellie_bound`` and ``derrel_bound`` are instances), as a
-    sum: one of Gamma and Delta is zero.  Gamma and Delta read disjoint
-    remainder windows, so it caps every partial sum of the four-term
-    formula, real and imaginary, too: a block whose bound fits int64
-    evaluates without wraparound."""
+    bound (of the search, the evaluator, ``nellie_bound`` and
+    ``derrel_bound``), as a sum: one of Gamma and Delta is zero.  Gamma
+    and Delta read disjoint remainder windows, so it caps every partial
+    sum of the four-term formula, real and imaginary, too: a block whose
+    bound fits int64 evaluates without wraparound."""
     a, b, g, d = node
     return (abs(a) + abs(b)) * m_nt + (abs(g) + abs(d)) * m_nt1
 
@@ -210,12 +210,9 @@ def _root_up(sq: int) -> int:
 
 
 def _peak_bounds_to(seed: SeedPair, k: int) -> list[tuple[int, list, tuple | None]]:
-    """Entries j = 0, 1, ... of the seed, at least to k: (m_j, hits,
-    level), where hits are the witnesses of level j, by shift.  Levels 0
-    and 1 come from the oracle, are kept, and their peaks and witnesses are
-    read off them by ``_peak_of``; above them, the level is None and both
-    are found by the search with its leaves at level 1 (``_tree_peak``),
-    which needs only entries below j."""
+    """The entries (m_j, hits, level) of the seed, j = 0, 1, ..., at least
+    to k: on levels 0 and 1 read off the oracle level by ``_peak_of``, above
+    them found by ``_tree_peak`` from the entries below, with level None."""
     entries = _peak_bounds.setdefault(seed, [])
     for j in range(len(entries), k + 1):
         level = _oracle_level(seed, j) if j <= 1 else None
@@ -250,14 +247,13 @@ def _block_values(a, b, g, d, level_nt, level_nt1) -> tuple[np.ndarray, ...]:
     evaluate one block per row by broadcasting.  The coefficients are
     real, so the imaginary part of a complex level is the same sum over
     the im arrays with the signs of B and Delta flipped.  ``_bound`` of
-    the coefficients (of a column, its largest |entry|) at the largest
-    |entry| of each level's parts caps every partial sum; past int64 the
-    levels are evaluated as Python integers.  Returns one array per part.
+    the rows' largest |A| + |B| and |Gamma| + |Delta| (``_row_max``) at
+    each level's largest |entry| caps every partial sum of every row; past
+    int64 the levels are evaluated as Python integers.  One array per part.
     """
     half = level_nt1[0].size  # ell_{n-t} - 1
     m_nt, m_nt1 = (max(map(abs_max, level)) for level in (level_nt, level_nt1))
-    bound = _bound([abs_max(c) if isinstance(c, np.ndarray) else c for c in (a, b, g, d)],
-                   m_nt, m_nt1)
+    bound = _bound((_row_max(a, b), 0, _row_max(g, d), 0), m_nt, m_nt1)
     out = []
     for c_nt, c_nt1 in zip(level_nt, level_nt1):
         if bound > INT64_MAX:
@@ -273,6 +269,11 @@ def _block_values(a, b, g, d, level_nt, level_nt1) -> tuple[np.ndarray, ...]:
         out.append(vals)
         b, d = -b, -d
     return tuple(out)
+
+
+def _row_max(x, y) -> int:
+    """max |x| + |y| over the rows of two coefficient columns, or of two scalars."""
+    return int((abs(x) + abs(y)).max()) if isinstance(x, np.ndarray) else abs(x) + abs(y)
 
 
 def _dense_int(t: int, level_nt, level_nt1) -> tuple[np.ndarray, ...]:
@@ -379,13 +380,10 @@ def streaming_peaks(seed: SeedPair, n: int,
     """Peak crosscorrelation of the level-n pair, plus the derived peak
     sidelobe report for level n+1.
 
-    The peak is the one the seed keeps for level n (``_peak_bounds_to``):
-    read off the oracle levels 0 and 1, and above them found once per seed
-    by a best-first search of the shift tree with its leaves on levels 1
-    and 0 (``_tree_peak``).  The peak value is |v| of the first witness v;
-    a properly complex v, whose magnitude is in general irrational, raises
-    ValueError.  A scan over ``budget`` is refused before any level is
-    built (``_check_split``).
+    The peak is the one the seed keeps for level n (``_peak_bounds_to``).
+    Its value is |v| of the first witness v; a properly complex v, whose
+    magnitude is in general irrational, raises ValueError.  A scan over
+    ``budget`` is refused before any level is built (``_check_split``).
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -406,22 +404,22 @@ def _tree_peak(seed: SeedPair, n: int) -> tuple[int, list]:
 
     Node q at depth k holds the shifts q * 2 ell_{n-k} + r, 0 <= r <
     2 ell_{n-k}; the two roots cover [-ell_n, ell_n), and -ell_n has r = 0,
-    where every value vanishes.  Its bound is ``_bound`` for m_{n-k} and
-    m_{n-k-1}, capped by its parent's.  Nodes are expanded by decreasing
-    bound down to the leaves at depth n-1, which are evaluated on the kept
-    levels 1 and 0, until a bound falls below the best value: nodes whose
-    bound equals it are still expanded, so every witness is kept.  Complex
-    levels compare squared magnitudes with squared bounds.
+    where every value vanishes.  Its own bound, ``_bound`` for m_{n-k} and
+    m_{n-k-1}, caps every value in its block.  Nodes are expanded by
+    decreasing bound down to the leaves at depth n-1, evaluated on the kept
+    levels 1 and 0, until a bound falls below the best value, and with it
+    every value left; nodes whose bound equals it are still expanded, so
+    every witness is kept.  Complex levels compare squared magnitudes.
     """
     entries = _peak_bounds_to(seed, n - 1)
     level_1, level_0 = entries[1][2], entries[0][2]
     power = 1 if seed.is_rational else 2
     ms = [entry[0] for entry in entries]
 
-    def node(depth, q, coeffs, cap):
-        return (-min(_bound(coeffs, ms[n - depth], ms[n - depth - 1]), cap), depth, q, coeffs)
+    def node(depth, q, coeffs):
+        return (-_bound(coeffs, ms[n - depth], ms[n - depth - 1]), depth, q, coeffs)
 
-    heap = sorted(node(1, q, coeffs, inf) for q, coeffs in _ROOTS.items())
+    heap = sorted(node(1, q, coeffs) for q, coeffs in _ROOTS.items())
     best, hits = 0, []
     while heap:
         neg, depth, q, coeffs = heapq.heappop(heap)
@@ -430,7 +428,7 @@ def _tree_peak(seed: SeedPair, n: int) -> tuple[int, list]:
             break
         if depth < n - 1:
             for child_q, child in zip((2 * q, 2 * q + 1), _children(coeffs)):
-                heapq.heappush(heap, node(depth + 1, child_q, child, -neg))
+                heapq.heappush(heap, node(depth + 1, child_q, child))
             continue
         m, wits = _peak_of(_block_values(*coeffs, level_1, level_0), q * 4 * seed.ell0)
         if m > best:

@@ -117,10 +117,10 @@ class Sequence:
     The representation is canonical, so equality compares den and the
     trimmed parts, as polynomials: the declared length and trailing zeros
     do not matter.  The hash reads den, the degree and the trimmed parts,
-    computed per call: no key copy is kept.
+    computed on first use and kept as an int: no key copy is kept.
     """
 
-    __slots__ = ("length", "parts", "den", "_degree")
+    __slots__ = ("length", "parts", "den", "_degree", "_hash")
 
     def __init__(self, values: Iterable, length: int | None = None):
         self._set(*_canonical(values), length)
@@ -147,7 +147,7 @@ class Sequence:
             parts = [fitted(p, length) for p in parts]
         for part in parts:
             part.flags.writeable = False
-        for name, value in zip(self.__slots__, (length, tuple(parts), den, max(degrees))):
+        for name, value in zip(self.__slots__, (length, (*parts,), den, max(degrees), None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):
@@ -222,8 +222,10 @@ class Sequence:
                 and all(np.array_equal(a[:end], b[:end]) for a, b in zip(self.parts, other.parts)))
 
     def __hash__(self):
-        end = self._degree + 1
-        return hash((self.den, self._degree, *(tuple(p[:end].tolist()) for p in self.parts)))
+        if self._hash is None:
+            key = (tuple(p[: self._degree + 1].tolist()) for p in self.parts)
+            object.__setattr__(self, "_hash", hash((self.den, self._degree, *key)))
+        return self._hash
 
     def __repr__(self):
         if self.is_binary:

@@ -497,6 +497,37 @@ def test_levels_above_a_lowered_floor(
         fastscan.clear_caches()
 
 
+def _sum_of_squares(level):
+    """The exact sum of the squares of every entry of every part of a level."""
+    return sum(v * v for part in level for v in part.tolist())
+
+
+def test_level_sums_of_squares_follow_their_recurrence(
+    corpus, seed_golay10, seed_padded3, seed_rational, seed_complex, seed_complex_rational
+):
+    # S_k, the sum of the squares of every part of level k, is d^4 times
+    # the sum of |C_k(s)|^2 over all shifts, and S_{k+2} = 2 S_{k+1} + 8 S_k.
+    # Levels 2..16 are each built once by t = 1 steps from levels 1 and 0
+    # of the store.  The levels of the two 10^9 seeds leave int64 on the way.
+    big, big_i = 10**9, CQ(0, 10**9)
+    seeds = corpus + [seed_golay10, seed_padded3, seed_rational, seed_complex,
+                      seed_complex_rational,
+                      validate_seed(Sequence([big]), Sequence([big]), 1),
+                      validate_seed(Sequence([big, big_i]), Sequence([big, -big_i]), 2)]
+    fastscan.clear_caches()
+    try:
+        for seed in seeds:
+            high, low = fastscan._levels(seed, 1)
+            sums = [_sum_of_squares(low), _sum_of_squares(high)]
+            for _ in range(2, 17):
+                high, low = fastscan._dense_int(1, high, low), high
+                sums.append(_sum_of_squares(high))
+            for k in range(15):
+                assert sums[k + 2] == 2 * sums[k + 1] + 8 * sums[k], (seed.ell0, k)
+    finally:
+        fastscan.clear_caches()
+
+
 def _peak_abs(level):
     """The least integer at or above every |C_k(s)| of a level, from the
     peak reducer that the dense levels and the scan leaves share."""
@@ -595,6 +626,73 @@ def test_tree_search_keeps_equal_bound_witnesses():
         rep, _ = streaming_peaks(seed, n)
         assert rep.value == value, n
         assert rep.witnesses == tuple((s, spec.value(s)) for s in shifts), n
+
+
+def _nodes_reaching(seed, n, ms, best):
+    """(depth, q) of every node of the level-n shift tree whose own bound,
+    and every ancestor's, reaches best (squared for a complex seed)."""
+    power = 1 if seed.is_rational else 2
+    found, stack = set(), [(1, q, node) for q, node in fastscan._ROOTS.items()]
+    while stack:
+        depth, q, node = stack.pop()
+        if fastscan._bound(node, ms[n - depth], ms[n - depth - 1]) ** power >= best:
+            found.add((depth, q))
+            if depth < n - 1:
+                stack += [(depth + 1, 2 * q + i, c) for i, c in enumerate(fastscan._children(node))]
+    return found
+
+
+def test_tree_search_expands_only_nodes_that_reach_the_peak(
+    monkeypatch, corpus, seed_golay10, seed_padded3, seed_rational, seed_complex,
+    seed_complex_rational,
+):
+    # A witness lies in a node whose own bound reaches the peak, at every
+    # depth, so the search pops, before the pop that stops it, exactly the
+    # nodes whose own bound and every ancestor's reach the peak: each is
+    # expanded or, at depth n-1, evaluated, and no other node is.
+    popped = []
+    heappop = fastscan.heapq.heappop
+
+    def recorded(heap):
+        popped.append(heappop(heap))
+        return popped[-1]
+
+    monkeypatch.setattr(fastscan.heapq, "heappop", recorded)
+    fastscan.clear_caches()
+    try:
+        for seed in corpus + [seed_golay10, seed_padded3, seed_rational, seed_complex,
+                              seed_complex_rational]:
+            ms = [entry[0] for entry in fastscan._peak_bounds_to(seed, 29)]
+            power = 1 if seed.is_rational else 2
+            for n in range(2, 31):
+                popped.clear()
+                best, _ = fastscan._tree_peak(seed, n)
+                nodes = [(depth, q) for _, depth, q, _ in popped]
+                _, depth, _, node = popped[-1]
+                if fastscan._bound(node, ms[n - depth], ms[n - depth - 1]) ** power < best:
+                    nodes.pop()  # the pop that stops the search
+                assert sorted(nodes) == sorted(_nodes_reaching(seed, n, ms, best)), (seed, n)
+    finally:
+        fastscan.clear_caches()
+
+
+def test_t1_builds_bound_each_row():
+    # A t = 1 build is bounded by its largest row, m_{k-1} + 2 m_{k-2}, not
+    # by the column maxima, which double it.  So the levels of the 10^9
+    # seeds whose values fit int64 by less than that factor are built in
+    # int64, and level 4, whose values leave int64, in Python ints.
+    big, big_i = 10**9, CQ(0, 10**9)
+    real = validate_seed(Sequence([big]), Sequence([big]), 1)
+    cplx = validate_seed(Sequence([big, big_i]), Sequence([big, -big_i]), 2)
+    fastscan.clear_caches()
+    try:
+        for seed, k, dtype in [(real, 3, np.int64), (real, 4, object), (cplx, 2, np.int64),
+                               (cplx, 3, np.int64), (cplx, 4, object)]:
+            level = fastscan._levels(seed, k)[0]
+            assert [part.tolist() for part in level] == _reference_level(seed, k), (seed, k)
+            assert all(part.dtype == dtype for part in level), (seed, k)
+    finally:
+        fastscan.clear_caches()
 
 
 def test_large_coefficients_leave_int64_exactly():

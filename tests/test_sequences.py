@@ -207,6 +207,17 @@ def test_hash_reads_the_coefficients():
     assert hash(Sequence([1, 1, 2])) != hash(forms[0])
 
 
+def test_hash_reads_the_coefficients_once():
+    # The first hash reads every coefficient into a key; later ones return
+    # the int it kept, and no key stays alive.
+    seq = Sequence.binary("+-" * 2**15)
+    first, kept, peak = _traced(lambda: hash(seq))
+    again, kept_again, peak_again = _traced(lambda: hash(seq))
+    assert first == again == hash(Sequence(seq.coeffs))
+    assert peak > 8 * seq.length and kept < 4096
+    assert peak_again < 4096 and kept_again < 4096
+
+
 def test_equal_shape_is_not_equality():
     # Same den, degree and part count; one coefficient differs, in the re
     # part, the im part or a value past int64.
